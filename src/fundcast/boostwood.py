@@ -88,10 +88,6 @@ class BinnedMatrix:
     def n_features(self) -> int:
         return self.codes.shape[1]
 
-    @property
-    def missing_bin(self) -> np.ndarray:
-        return np.full(self.n_features, self.bins_total - 1, dtype=np.int64)
-
     def map_new(self, x: np.ndarray) -> "BinnedMatrix":
         """Bin new rows with the training-time edges."""
         x = np.asarray(x, dtype=np.float64)
@@ -164,20 +160,6 @@ def _leaf_weight(g: float, h: float, l1: float, l2: float) -> float:
     if denom <= 1e-150:
         return 0.0
     return float(-_soft_threshold(g, l1) / denom)
-
-
-def split_gain(parent_stats, left_stats, params: HyperParams) -> float:
-    """Gain of splitting a node with (G, H) sums into left and right = parent - left.
-
-    gain = score(left) + score(right) - score(parent) with
-    score(G, H) = soft_threshold(G, lambda_l1)^2 / (H + lambda_l2).
-    """
-    gp, hp = parent_stats
-    gl, hl = left_stats
-    gr, hr = gp - gl, hp - hl
-    score = lambda g, h: float(_leaf_objective(np.float64(g), np.float64(h),
-                                               params.lambda_l1, params.lambda_l2))
-    return score(gl, hl) + score(gr, hr) - score(gp, hp)
 
 
 @dataclass

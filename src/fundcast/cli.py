@@ -256,7 +256,7 @@ def build_subset_config(config: ExperimentConfig, schema,
     )
 
 
-def run_backtest(config: ExperimentConfig, jobs: int = 1):
+def run_backtest(config: ExperimentConfig):
     """Full pipeline over all subsets; returns (records, results)."""
     schema = panel_ingest.load_schema(config.schema_path)
     panel = panel_ingest.load_panel(config.panel_path, schema)
@@ -280,8 +280,7 @@ def run_backtest(config: ExperimentConfig, jobs: int = 1):
     if config.max_subsets > 0:
         splits = splits[:config.max_subsets]
     subset_config = build_subset_config(config, schema, consensus_vectors)
-    results = rollcast.run_all_subsets(splits, features, labels, subset_config,
-                                       jobs=jobs)
+    results = rollcast.run_all_subsets(splits, features, labels, subset_config)
     records = rollcast.build_records(results, config.to_echo())
     return records, results
 
@@ -312,8 +311,8 @@ def cmd_synth(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_backtest(config: ExperimentConfig, jobs: int = 1) -> int:
-    records, results = run_backtest(config, jobs=jobs)
+def cmd_backtest(config: ExperimentConfig) -> int:
+    records, results = run_backtest(config)
     os.makedirs(config.output_dir, exist_ok=True)
     rollcast.write_jsonl(records, os.path.join(config.output_dir, "report.jsonl"))
     text = rollcast.render_text(records)
@@ -368,9 +367,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        if name == "backtest":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="concurrent subsets (default serial)")
     args = parser.parse_args(argv)
 
     try:
@@ -381,7 +377,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(config)
         if args.command == "backtest":
-            return cmd_backtest(config, jobs=args.jobs)
+            return cmd_backtest(config)
         return cmd_report(config)
     except (FundcastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

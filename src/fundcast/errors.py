@@ -17,10 +17,6 @@ class MissingDenominatorError(FundcastError):
     """A percent format is requested but the denominator column is absent."""
 
 
-class InsufficientDataError(FundcastError):
-    """A series has too few present values for the requested statistic."""
-
-
 class WindowTooSmallError(FundcastError):
     """The training window cannot accommodate the requested validation size."""
 

@@ -15,16 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    MissingDenominatorError,
-    PanelError,
-)
+from .errors import MissingDenominatorError, PanelError
 from .panel_ingest import (
     CONVERTED_FORMATS,
     RATIO_FORMATS,
     Format,
     RawPanel,
+    _shifted,
+    company_slices,
 )
 
 DEFAULT_ASSETS_VAR = "atq"
@@ -91,18 +89,6 @@ class FeatureMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def column_names(self) -> list:
-        return [m.name for m in self.metas]
-
-    def company_slices(self) -> list:
-        out = []
-        start = 0
-        for i in range(1, len(self.keys) + 1):
-            if i == len(self.keys) or self.keys[i][0] != self.keys[start][0]:
-                out.append((self.keys[start][0], start, i))
-                start = i
-        return out
-
     def take_rows(self, mask: np.ndarray) -> "FeatureMatrix":
         mask = np.asarray(mask)
         keys = [k for k, keep in zip(self.keys, mask) if keep]
@@ -161,19 +147,6 @@ class FillReport:
         return out
 
 
-def _shifted(values: np.ndarray, q_idx: np.ndarray, start: int, stop: int,
-             shift: int) -> np.ndarray:
-    """Values of the same company shift quarters earlier, NaN where absent."""
-    qi = q_idx[start:stop]
-    want = qi - shift
-    pos = np.searchsorted(qi, want)
-    pos_clipped = np.minimum(pos, len(qi) - 1)
-    ok = (want >= qi[0]) & (qi[pos_clipped] == want)
-    out = np.full(stop - start, np.nan)
-    out[ok] = values[start:stop][pos_clipped[ok]]
-    return out
-
-
 def convert_formats(panel: RawPanel, schema, *,
                     assets_var: str = DEFAULT_ASSETS_VAR,
                     revenue_var: str = DEFAULT_REVENUE_VAR,
@@ -200,7 +173,7 @@ def convert_formats(panel: RawPanel, schema, *,
 
     n = panel.n_rows
     q_idx = np.array([q.index for _, q in panel.keys], dtype=np.int64)
-    slices = panel.company_slices()
+    slices = company_slices(panel.keys)
     extra = -1.0 if formula_variant == "minus_one" else 0.0
 
     def growth(raw: np.ndarray, shift: int):
@@ -287,60 +260,18 @@ def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
                          dedupe_pairs=list(m.dedupe_pairs))
 
 
-def apply_caps(m: FeatureMatrix, reference_metas) -> FeatureMatrix:
-    """Re-apply caps previously stored by clip_outliers to a new matrix."""
-    caps = {(r.base_variable, r.format, r.lag): r.cap
-            for r in reference_metas if r.cap is not None}
-    values = m.values.copy()
-    metas = list(m.metas)
-    for j, meta in enumerate(metas):
-        cap = caps.get((meta.base_variable, meta.format, meta.lag))
-        if cap is None:
-            continue
-        values[:, j] = np.minimum(values[:, j], cap)
-        metas[j] = replace(meta, cap=cap)
-    return FeatureMatrix(list(m.keys), values, metas,
-                         origin_positive=m.origin_positive,
-                         raw_missing=m.raw_missing,
-                         dedupe_pairs=list(m.dedupe_pairs))
-
-
-def fill_period_residuals(series: np.ndarray, max_p: int = 20) -> np.ndarray:
-    """Mean squared one-step residual for rolling means of 1..max_p past values.
-
-    The window holds up to p most recent present values (partial windows at
-    the start), so every present value after the first contributes for every
-    p and the residual counts match across candidates.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    vals = series[~np.isnan(series)]
-    n = len(vals)
-    if n < 2:
-        raise InsufficientDataError(f"need >= 2 present values, got {n}")
-    csum = np.concatenate(([0.0], np.cumsum(vals)))
-    i_idx = np.arange(1, n)
-    p_grid = np.arange(1, max_p + 1)[:, None]
-    w = np.minimum(p_grid, i_idx[None, :])
-    pred = (csum[i_idx] - csum[i_idx - w]) / w
-    resid = (vals[i_idx] - pred) ** 2
-    return resid.mean(axis=1)
-
-
-def select_fill_period(series: np.ndarray, max_p: int = 20) -> int:
-    """Rolling period in 1..max_p minimizing the mean squared residual.
-
-    Ties resolve toward the smallest period.
-    """
-    residuals = fill_period_residuals(series, max_p)
-    return int(np.argmin(residuals)) + 1
-
-
 def _pooled_fill_period(column: np.ndarray, slices, fit_mask: np.ndarray,
                         max_p: int):
     """Choose p for one column by pooling residuals across companies.
 
-    Residual contributions are restricted to present values on fit rows;
-    the look-back window itself may use any past present value.
+    For each p in 1..max_p, the residual of a present value is its squared
+    distance from the mean of up to p earlier present values of the same
+    company (partial windows at the start), so every present value after a
+    company's first contributes for every p and the counts match across
+    candidates. Contributions are restricted to present values on fit rows;
+    the look-back window itself may use any past present value. Returns
+    (p, per-p mean squared residuals) with p the smallest minimizer, or
+    (1, None) when no fit row contributes.
     """
     sse = np.zeros(max_p)
     cnt = 0
@@ -446,7 +377,7 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
                 missing_any |= np.isnan(m.values[:, j])
         present = ~missing_any
         q_idx = np.array([q.index for _, q in m.keys], dtype=np.int64)
-        for _, start, stop in m.company_slices():
+        for _, start, stop in company_slices(m.keys):
             qi = q_idx[start:stop]
             span = qi[-1] - qi[0] + 1
             dense = np.zeros(span, dtype=np.int64)
@@ -477,7 +408,7 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
     metas = [meta for meta, keep in zip(metas, keep_cols) if keep]
 
     sub = FeatureMatrix(keys, values, metas)
-    slices = sub.company_slices()
+    slices = company_slices(sub.keys)
 
     # (3) relevant fill-in for percent formats
     for j, meta in enumerate(metas):
@@ -557,7 +488,7 @@ def build_lags(m: FeatureMatrix, n_lags: int = 20) -> FeatureMatrix:
     q_idx = np.array([q.index for _, q in m.keys], dtype=np.int64)
     keep_parts = []
     gather_parts = []
-    for _, start, stop in m.company_slices():
+    for _, start, stop in company_slices(m.keys):
         qi = q_idx[start:stop]
         length = stop - start
         gather = np.full((length, n_lags), -1, dtype=np.int64)
@@ -675,7 +606,7 @@ def build_labels(panel: RawPanel, horizon: str = "qoq", n_classes: int = 3,
     if income_var not in panel.columns or assets_var not in panel.columns:
         raise PanelError(
             f"labels need {income_var!r} and {assets_var!r} columns")
-    slices = panel.company_slices()
+    slices = company_slices(panel.keys)
     income = panel.columns[income_var]
     assets = panel.columns[assets_var]
     targets = relative_change_targets(

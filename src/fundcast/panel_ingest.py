@@ -87,23 +87,8 @@ class CalendarQuarter:
     def from_index(cls, idx: int) -> "CalendarQuarter":
         return cls(idx // 4, idx % 4 + 1)
 
-    def succ(self) -> "CalendarQuarter":
-        return CalendarQuarter.from_index(self.index + 1)
-
-    def diff(self, other: "CalendarQuarter") -> int:
-        """Distance in quarters (self minus other)."""
-        return self.index - other.index
-
     def __str__(self) -> str:
         return f"{self.year}Q{self.quarter}"
-
-    @classmethod
-    def parse(cls, text: str) -> "CalendarQuarter":
-        year, _, q = text.partition("Q")
-        try:
-            return cls(int(year), int(q))
-        except (ValueError, TypeError) as exc:
-            raise PanelError(f"malformed quarter {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,6 +127,32 @@ class FilterRules:
     exclude_reporting_gaps: bool = True
 
 
+def company_slices(keys) -> list:
+    """Contiguous (company, start, stop) runs over keys sorted by company."""
+    out = []
+    start = 0
+    for i in range(1, len(keys) + 1):
+        if i == len(keys) or keys[i][0] != keys[start][0]:
+            out.append((keys[start][0], start, i))
+            start = i
+    return out
+
+
+def _shifted(values: np.ndarray, q_idx: np.ndarray, start: int, stop: int,
+             shift: int) -> np.ndarray:
+    """Per row of one company's slice, the company's value shift calendar
+    quarters earlier (later when shift is negative), NaN where that quarter
+    has no row."""
+    qi = q_idx[start:stop]
+    want = qi - shift
+    pos = np.searchsorted(qi, want)
+    pos_clipped = np.minimum(pos, len(qi) - 1)
+    ok = (want >= qi[0]) & (qi[pos_clipped] == want)
+    out = np.full(stop - start, np.nan)
+    out[ok] = values[start:stop][pos_clipped[ok]]
+    return out
+
+
 @dataclass
 class RawPanel:
     """Per-(company, quarter) raw values on a calendar grid.
@@ -176,16 +187,6 @@ class RawPanel:
     @property
     def n_rows(self) -> int:
         return len(self.keys)
-
-    def company_slices(self) -> list:
-        """Contiguous (company, start, stop) runs over the sorted keys."""
-        out = []
-        start = 0
-        for i in range(1, len(self.keys) + 1):
-            if i == len(self.keys) or self.keys[i][0] != self.keys[start][0]:
-                out.append((self.keys[start][0], start, i))
-                start = i
-        return out
 
     def quarters(self) -> list:
         """Sorted distinct quarters present anywhere in the panel."""
@@ -408,7 +409,7 @@ def apply_sample_filters(panel: RawPanel, rules: FilterRules) -> RawPanel:
     """Remove whole companies that fail any enabled rule; absent meta passes."""
     failing = {
         company
-        for company, _, _ in panel.company_slices()
+        for company, _, _ in company_slices(panel.keys)
         if _company_fails(company, panel.meta.get(company, CompanyMeta()), rules)
     }
     if not failing:
@@ -418,20 +419,22 @@ def apply_sample_filters(panel: RawPanel, rules: FilterRules) -> RawPanel:
 
 
 def shift_forward_aligned(panel: RawPanel, schema) -> RawPanel:
-    """Replace next-quarter-aligned series with the value of the next stored row.
+    """Replace next-quarter-aligned series with their next-quarter value.
 
-    Within each company the series shifts back by one position; the final
-    row becomes missing. Key set and column count are preserved.
+    Within each company, the value at quarter q becomes the value stored at
+    calendar quarter q + 1, or missing when that quarter has no row (after
+    a gap, and at the company's last quarter). Key set and column count are
+    preserved.
     """
     aligned = [s.name for s in schema if s.next_quarter_aligned]
     if not aligned:
         return panel
     columns = dict(panel.columns)
-    slices = panel.company_slices()
+    q_idx = np.array([q.index for _, q in panel.keys], dtype=np.int64)
+    slices = company_slices(panel.keys)
     for name in aligned:
         col = columns[name].copy()
         for _, start, stop in slices:
-            col[start:stop - 1] = col[start + 1:stop]
-            col[stop - 1] = np.nan
+            col[start:stop] = _shifted(columns[name], q_idx, start, stop, -1)
         columns[name] = col
     return RawPanel(list(panel.keys), columns, dict(panel.meta))

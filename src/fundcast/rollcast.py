@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     SubsetError,
 )
 from .feature_forge import FeatureMatrix, LabelVector
-from .panel_ingest import CalendarQuarter, Format, RawPanel
+from .panel_ingest import CalendarQuarter, Format, RawPanel, company_slices
 
 CONSENSUS_HEADER = ["company_id", "year", "quarter", "consensus_mean",
                     "consensus_median", "actual_nongaap"]
@@ -124,7 +123,7 @@ def consensus_classes(table: ConsensusTable, panel: RawPanel, horizon: str,
         if feature_forge.DEFAULT_ASSETS_VAR in panel.columns else None
     if assets is None:
         raise PanelError("consensus scoring needs the assets column")
-    slices = panel.company_slices()
+    slices = company_slices(panel.keys)
     target_est = feature_forge.relative_change_targets(
         panel.keys, slices, est, actual, assets, horizon)
     target_act = feature_forge.relative_change_targets(
@@ -484,11 +483,12 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
         def objective(params: HyperParams):
             binned = boostwood.bin_features(comps_train[tr_i], params.max_bin)
+            binned_va = binned.map_new(comps_train[va_i])
             model = boostwood.fit(
                 binned, y_train[tr_i], params, n_classes=config.n_classes,
-                valid=(binned.map_new(comps_train[va_i]), y_train[va_i]),
+                valid=(binned_va, y_train[va_i]),
                 early_stopping_rounds=config.early_stopping)
-            val_pred = boostwood.predict(model, binned.map_new(comps_train[va_i]))
+            val_pred = boostwood.predict(model, binned_va)
             train_pred = boostwood.predict(model, binned)
             val_acc = float((val_pred == y_train[va_i]).mean())
             train_acc = float((train_pred == y_train[tr_i]).mean())
@@ -605,17 +605,10 @@ def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
 
 
 def run_all_subsets(splits, features: FeatureMatrix, labels: LabelVector,
-                    config: SubsetConfig, jobs: int = 1) -> list:
-    """Run every subset, serially or with a thread pool.
-
-    Per-subset seeding makes results independent of execution order.
-    """
-    if jobs <= 1:
-        return [run_subset(split, features, labels, config) for split in splits]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_subset, split, features, labels, config)
-                   for split in splits]
-        return [f.result() for f in futures]
+                    config: SubsetConfig) -> list:
+    """Run every subset in order; per-subset seeding makes each result
+    independent of the others."""
+    return [run_subset(split, features, labels, config) for split in splits]
 
 
 def build_records(results, config_echo: dict) -> list:
@@ -624,37 +617,6 @@ def build_records(results, config_echo: dict) -> list:
     for result in sorted(results, key=lambda r: r.split.index):
         records.append(result.to_record())
     return records
-
-
-@dataclass
-class Report:
-    """Aggregated backtest outcome: stored records plus summary accessors."""
-
-    records: list
-
-    @property
-    def subset_records(self) -> list:
-        return [r for r in self.records if r.get("record_type") == "subset"]
-
-    @property
-    def mean_accuracy(self) -> float:
-        return _mean_defined(r["metrics"]["accuracy"]
-                             for r in self.subset_records)
-
-    @property
-    def accuracy_series(self) -> list:
-        return [(r["test_quarter"], r["metrics"]["accuracy"], r["n_test"])
-                for r in sorted(self.subset_records, key=lambda r: r["subset"])]
-
-    def to_text(self) -> str:
-        return render_text(self.records)
-
-
-def aggregate_report(results, config_echo: dict | None = None) -> Report:
-    """Fold completed subset results into a Report (records plus tables)."""
-    if not results:
-        raise ReportError("no subset results to aggregate")
-    return Report(build_records(results, config_echo or {}))
 
 
 def _mean_defined(values) -> float:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quarter_range
+from conftest import quarter_range, single_company_fill_period, split_gain
 from fundcast import (
     boostwood,
     feature_forge,
@@ -41,7 +41,7 @@ class TestCriterion1PcaCorrectness:
     def test_pca_against_brute_force_oracle(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(1234)
-        worst_load = worst_orth = worst_recon = worst_trace = 0.0
+        worst_eig = worst_load = worst_orth = worst_recon = worst_trace = 0.0
         for _ in range(20):
             m = int(rng.integers(60, 201))
             d = int(rng.integers(5, 51))
@@ -49,28 +49,33 @@ class TestCriterion1PcaCorrectness:
             model = spectral_reduce.fit_pca(x)
             xc = x - x.mean(axis=0)
             cov = xc.T @ xc / m
-            wo, vo = np.linalg.eigh(cov)
-            order = np.argsort(-wo)
-            wo, vo = wo[order], vo[:, order]
+            # independent solver: the SVD of the centred matrix, whose
+            # singular values come in descending order; eigenvalues s^2/m
+            _, so, vto = np.linalg.svd(xc, full_matrices=False)
+            wo, vo = so ** 2 / m, vto.T
+            eig_err = np.max(np.abs(model.eigenvalues - wo))
             load_err = np.max(np.abs(model.loadings
                                      - align_signs(model.loadings, vo)))
             orth_err = np.max(np.abs(model.loadings.T @ model.loadings
                                      - np.eye(d)))
-            recon = spectral_reduce.inverse_transform(
-                model, spectral_reduce.transform(model, x))
+            recon = (spectral_reduce.transform(model, x) @ model.loadings.T
+                     + model.mean)
             recon_err = np.max(np.abs(recon - x))
             trace_err = abs(model.eigenvalues.sum() - np.trace(cov))
+            worst_eig = max(worst_eig, eig_err)
             worst_load = max(worst_load, load_err)
             worst_orth = max(worst_orth, orth_err)
             worst_recon = max(worst_recon, recon_err)
             worst_trace = max(worst_trace, trace_err)
         elapsed = time.perf_counter() - t0
+        assert worst_eig <= 1e-8
         assert worst_load <= 1e-8
         assert worst_orth <= 1e-10
         assert worst_recon <= 1e-8
         assert worst_trace <= 1e-8
         assert elapsed < 10.0
-        report(1, f"20 matrices: loadings<={worst_load:.2e}, "
+        report(1, f"20 matrices vs SVD: eigenvalues<={worst_eig:.2e}, "
+                  f"loadings<={worst_load:.2e}, "
                   f"orth<={worst_orth:.2e}, recon<={worst_recon:.2e}, "
                   f"trace<={worst_trace:.2e}, {elapsed:.1f}s")
 
@@ -169,7 +174,7 @@ def oracle_best_split(gs, hs, cnt, nb, params):
                 cl += cnt[0, width - 1]
             if cl < params.min_data_in_leaf or (c_tot - cl) < params.min_data_in_leaf:
                 continue
-            gain = boostwood.split_gain((g_tot, h_tot), (gl, hl), params)
+            gain = split_gain((g_tot, h_tot), (gl, hl), params)
             if gain > params.min_gain_to_split and (best is None or gain > best[0]):
                 best = (gain, t, direction == 1)
     return best
@@ -246,7 +251,7 @@ def brute_fill_period(series, max_p=20):
 
 class TestCriterion6FillPeriodOracle:
     def test_select_fill_period_equals_brute_force(self):
-        assert feature_forge.select_fill_period(np.array([5.0] * 4)) == 1
+        assert single_company_fill_period(np.array([5.0] * 4))[0] == 1
         rng = np.random.default_rng(2024)
         checked = 0
         while checked < 50:
@@ -264,7 +269,7 @@ class TestCriterion6FillPeriodOracle:
                 series[rng.random(n) < 0.2] = np.nan
             if np.sum(~np.isnan(series)) < 2:
                 continue
-            assert (feature_forge.select_fill_period(series)
+            assert (single_company_fill_period(series)[0]
                     == brute_fill_period(series))
             checked += 1
         report(6, f"{checked}/50 fixtures match brute force; constant ties to p=1")

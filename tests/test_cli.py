@@ -166,12 +166,6 @@ class TestBacktestCommand:
         assert main(["backtest", "--config", str(path)]) == 0
         assert (out / "report.jsonl").read_bytes() == first
 
-    def test_parallel_jobs_identical_report(self, backtest_dir):
-        path, out = backtest_dir
-        serial = (out / "report.jsonl").read_bytes()
-        assert main(["backtest", "--config", str(path), "--jobs", "2"]) == 0
-        assert (out / "report.jsonl").read_bytes() == serial
-
     def test_per_subset_artifacts_written(self, backtest_dir):
         _, out = backtest_dir
         assert (out / "models" / "subset_001.pca.txt").exists()

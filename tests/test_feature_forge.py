@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import grid_panel, quarter_range, simple_spec
-from fundcast.errors import InsufficientDataError, MissingDenominatorError
+from conftest import (
+    grid_panel,
+    quarter_range,
+    simple_spec,
+    single_company_fill_period,
+)
+from fundcast.errors import MissingDenominatorError
 from fundcast.feature_forge import (
     CONSTANT_FILL,
     FeatureColumnMeta,
     FeatureMatrix,
-    apply_caps,
     build_labels,
     build_lags,
     clip_outliers,
     convert_formats,
     correlation_dedupe_inputs,
-    fill_period_residuals,
     impute,
     quantile_rank_classes,
-    select_fill_period,
 )
 from fundcast.panel_ingest import Format
 
@@ -166,17 +168,14 @@ class TestClipOutliers:
         # cap fitted on rows {0.1, 0.2} applies to rows 2 and 3 as well
         np.testing.assert_allclose(out.values[:, 0], [0.1, 0.2, 0.2, 0.2])
 
-    def test_apply_caps_reuses_stored_caps(self):
-        train = hand_matrix([0.1, 0.2, 50.0], origin=[True, True, False])
-        fitted = clip_outliers(train, 0.95)
-        test = hand_matrix([5.0, 0.05], origin=[True, True])
-        out = apply_caps(test, fitted.metas)
-        np.testing.assert_allclose(out.values[:, 0], [0.2, 0.05])
-
     def test_infinite_division_blowup_capped(self):
         m = hand_matrix([0.3, np.inf, 0.1], origin=[True, False, True])
         out = clip_outliers(m, 0.95)
         assert out.values[1, 0] == out.metas[0].cap
+
+
+def select_fill_period(series):
+    return single_company_fill_period(series)[0]
 
 
 class TestSelectFillPeriod:
@@ -209,12 +208,13 @@ class TestSelectFillPeriod:
             assert select_fill_period(series) == brute_fill_period(series)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            select_fill_period(np.array([1.0, np.nan, np.nan]))
+        # one present value gives no residual: forward fill, nothing audited
+        assert single_company_fill_period(
+            np.array([1.0, np.nan, np.nan])) == (1, None)
 
     def test_residual_count_same_for_every_p(self):
         series = np.array([5.0, 5.0, 5.0, 5.0])
-        res = fill_period_residuals(series, max_p=20)
+        _, res = single_company_fill_period(series, max_p=20)
         assert res.shape == (20,)
         np.testing.assert_array_equal(res, np.zeros(20))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_panel, quarter_range, simple_spec
-from fundcast import boostwood, feature_forge, rollcast, synthgen, tuner
+from fundcast import boostwood, feature_forge, synthgen, tuner
 from fundcast.boostwood import HyperParams
 from fundcast.errors import InsufficientHistoryError, ReportError
 from fundcast.feature_forge import FeatureColumnMeta, LabelVector
@@ -12,7 +12,6 @@ from fundcast.panel_ingest import CalendarQuarter, Format
 from fundcast.rollcast import (
     ConsensusTable,
     SubsetConfig,
-    aggregate_report,
     build_records,
     conditional_accuracy,
     consensus_classes,
@@ -20,7 +19,6 @@ from fundcast.rollcast import (
     enumerate_subsets,
     read_jsonl,
     render_text,
-    run_all_subsets,
     run_subset,
     write_jsonl,
 )
@@ -347,32 +345,33 @@ class TestReportRendering:
 
 
 class TestAggregateReport:
+    """The aggregated report as `fundcast backtest` writes it: build_records,
+    then render_text."""
+
     def test_single_subset_report_matches_its_metrics(self):
         splits, feats, labels, cfg = small_pipeline()
         result = run_subset(splits[0], feats, labels, cfg)
-        rep = aggregate_report([result], {"seed": 19})
-        assert rep.mean_accuracy == pytest.approx(result.metrics.accuracy)
-        assert len(rep.accuracy_series) == 1
-        assert rep.accuracy_series[0][0] == str(result.split.test_quarter)
+        records = build_records([result], {"seed": 19})
+        assert len(records) == 2
+        assert records[1]["metrics"]["accuracy"] == pytest.approx(
+            result.metrics.accuracy)
+        assert records[1]["test_quarter"] == str(result.split.test_quarter)
 
     def test_mean_of_two_accuracies(self):
-        rep = rollcast.Report([fake_record(1, 0.4), fake_record(2, 0.6)])
-        assert rep.mean_accuracy == pytest.approx(0.5)
+        text = render_text([fake_record(1, 0.4), fake_record(2, 0.6)])
+        lines = text.splitlines()
+        row = lines[lines.index("-- average multi-class accuracy --") + 2]
+        assert row.split()[:3] == ["qoq", "3", "0.5000"]
+        assert row.split()[-1] == "2"
 
     def test_accuracy_series_emitted_per_subset(self):
         records = [fake_record(i, 0.3 + 0.01 * i, f"2001Q{(i % 4) + 1}")
                    for i in range(1, 11)]
-        rep = rollcast.Report(records)
-        assert len(rep.accuracy_series) == 10
+        lines = render_text(records).splitlines()
+        start = lines.index("-- per-quarter accuracy --") + 1
+        series = lines[start:lines.index("", start)]
+        assert len(series) == 10
 
     def test_empty_results_rejected(self):
         with pytest.raises(ReportError):
-            aggregate_report([], {})
-
-
-class TestRunAllSubsets:
-    def test_parallel_matches_serial(self):
-        splits, feats, labels, cfg = small_pipeline()
-        serial = run_all_subsets(splits[:2], feats, labels, cfg, jobs=1)
-        threaded = run_all_subsets(splits[:2], feats, labels, cfg, jobs=2)
-        assert build_records(serial, {}) == build_records(threaded, {})
+            render_text(build_records([], {}))

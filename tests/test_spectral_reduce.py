@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fundcast.errors import DegenerateInputError, DimensionMismatchError
 from fundcast.spectral_reduce import (
@@ -7,18 +9,18 @@ from fundcast.spectral_reduce import (
     choose_components,
     fit_pca,
     from_text,
-    inverse_transform,
-    jacobi_eigh,
     to_text,
     transform,
 )
 
 
-def oracle_eigh(cov):
-    """Independent LAPACK eigendecomposition, sorted descending."""
-    w, v = np.linalg.eigh(cov)
-    order = np.argsort(-w)
-    return w[order], v[:, order]
+def oracle_svd(x):
+    """Independent decomposition: the SVD of the centred matrix gives the
+    covariance eigenpairs (s^2 / n_rows, right singular vectors), already in
+    descending order. Needs at least as many rows as columns."""
+    xc = x - x.mean(axis=0)
+    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    return s ** 2 / len(x), vt.T
 
 
 def align_signs(a, b):
@@ -28,29 +30,51 @@ def align_signs(a, b):
     return b * flip
 
 
-class TestJacobi:
-    def test_matches_oracle_on_seeded_matrices(self, rng):
-        for _ in range(10):
-            d = int(rng.integers(2, 30))
-            x = rng.normal(size=(d + 10, d))
-            cov = x.T @ x / len(x)
-            w, v = jacobi_eigh(cov)
-            wo, vo = oracle_eigh(cov)
-            np.testing.assert_allclose(w, wo, atol=1e-9)
-            np.testing.assert_allclose(v, align_signs(v, vo), atol=1e-8)
+def reconstruct(model, z):
+    """Rows rebuilt from kept-component scores."""
+    xc = z @ model.loadings[:, :model.kept].T
+    if model.scale is not None:
+        xc = xc * model.scale
+    return xc + model.mean
 
-    def test_identity(self):
-        w, v = jacobi_eigh(np.eye(4))
-        np.testing.assert_allclose(w, np.ones(4))
-        np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
 
-    def test_zero_matrix(self):
-        w, v = jacobi_eigh(np.zeros((3, 3)))
-        np.testing.assert_array_equal(w, np.zeros(3))
+@st.composite
+def awkward_matrices(draw):
+    """Random matrices with constant, duplicated and rank-deficient columns."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(0, d))
+    x = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    for j in range(d):
+        kind = draw(st.sampled_from(("keep", "constant", "duplicate")))
+        if kind == "constant":
+            x[:, j] = draw(st.sampled_from((0.0, 1.0, -3.5)))
+        elif kind == "duplicate" and j > 0:
+            x[:, j] = x[:, draw(st.integers(0, j - 1))]
+    return x * draw(st.sampled_from((1.0, 1e-3, 1e3)))
 
-    def test_rejects_non_square(self):
-        with pytest.raises(DegenerateInputError):
-            jacobi_eigh(np.zeros((2, 3)))
+
+class TestEighProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(x=awkward_matrices(), standardize=st.booleans())
+    def test_fit_invariants_on_awkward_matrices(self, x, standardize):
+        model = fit_pca(x, standardize=standardize)
+        d = x.shape[1]
+        w = model.eigenvalues
+        assert (w >= 0).all()
+        assert (np.diff(w) <= 0).all()
+        np.testing.assert_allclose(model.loadings.T @ model.loadings,
+                                   np.eye(d), atol=1e-10)
+        for j in range(d):
+            col = model.loadings[:, j]
+            assert col[np.argmax(np.abs(col))] > 0
+        text = to_text(model)
+        back = from_text(text)
+        assert to_text(back) == text
+        np.testing.assert_array_equal(back.loadings, model.loadings)
+        np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
+        assert to_text(fit_pca(x, standardize=standardize)) == text
 
 
 class TestFitPca:
@@ -72,10 +96,8 @@ class TestFitPca:
         for _ in range(5):
             x = rng.normal(size=(60, 8)) @ rng.normal(size=(8, 8))
             model = fit_pca(x)
-            cov = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / len(x)
-            wo, vo = oracle_eigh(cov)
-            np.testing.assert_allclose(model.eigenvalues, np.maximum(wo, 0),
-                                       atol=1e-8)
+            wo, vo = oracle_svd(x)
+            np.testing.assert_allclose(model.eigenvalues, wo, atol=1e-8)
             np.testing.assert_allclose(
                 model.loadings, align_signs(model.loadings, vo), atol=1e-8)
 
@@ -192,7 +214,7 @@ class TestTransform:
         x = rng.normal(size=(40, 6))
         model = fit_pca(x)
         z = transform(model, x)
-        back = inverse_transform(model, z)
+        back = reconstruct(model, z)
         np.testing.assert_allclose(back, x, atol=1e-8)
 
     def test_rank_one_data_single_component_reconstruction(self, rng):
@@ -200,7 +222,7 @@ class TestTransform:
         x = np.column_stack([base, 2.0 * base, -base])
         model = fit_pca(x)
         model.kept = 1
-        back = inverse_transform(model, transform(model, x))
+        back = reconstruct(model, transform(model, x))
         np.testing.assert_allclose(back, x, atol=1e-8)
 
     def test_dimension_mismatch(self, rng):
@@ -211,7 +233,7 @@ class TestTransform:
     def test_standardized_roundtrip(self, rng):
         x = rng.normal(size=(40, 5)) * np.array([1, 10, 100, 0.1, 3.0])
         model = fit_pca(x, standardize=True)
-        back = inverse_transform(model, transform(model, x))
+        back = reconstruct(model, transform(model, x))
         np.testing.assert_allclose(back, x, atol=1e-8)
 
     def test_cumulative_ratio_nondecreasing_and_concave(self, rng):

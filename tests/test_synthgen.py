@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fundcast.errors import InvalidSpecError
-from fundcast.panel_ingest import RawPanel, load_panel, load_schema, save_panel
+from fundcast.panel_ingest import (
+    RawPanel,
+    company_slices,
+    load_panel,
+    load_schema,
+    save_panel,
+)
 from fundcast.synthgen import (
     SignalSpec,
     default_schema,
@@ -38,7 +44,7 @@ class TestGeneratePanel:
         spec = small_spec(noise_sd=0.0, missing_rate=0.0,
                           seasonality_amplitude=0.0)
         panel, truth = generate_panel(spec)
-        slices = panel.company_slices()
+        slices = company_slices(panel.keys)
         atq = panel.columns["atq"]
         # regressors: per-driver one-quarter change scaled by current assets
         cols = []
@@ -61,7 +67,7 @@ class TestGeneratePanel:
         panel, truth = generate_panel(spec)
         from fundcast.feature_forge import relative_change_targets
         realized = relative_change_targets(
-            panel.keys, panel.company_slices(), panel.columns["niq"],
+            panel.keys, company_slices(panel.keys), panel.columns["niq"],
             panel.columns["niq"], panel.columns["atq"], "qoq")
         ok = ~np.isnan(truth)
         np.testing.assert_allclose(realized[ok], truth[ok], atol=1e-10)
