@@ -77,6 +77,24 @@ class TestEighProperties:
         assert to_text(fit_pca(x, standardize=standardize)) == text
 
 
+class TestJacobi:
+    """Edge cases of the covariance eigendecomposition, through fit_pca."""
+
+    def test_identity(self):
+        # rows +-2 e_i: mean zero, covariance exactly the 4x4 identity
+        e = 2.0 * np.eye(4)
+        model = fit_pca(np.vstack([e, -e]))
+        np.testing.assert_allclose(model.eigenvalues, np.ones(4))
+        np.testing.assert_allclose(model.loadings.T @ model.loadings,
+                                   np.eye(4), atol=1e-12)
+
+    def test_zero_matrix(self):
+        # constant rows: the covariance is the 3x3 zero matrix
+        model = fit_pca(np.full((5, 3), 1.5))
+        np.testing.assert_array_equal(model.eigenvalues, np.zeros(3))
+        np.testing.assert_array_equal(model.explained_ratio, np.zeros(3))
+
+
 class TestFitPca:
     def test_rank_one_data_first_component_carries_everything(self, rng):
         x = rng.normal(size=100)
