@@ -1,9 +1,8 @@
 """PCA dimension reduction.
 
-Centers the sample matrix, eigendecomposes its covariance with
-``np.linalg.eigh``, and selects components by cumulative explained
-variance. Eigenpairs are sorted by descending eigenvalue with a stable
-sort, and loadings follow a deterministic sign convention so fitted models
+Centers the sample matrix, eigendecomposes its covariance with an in-repo
+cyclic Jacobi solver, and selects components by cumulative explained
+variance. Loadings follow a deterministic sign convention so fitted models
 serialize reproducibly.
 """
 
@@ -16,6 +15,57 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionMismatchError
 
 _RATIO_EPS = 1e-12
+
+
+def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue,
+    eigenvectors in columns. Deterministic: fixed (p, q) sweep order and a
+    stable sort.
+    """
+    a = np.array(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DegenerateInputError(f"expected a square matrix, got {a.shape}")
+    n = a.shape[0]
+    a = (a + a.T) / 2.0
+    v = np.eye(n)
+    if n == 1:
+        return a[0, :1].copy(), v
+
+    norm = np.linalg.norm(a)
+    if norm == 0:
+        return np.zeros(n), v
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
+        if off <= tol * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= tol * norm / (n * n):
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = a[p, :].copy()
+                rot_q = a[q, :].copy()
+                a[p, :] = c * rot_p - s * rot_q
+                a[q, :] = s * rot_p + c * rot_q
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                vec_p = v[:, p].copy()
+                vec_q = v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    w = np.diag(a).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
 
 
 @dataclass
@@ -59,10 +109,8 @@ def fit_pca(x: np.ndarray, standardize: bool = False) -> PcaModel:
         scale = np.where(scale > 0, scale, 1.0)
         xc = xc / scale
     cov = xc.T @ xc / n
-    eigenvalues, loadings = np.linalg.eigh(cov)
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = np.maximum(eigenvalues[order], 0.0)
-    loadings = loadings[:, order]
+    eigenvalues, loadings = jacobi_eigh(cov)
+    eigenvalues = np.maximum(eigenvalues, 0.0)
 
     # deterministic sign: the largest-magnitude entry of each column positive
     peaks = np.argmax(np.abs(loadings), axis=0)

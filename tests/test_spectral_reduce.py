@@ -9,9 +9,17 @@ from fundcast.spectral_reduce import (
     choose_components,
     fit_pca,
     from_text,
+    jacobi_eigh,
     to_text,
     transform,
 )
+
+
+def oracle_eigh(cov):
+    """Independent LAPACK eigendecomposition, sorted descending."""
+    w, v = np.linalg.eigh(cov)
+    order = np.argsort(-w)
+    return w[order], v[:, order]
 
 
 def oracle_svd(x):
@@ -55,7 +63,7 @@ def awkward_matrices(draw):
     return x * draw(st.sampled_from((1.0, 1e-3, 1e3)))
 
 
-class TestEighProperties:
+class TestFitPcaProperties:
     @settings(max_examples=150, deadline=None)
     @given(x=awkward_matrices(), standardize=st.booleans())
     def test_fit_invariants_on_awkward_matrices(self, x, standardize):
@@ -78,21 +86,28 @@ class TestEighProperties:
 
 
 class TestJacobi:
-    """Edge cases of the covariance eigendecomposition, through fit_pca."""
+    def test_matches_oracle_on_seeded_matrices(self, rng):
+        for _ in range(10):
+            d = int(rng.integers(2, 30))
+            x = rng.normal(size=(d + 10, d))
+            cov = x.T @ x / len(x)
+            w, v = jacobi_eigh(cov)
+            wo, vo = oracle_eigh(cov)
+            np.testing.assert_allclose(w, wo, atol=1e-9)
+            np.testing.assert_allclose(v, align_signs(v, vo), atol=1e-8)
 
     def test_identity(self):
-        # rows +-2 e_i: mean zero, covariance exactly the 4x4 identity
-        e = 2.0 * np.eye(4)
-        model = fit_pca(np.vstack([e, -e]))
-        np.testing.assert_allclose(model.eigenvalues, np.ones(4))
-        np.testing.assert_allclose(model.loadings.T @ model.loadings,
-                                   np.eye(4), atol=1e-12)
+        w, v = jacobi_eigh(np.eye(4))
+        np.testing.assert_allclose(w, np.ones(4))
+        np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
 
     def test_zero_matrix(self):
-        # constant rows: the covariance is the 3x3 zero matrix
-        model = fit_pca(np.full((5, 3), 1.5))
-        np.testing.assert_array_equal(model.eigenvalues, np.zeros(3))
-        np.testing.assert_array_equal(model.explained_ratio, np.zeros(3))
+        w, v = jacobi_eigh(np.zeros((3, 3)))
+        np.testing.assert_array_equal(w, np.zeros(3))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DegenerateInputError):
+            jacobi_eigh(np.zeros((2, 3)))
 
 
 class TestFitPca:
