@@ -149,9 +149,10 @@ def _soft_threshold(g, l1):
 
 
 def _leaf_objective(g, h, l1, l2):
-    t = _soft_threshold(g, l1)
+    """soft_threshold(g, l1)^2 / (h + l2), and 0 where h + l2 <= 0."""
+    t = np.maximum(np.abs(g) - l1, 0.0)
     denom = h + l2
-    return np.where(denom > 0, t * t / np.where(denom > 0, denom, 1.0), 0.0)
+    return np.divide(t * t, denom, out=np.zeros_like(denom), where=denom > 0)
 
 
 def _leaf_weight(g: float, h: float, l1: float, l2: float) -> float:
@@ -224,10 +225,18 @@ class GbdtModel:
         return len(self.trees)
 
 
-def _histograms(codes_sub: np.ndarray, g: np.ndarray, h: np.ndarray, width: int):
-    """Per-feature (gradient, hessian, count) histograms via one flat bincount."""
-    r, f = codes_sub.shape
-    flat = (codes_sub.astype(np.int64) + np.arange(f) * width).ravel()
+def _flat_index(codes: np.ndarray, width: int) -> np.ndarray:
+    """Flat bincount slot of every cell: code + feature position * width."""
+    index = codes.astype(np.intp)
+    index += np.arange(codes.shape[1]) * width
+    return index
+
+
+def _histograms(index: np.ndarray, g: np.ndarray, h: np.ndarray, width: int):
+    """Per-feature (gradient, hessian, count) histograms via one flat bincount
+    over rows of _flat_index."""
+    f = index.shape[1]
+    flat = index.ravel()
     minlength = f * width
     cnt = np.bincount(flat, minlength=minlength).reshape(f, width)
     gs = np.bincount(flat, weights=np.repeat(g, f), minlength=minlength).reshape(f, width)
@@ -240,20 +249,25 @@ def _best_split(gs, hs, cnt, n_bins, params: HyperParams, totals):
 
     Candidates are ordered (feature asc, bin asc, missing-right before
     missing-left); np.argmax keeps the first of equal gains, which pins
-    the tie-break deterministically.
+    the tie-break deterministically. Missing-left candidates are built
+    only when the missing bin holds rows or a nonzero gradient or hessian
+    sum on some feature. Otherwise each equals the missing-right candidate
+    just before it, which argmax already picks.
     """
     g_tot, h_tot, c_tot = totals
     width = gs.shape[1]
-    gcum = np.cumsum(gs[:, :width - 1], axis=1)
-    hcum = np.cumsum(hs[:, :width - 1], axis=1)
-    ccum = np.cumsum(cnt[:, :width - 1], axis=1)
-    gmiss = gs[:, width - 1][:, None]
-    hmiss = hs[:, width - 1][:, None]
-    cmiss = cnt[:, width - 1][:, None]
-
-    gl = np.stack([gcum, gcum + gmiss], axis=2)
-    hl = np.stack([hcum, hcum + hmiss], axis=2)
-    cl = np.stack([ccum, ccum + cmiss], axis=2)
+    miss = width - 1
+    gl = np.cumsum(gs[:, :miss], axis=1)
+    hl = np.cumsum(hs[:, :miss], axis=1)
+    cl = np.cumsum(cnt[:, :miss], axis=1)
+    in_range = np.arange(miss)[None, :] <= (n_bins - 2)[:, None]
+    n_dirs = 1
+    if cnt[:, miss].any() or gs[:, miss].any() or hs[:, miss].any():
+        n_dirs = 2
+        gl = np.stack([gl, gl + gs[:, miss][:, None]], axis=2)
+        hl = np.stack([hl, hl + hs[:, miss][:, None]], axis=2)
+        cl = np.stack([cl, cl + cnt[:, miss][:, None]], axis=2)
+        in_range = in_range[:, :, None]
     gr = g_tot - gl
     hr = h_tot - hl
     cr = c_tot - cl
@@ -264,18 +278,17 @@ def _best_split(gs, hs, cnt, n_bins, params: HyperParams, totals):
         gains = (_leaf_objective(gl, hl, l1, l2)
                  + _leaf_objective(gr, hr, l1, l2) - parent)
 
-    t_idx = np.arange(width - 1)
     valid = (cl >= params.min_data_in_leaf) & (cr >= params.min_data_in_leaf)
-    valid &= (t_idx[None, :, None] <= (n_bins - 2)[:, None, None])
+    valid &= in_range
     valid &= np.isfinite(gains)
     gains = np.where(valid, gains, _NEG_INF)
 
     flat = int(np.argmax(gains))
-    best_gain = float(gains.ravel()[flat])
+    best_gain = float(gains.flat[flat])
     if not best_gain > params.min_gain_to_split:
         return None
-    f_local, rem = divmod(flat, (width - 1) * 2)
-    t, direction = divmod(rem, 2)
+    f_local, rem = divmod(flat, miss * n_dirs)
+    t, direction = divmod(rem, n_dirs)
     return best_gain, f_local, t, bool(direction == 1)
 
 
@@ -292,28 +305,40 @@ class _LeafState:
         self.best = best
 
 
-def _grow_tree(codes_f, width, n_bins_f, miss_code_local, g, h, bag,
-               feats, params: HyperParams, growth: str):
-    """Grow one tree on bagged rows over a feature subset.
+def _grow_tree(codes, bag, feats, width, n_bins_f, g, h,
+               params: HyperParams, growth: str):
+    """Grow one tree on the bagged rows over a feature subset.
 
     Returns None when the root admits no valid split. Leaf values are the
     learning-rate-scaled Newton weights.
     """
-    tree = Tree()
-    root = tree.add_node()
-    rows = bag
-    hist = _histograms(codes_f[rows], g[rows], h[rows], width)
-    g_sum = float(g[rows].sum())
-    h_sum = float(h[rows].sum())
+    # each child of a split keeps min_data_in_leaf rows, so a smaller node
+    # cannot split and needs neither a histogram nor a split search
+    min_split = 2 * params.min_data_in_leaf
+
+    def splittable(n_rows, depth):
+        return n_rows >= min_split and (
+            params.max_depth is None or depth < params.max_depth)
 
     def evaluate(hist_t, g_t, h_t, c_t, depth):
-        if params.max_depth is not None and depth >= params.max_depth:
+        if not splittable(c_t, depth):
             return None
         return _best_split(hist_t[0], hist_t[1], hist_t[2], n_bins_f, params,
                            (g_t, h_t, c_t))
 
-    root_leaf = _LeafState(root, rows, hist, g_sum, h_sum, 0,
-                           evaluate(hist, g_sum, h_sum, len(rows), 0))
+    if not splittable(len(bag), 0):
+        return None
+    # node rows below index the bagged rows, not the full matrix
+    index = _flat_index(codes[np.ix_(bag, feats)], width)
+    g = g[bag]
+    h = h[bag]
+    tree = Tree()
+    root = tree.add_node()
+    hist = _histograms(index, g, h, width)
+    g_sum = float(g.sum())
+    h_sum = float(h.sum())
+    root_leaf = _LeafState(root, np.arange(len(bag)), hist, g_sum, h_sum, 0,
+                           evaluate(hist, g_sum, h_sum, len(bag), 0))
     if root_leaf.best is None:
         return None
 
@@ -329,8 +354,8 @@ def _grow_tree(codes_f, width, n_bins_f, miss_code_local, g, h, bag,
                     pick = leaf
             if pick is None:
                 break
-            _split_leaf(tree, pick, codes_f, width, n_bins_f, miss_code_local,
-                        g, h, params, evaluate, frontier)
+            _split_leaf(tree, pick, index, width, g, h, splittable, evaluate,
+                        frontier)
             n_leaves += 1
         leaves = frontier
     elif growth == "level_wise":
@@ -343,8 +368,8 @@ def _grow_tree(codes_f, width, n_bins_f, miss_code_local, g, h, bag,
                 leaves.append(leaf)
                 continue
             children = []
-            _split_leaf(tree, leaf, codes_f, width, n_bins_f, miss_code_local,
-                        g, h, params, evaluate, children)
+            _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate,
+                        children)
             queue.extend(children)
             n_leaves += 1
         leaves.extend(queue)
@@ -360,8 +385,7 @@ def _grow_tree(codes_f, width, n_bins_f, miss_code_local, g, h, bag,
     return tree
 
 
-def _split_leaf(tree, leaf, codes_f, width, n_bins_f, miss_code_local,
-                g, h, params, evaluate, sink):
+def _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate, sink):
     """Materialize a leaf's best split; append the two children to sink."""
     gain, f_local, t, default_left = leaf.best
     tree.is_leaf[leaf.node_id] = False
@@ -370,19 +394,23 @@ def _split_leaf(tree, leaf, codes_f, width, n_bins_f, miss_code_local,
     tree.default_left[leaf.node_id] = default_left
     tree.gain[leaf.node_id] = gain
 
-    c = codes_f[leaf.rows, f_local]
-    go_left = c <= t
+    offset = f_local * width
+    c = index[leaf.rows, f_local]
+    go_left = c <= offset + t
     if default_left:
-        go_left |= c == miss_code_local
+        go_left |= c == offset + width - 1
     rows_l = leaf.rows[go_left]
     rows_r = leaf.rows[~go_left]
 
+    depth = leaf.depth + 1
+    if not splittable(max(len(rows_l), len(rows_r)), depth):
+        hist_l = hist_r = None
     # direct histogram for the smaller child, subtraction for the sibling
-    if len(rows_l) <= len(rows_r):
-        hist_l = _histograms(codes_f[rows_l], g[rows_l], h[rows_l], width)
+    elif len(rows_l) <= len(rows_r):
+        hist_l = _histograms(index[rows_l], g[rows_l], h[rows_l], width)
         hist_r = tuple(p - q for p, q in zip(leaf.hist, hist_l))
     else:
-        hist_r = _histograms(codes_f[rows_r], g[rows_r], h[rows_r], width)
+        hist_r = _histograms(index[rows_r], g[rows_r], h[rows_r], width)
         hist_l = tuple(p - q for p, q in zip(leaf.hist, hist_r))
 
     gl, hl = float(g[rows_l].sum()), float(h[rows_l].sum())
@@ -392,7 +420,6 @@ def _split_leaf(tree, leaf, codes_f, width, n_bins_f, miss_code_local,
     node_r = tree.add_node()
     tree.left[leaf.node_id] = node_l
     tree.right[leaf.node_id] = node_r
-    depth = leaf.depth + 1
     child_l = _LeafState(node_l, rows_l, hist_l, gl, hl, depth,
                          evaluate(hist_l, gl, hl, len(rows_l), depth))
     child_r = _LeafState(node_r, rows_r, hist_r, gr, hr, depth,
@@ -446,8 +473,10 @@ def fit(binned: BinnedMatrix, labels, params: HyperParams, *,
     stopping on validation log-loss with patience early_stopping_rounds.
     """
     params.validate()
-    y, k = _extract_labels(labels, n_classes)
     m = binned.n_rows
+    if m == 0:
+        raise DimensionMismatchError("cannot fit on 0 rows")
+    y, k = _extract_labels(labels, n_classes)
     if len(y) != m:
         raise DimensionMismatchError(f"{len(y)} labels for {m} rows")
     d = binned.n_features
@@ -492,9 +521,8 @@ def fit(binned: BinnedMatrix, labels, params: HyperParams, *,
                 feats = np.sort(rng.permutation(d)[:n_feats])
             else:
                 feats = np.arange(d)
-            codes_f = binned.codes[:, feats]
-            tree = _grow_tree(codes_f, binned.bins_total, binned.n_bins[feats],
-                              miss_code, grad[:, c], hess[:, c], bag, feats,
+            tree = _grow_tree(binned.codes, bag, feats, binned.bins_total,
+                              binned.n_bins[feats], grad[:, c], hess[:, c],
                               params, growth)
             round_trees.append(tree)
             if tree is not None:

@@ -492,7 +492,11 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             train_pred = boostwood.predict(model, binned)
             val_acc = float((val_pred == y_train[va_i]).mean())
             train_acc = float((train_pred == y_train[tr_i]).mean())
-            return val_acc, train_acc
+            facts = {"best_round": model.best_round,
+                     "rounds_fitted": model.n_rounds_fitted,
+                     "null_trees": sum(tree is None for round_trees in model.trees
+                                       for tree in round_trees)}
+            return val_acc, train_acc, facts
 
         best, trials = tuner.search(
             config.search_space, config.search_budget, objective, seed_search,

@@ -79,6 +79,10 @@ class TrialRecord:
     train_metric: float
     wall_time: float
     error: str | None = None
+    # training facts of the trial's model, when the objective reports them
+    best_round: int | None = None
+    rounds_fitted: int | None = None
+    null_trees: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -93,6 +97,9 @@ class TrialRecord:
                 else float(self.train_metric),
             "wall_time": float(self.wall_time),
             "error": self.error,
+            "best_round": self.best_round,
+            "rounds_fitted": self.rounds_fitted,
+            "null_trees": self.null_trees,
         }
         out["params"] = {k: (v if not isinstance(v, float) else float(v))
                          for k, v in vars(self.params).items()}
@@ -128,9 +135,10 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
            base_params: HyperParams | None = None, mode: str = "uniform"):
     """Sample budget parameter vectors and keep the best validation metric.
 
-    objective(params) returns (validation_metric, train_metric); a trial
-    exception is recorded, not fatal, unless every trial fails. Ties on the
-    metric go to the earliest trial.
+    objective(params) returns (validation_metric, train_metric), optionally
+    followed by a dict of training facts (TrialRecord's best_round,
+    rounds_fitted, null_trees); a trial exception is recorded, not fatal,
+    unless every trial fails. Ties on the metric go to the earliest trial.
     """
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")
@@ -149,9 +157,10 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
             [seed, index, 1]).integers(0, 2 ** 31)))
         t0 = time.perf_counter()
         try:
-            val, train = objective(params)
+            val, train, *facts = objective(params)
             record = TrialRecord(index, params, float(val), float(train),
-                                 time.perf_counter() - t0)
+                                 time.perf_counter() - t0,
+                                 **(facts[0] if facts else {}))
         except Exception as exc:  # per-trial failures are recorded
             last_error = exc
             record = TrialRecord(index, params, float("nan"), float("nan"),

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import split_gain
+from fundcast import boostwood
 from fundcast.boostwood import (
     BinnedMatrix,
     GbdtModel,
     HyperParams,
     _best_split,
+    _flat_index,
     _histograms,
     bin_features,
     feature_importance,
@@ -156,14 +158,19 @@ class TestSplitOracle:
 class TestHistograms:
     def test_subtraction_identity(self, rng):
         codes = rng.integers(0, 6, size=(200, 4)).astype(np.uint8)
+        index = _flat_index(codes, 8)
         g = rng.normal(size=200)
         h = rng.uniform(0.1, 1.0, size=200)
         rows = np.arange(200)
         left = rows[:70]
         right = rows[70:]
-        parent = _histograms(codes, g, h, 8)
-        direct_left = _histograms(codes[left], g[left], h[left], 8)
-        direct_right = _histograms(codes[right], g[right], h[right], 8)
+        parent = _histograms(index, g, h, 8)
+        direct_left = _histograms(index[left], g[left], h[left], 8)
+        direct_right = _histograms(index[right], g[right], h[right], 8)
+        # feature j's histogram counts its own codes
+        for j in range(4):
+            np.testing.assert_array_equal(
+                parent[2][j], np.bincount(codes[:, j], minlength=8))
         for p, l, r in zip(parent, direct_left, direct_right):
             np.testing.assert_allclose(p - l, r, atol=1e-12)
         # counts are exact integers
@@ -224,6 +231,11 @@ class TestFit:
         with pytest.raises(ValueError, match="missing"):
             fit(bm, np.array([0.0, 1.0, np.nan, 0.0]), HyperParams())
 
+    def test_zero_rows_rejected(self):
+        bm = bin_features(np.zeros((0, 2)), max_bin=8)
+        with pytest.raises(DimensionMismatchError, match="0 rows"):
+            fit(bm, np.zeros(0, dtype=np.int64), HyperParams(), n_classes=3)
+
     def test_determinism_bit_identical(self):
         x, y = make_separable(seed=5)
         bm = bin_features(x, max_bin=16)
@@ -280,6 +292,44 @@ class TestFit:
                     go |= c == model.miss_code
                 stack.append((tree.left[node], rows[go]))
                 stack.append((tree.right[node], rows[~go]))
+
+
+class TestSplitBound:
+    """Nodes with fewer than 2 * min_data_in_leaf rows cannot split, so
+    training builds no histogram for them."""
+
+    @pytest.fixture
+    def histogram_calls(self, monkeypatch):
+        calls = []
+        real = boostwood._histograms
+
+        def counting(index, g, h, width):
+            calls.append(len(index))
+            return real(index, g, h, width)
+
+        monkeypatch.setattr(boostwood, "_histograms", counting)
+        return calls
+
+    def test_small_bagged_root_builds_no_histogram(self, histogram_calls):
+        x = np.arange(100.0).reshape(-1, 1)
+        y = (x[:, 0] >= 50).astype(np.int64)
+        # bagged roots of 50 rows, below 2 * 30
+        params = HyperParams(min_data_in_leaf=30, bagging_fraction=0.5,
+                             bagging_freq=1, n_rounds=3, seed=0)
+        model = fit(bin_features(x, max_bin=16), y, params)
+        assert all(tree is None for row in model.trees for tree in row)
+        assert histogram_calls == []
+
+    def test_two_small_children_build_no_histogram(self, histogram_calls):
+        x = np.arange(100.0).reshape(-1, 1)
+        y = (x[:, 0] >= 50).astype(np.int64)
+        # the root splits 50 / 50; each child is below 2 * 30
+        params = HyperParams(min_data_in_leaf=30, num_leaves=8, n_rounds=1,
+                             seed=0)
+        model = fit(bin_features(x, max_bin=16), y, params)
+        trees = model.trees[0]
+        assert all(tree is not None and tree.n_leaves == 2 for tree in trees)
+        assert histogram_calls == [100] * len(trees)
 
 
 def replay_train_losses(model, bm, y):

@@ -166,6 +166,27 @@ class TestBacktestCommand:
         assert main(["backtest", "--config", str(path)]) == 0
         assert (out / "report.jsonl").read_bytes() == first
 
+    def test_trial_ledger_records_training_facts(self, backtest_dir):
+        path, out = backtest_dir
+
+        def ledger():
+            rows = []
+            for name in ("subset_001.jsonl", "subset_002.jsonl"):
+                for line in (out / "trials" / name).read_text().splitlines():
+                    record = json.loads(line)
+                    del record["wall_time"]
+                    rows.append(record)
+            return rows
+
+        first = ledger()
+        assert len(first) == 4
+        for record in first:
+            # early stopping keeps rounds 0..best_round
+            assert record["rounds_fitted"] == record["best_round"] + 1
+            assert 0 <= record["null_trees"] <= 3 * record["rounds_fitted"]
+        assert main(["backtest", "--config", str(path)]) == 0
+        assert ledger() == first
+
     def test_per_subset_artifacts_written(self, backtest_dir):
         _, out = backtest_dir
         assert (out / "models" / "subset_001.pca.txt").exists()
