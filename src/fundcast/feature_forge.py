@@ -20,9 +20,8 @@ from .panel_ingest import (
     CONVERTED_FORMATS,
     RATIO_FORMATS,
     Format,
+    PanelIndex,
     RawPanel,
-    _shifted,
-    company_slices,
 )
 
 DEFAULT_ASSETS_VAR = "atq"
@@ -61,10 +60,10 @@ class FeatureMatrix:
     positive (the population the outlier caps are estimated on) and
     raw_missing carries per-variable missing masks for the crucial-variable
     deletion rule. Both are attached by convert_formats and dropped by the
-    stages that consume them.
+    stages that consume them. index says which panel row each row is.
     """
 
-    keys: list
+    index: PanelIndex
     values: np.ndarray
     metas: list
     origin_positive: np.ndarray | None = None
@@ -73,8 +72,8 @@ class FeatureMatrix:
 
     def __post_init__(self):
         n, d = self.values.shape
-        if len(self.keys) != n:
-            raise PanelError(f"{len(self.keys)} keys for {n} rows")
+        if len(self.index) != n:
+            raise PanelError(f"{len(self.index)} index rows for {n} rows")
         if len(self.metas) != d:
             raise PanelError(f"{len(self.metas)} metas for {d} columns")
         idents = {(m.base_variable, m.format, m.lag) for m in self.metas}
@@ -91,9 +90,8 @@ class FeatureMatrix:
 
     def take_rows(self, mask: np.ndarray) -> "FeatureMatrix":
         mask = np.asarray(mask)
-        keys = [k for k, keep in zip(self.keys, mask) if keep]
         return FeatureMatrix(
-            keys, self.values[mask], list(self.metas),
+            self.index.take(mask), self.values[mask], list(self.metas),
             origin_positive=None if self.origin_positive is None
             else self.origin_positive[mask],
             raw_missing=None if self.raw_missing is None
@@ -103,9 +101,9 @@ class FeatureMatrix:
 
 @dataclass
 class LabelVector:
-    """Per-key class labels; NaN marks rows without a computable target."""
+    """Per-row class labels; NaN marks rows without a computable target."""
 
-    keys: list
+    index: PanelIndex
     values: np.ndarray
     n_classes: int
     horizon: str
@@ -172,14 +170,10 @@ def convert_formats(panel: RawPanel, schema, *,
         raise MissingDenominatorError(f"{revenue_var!r} column required for pct_revenue")
 
     n = panel.n_rows
-    q_idx = np.array([q.index for _, q in panel.keys], dtype=np.int64)
-    slices = company_slices(panel.keys)
     extra = -1.0 if formula_variant == "minus_one" else 0.0
 
     def growth(raw: np.ndarray, shift: int):
-        prev = np.full(n, np.nan)
-        for _, start, stop in slices:
-            prev[start:stop] = _shifted(raw, q_idx, start, stop, shift)
+        prev = panel.index.shifted(raw, shift)
         cur_c = np.maximum(raw, 0.0)
         prev_c = np.maximum(prev, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,7 +216,7 @@ def convert_formats(panel: RawPanel, schema, *,
     values = np.column_stack(cols) if cols else np.empty((n, 0))
     origin_positive = np.column_stack(origins) if origins else np.empty((n, 0), bool)
     raw_missing = {s.name: np.isnan(panel.columns[s.name]) for s in schema}
-    return FeatureMatrix(list(panel.keys), values, metas,
+    return FeatureMatrix(panel.index, values, metas,
                          origin_positive=origin_positive, raw_missing=raw_missing)
 
 
@@ -253,14 +247,14 @@ def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
         cap = float(np.quantile(col_fit[mask], pct, method="higher"))
         values[:, j] = np.minimum(values[:, j], cap)
         metas[j] = replace(meta, cap=cap)
-    return FeatureMatrix(list(m.keys), values, metas,
+    return FeatureMatrix(m.index, values, metas,
                          origin_positive=None if m.origin_positive is None
                          else m.origin_positive.copy(),
                          raw_missing=m.raw_missing,
                          dedupe_pairs=list(m.dedupe_pairs))
 
 
-def _pooled_fill_period(column: np.ndarray, slices, fit_mask: np.ndarray,
+def _pooled_fill_period(column: np.ndarray, runs, fit_mask: np.ndarray,
                         max_p: int):
     """Choose p for one column by pooling residuals across companies.
 
@@ -271,11 +265,12 @@ def _pooled_fill_period(column: np.ndarray, slices, fit_mask: np.ndarray,
     candidates. Contributions are restricted to present values on fit rows;
     the look-back window itself may use any past present value. Returns
     (p, per-p mean squared residuals) with p the smallest minimizer, or
-    (1, None) when no fit row contributes.
+    (1, None) when no fit row contributes. runs holds each company's
+    (start, stop) rows.
     """
     sse = np.zeros(max_p)
     cnt = 0
-    for _, start, stop in slices:
+    for start, stop in runs:
         seg = column[start:stop]
         present = ~np.isnan(seg)
         if present.sum() < 2:
@@ -375,23 +370,16 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
                 raw_cols = [j for j in owned if m.metas[j].format is Format.RAW]
                 j = raw_cols[0] if raw_cols else owned[0]
                 missing_any |= np.isnan(m.values[:, j])
-        present = ~missing_any
-        q_idx = np.array([q.index for _, q in m.keys], dtype=np.int64)
-        for _, start, stop in company_slices(m.keys):
-            qi = q_idx[start:stop]
-            span = qi[-1] - qi[0] + 1
-            dense = np.zeros(span, dtype=np.int64)
-            dense[qi - qi[0]] = present[start:stop].astype(np.int64)
-            csum = np.concatenate(([0], np.cumsum(dense)))
-            pos = qi - qi[0]
-            ok = np.zeros(stop - start, dtype=bool)
-            deep = pos >= look_back - 1
-            ok[deep] = (csum[pos[deep] + 1] - csum[pos[deep] + 1 - look_back]
-                        ) == look_back
-            retained[start:stop] = ok
+        # A row is kept when its company has a row, all present, in each of
+        # the look_back quarters ending at it: look_back rows lie between
+        # the first row at or after the window start and the row itself.
+        csum = np.concatenate(([0], np.cumsum(~missing_any)))
+        first = np.searchsorted(m.index.key, m.index.key - (look_back - 1))
+        stop = np.arange(1, n + 1)
+        retained = (stop - first == look_back) & (csum[stop] - csum[first] == look_back)
     report.deleted_rows = int((~retained).sum())
 
-    keys = [k for k, keep in zip(m.keys, retained) if keep]
+    index = m.index.take(retained)
     values = m.values[retained]
     fit_mask = fit_mask[retained]
     metas = list(m.metas)
@@ -407,21 +395,20 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
     values = values[:, keep_cols]
     metas = [meta for meta, keep in zip(metas, keep_cols) if keep]
 
-    sub = FeatureMatrix(keys, values, metas)
-    slices = company_slices(sub.keys)
+    runs = index.runs()
 
     # (3) relevant fill-in for percent formats
     for j, meta in enumerate(metas):
         if meta.format not in RATIO_FORMATS:
             continue
         col = values[:, j]
-        p, mse = _pooled_fill_period(col, slices, fit_mask, max_p)
+        p, mse = _pooled_fill_period(col, runs, fit_mask, max_p)
         report.chosen_p[meta.name] = p
         if mse is not None:
             report.residuals[meta.name] = mse
         if not np.isnan(col).any():
             continue
-        for _, start, stop in slices:
+        for start, stop in runs:
             report.relevant_filled += _fill_column_runs(
                 col[start:stop], p, horizon_cap)
 
@@ -430,7 +417,7 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
     report.constant_filled = int(remaining.sum())
     values[remaining] = CONSTANT_FILL
 
-    out = FeatureMatrix(keys, values, metas)
+    out = FeatureMatrix(index, values, metas)
     return out, report
 
 
@@ -466,7 +453,7 @@ def correlation_dedupe_inputs(m: FeatureMatrix, cutoff: float = 0.9,
         kept.append(j)
 
     kept_idx = np.array(kept, dtype=np.int64)
-    return FeatureMatrix(list(m.keys), m.values[:, kept_idx].copy(),
+    return FeatureMatrix(m.index, m.values[:, kept_idx].copy(),
                          [m.metas[j] for j in kept],
                          dedupe_pairs=pairs)
 
@@ -485,33 +472,13 @@ def build_lags(m: FeatureMatrix, n_lags: int = 20) -> FeatureMatrix:
     if any(m.metas[j].lag != 0 for j in lag_cols):
         raise PanelError("build_lags expects a lag-0 matrix")
 
-    q_idx = np.array([q.index for _, q in m.keys], dtype=np.int64)
-    keep_parts = []
-    gather_parts = []
-    for _, start, stop in company_slices(m.keys):
-        qi = q_idx[start:stop]
-        length = stop - start
-        gather = np.full((length, n_lags), -1, dtype=np.int64)
-        ok = np.ones(length, dtype=bool)
-        if qi[-1] - qi[0] == length - 1:
-            t = np.arange(length)
-            ok = t >= n_lags - 1
-            for k in range(n_lags):
-                gather[:, k] = start + t - k
-        else:
-            for k in range(n_lags):
-                want = qi - k
-                pos = np.searchsorted(qi, want)
-                pos_c = np.minimum(pos, length - 1)
-                hit = (want >= qi[0]) & (qi[pos_c] == want)
-                ok &= hit
-                gather[hit, k] = start + pos_c[hit]
-        keep_parts.append(np.flatnonzero(ok) + start)
-        gather_parts.append(gather[ok])
-
-    keep = np.concatenate(keep_parts) if keep_parts else np.empty(0, np.int64)
-    gather = (np.concatenate(gather_parts, axis=0) if gather_parts
-              else np.empty((0, n_lags), np.int64))
+    n = m.n_rows
+    gather = np.empty((n, n_lags), dtype=np.int64)
+    for k in range(n_lags):
+        gather[:, k] = m.index.locate(m.index.key - k)
+    ok = (gather >= 0).all(axis=1)
+    keep = np.flatnonzero(ok)
+    gather = gather[ok]
 
     n_out = len(keep)
     d_out = len(lag_cols) * n_lags + len(flat_cols)
@@ -528,68 +495,56 @@ def build_lags(m: FeatureMatrix, n_lags: int = 20) -> FeatureMatrix:
         values[:, col] = m.values[keep, j]
         metas.append(m.metas[j])
         col += 1
-    keys = [m.keys[i] for i in keep]
-    return FeatureMatrix(keys, values, metas)
+    return FeatureMatrix(m.index.take(keep), values, metas)
 
 
-def relative_change_targets(keys, slices, future_income: np.ndarray,
+def relative_change_targets(index: PanelIndex, future_income: np.ndarray,
                             past_income: np.ndarray, assets: np.ndarray,
                             horizon: str) -> np.ndarray:
-    """Relative earnings-change targets per key.
+    """Relative earnings-change targets per index row.
 
     qoq: (future(T+1) - past(T)) / assets(T)
     yoy: (sum future(T+1..T+4) - sum past(T-3..T)) / assets(T)
 
     Every term must be present and assets strictly positive, else NaN.
     """
-    n = len(keys)
-    q_idx = np.array([q.index for _, q in keys], dtype=np.int64)
-    num = np.full(n, np.nan)
-    for _, start, stop in slices:
-        if horizon == "qoq":
-            fut = _shifted(future_income, q_idx, start, stop, -1)
-            num[start:stop] = fut - past_income[start:stop]
-        else:
-            acc = np.zeros(stop - start)
-            ok = np.ones(stop - start, dtype=bool)
-            for k in (1, 2, 3, 4):
-                term = _shifted(future_income, q_idx, start, stop, -k)
-                ok &= ~np.isnan(term)
-                acc = acc + np.where(np.isnan(term), 0.0, term)
-            for k in (0, 1, 2, 3):
-                term = _shifted(past_income, q_idx, start, stop, k)
-                ok &= ~np.isnan(term)
-                acc = acc - np.where(np.isnan(term), 0.0, term)
-            acc[~ok] = np.nan
-            num[start:stop] = acc
+    if horizon == "qoq":
+        num = index.shifted(future_income, -1) - past_income
+    else:
+        num = np.zeros(len(index))
+        ok = np.ones(len(index), dtype=bool)
+        for k in (1, 2, 3, 4):
+            term = index.shifted(future_income, -k)
+            ok &= ~np.isnan(term)
+            num = num + np.where(np.isnan(term), 0.0, term)
+        for k in (0, 1, 2, 3):
+            term = index.shifted(past_income, k)
+            ok &= ~np.isnan(term)
+            num = num - np.where(np.isnan(term), 0.0, term)
+        num[~ok] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         target = num / assets
     target[~(assets > 0)] = np.nan
     return target
 
 
-def quantile_rank_classes(keys, targets: np.ndarray, n_classes: int) -> np.ndarray:
+def quantile_rank_classes(index: PanelIndex, targets: np.ndarray,
+                          n_classes: int) -> np.ndarray:
     """Cut targets into equal-count classes within each calendar quarter.
 
     Ranks ascend with the target (higher target, higher class); ties break
-    on company_id so the labeling is deterministic. Class counts within a
-    quarter differ by at most one.
+    on company_id (the code order is str order) so the labeling is
+    deterministic. Class counts within a quarter differ by at most one.
     """
-    n = len(keys)
-    out = np.full(n, np.nan)
-    companies = np.array([c for c, _ in keys])
-    quarter_rows = {}
-    for i, (_, q) in enumerate(keys):
-        quarter_rows.setdefault(q.index, []).append(i)
-    for rows in quarter_rows.values():
-        rows = np.array(rows, dtype=np.int64)
-        present = rows[~np.isnan(targets[rows])]
-        k = len(present)
-        if k == 0:
-            continue
-        order = np.lexsort((companies[present], targets[present]))
-        ranks = np.arange(k)
-        out[present[order]] = (ranks * n_classes) // k
+    out = np.full(len(index), np.nan)
+    rows = np.flatnonzero(~np.isnan(targets))
+    rows = rows[np.lexsort((index.company[rows], targets[rows], index.quarter[rows]))]
+    quarter = index.quarter[rows]
+    # each row's rank within its quarter, and that quarter's row count
+    starts = np.flatnonzero(np.r_[True, quarter[1:] != quarter[:-1]])
+    sizes = np.diff(np.r_[starts, len(rows)])
+    ranks = np.arange(len(rows)) - np.repeat(starts, sizes)
+    out[rows] = (ranks * n_classes) // np.repeat(sizes, sizes)
     return out
 
 
@@ -606,16 +561,14 @@ def build_labels(panel: RawPanel, horizon: str = "qoq", n_classes: int = 3,
     if income_var not in panel.columns or assets_var not in panel.columns:
         raise PanelError(
             f"labels need {income_var!r} and {assets_var!r} columns")
-    slices = company_slices(panel.keys)
     income = panel.columns[income_var]
     assets = panel.columns[assets_var]
-    targets = relative_change_targets(
-        panel.keys, slices, income, income, assets, horizon)
+    targets = relative_change_targets(panel.index, income, income, assets, horizon)
     if scheme == "sign":
         if n_classes != 2:
             raise ValueError("sign scheme requires n_classes=2")
         values = np.where(targets > 0, 1.0, 0.0)
         values[np.isnan(targets)] = np.nan
     else:
-        values = quantile_rank_classes(panel.keys, targets, n_classes)
-    return LabelVector(list(panel.keys), values, n_classes, horizon, scheme)
+        values = quantile_rank_classes(panel.index, targets, n_classes)
+    return LabelVector(panel.index, values, n_classes, horizon, scheme)

@@ -12,8 +12,8 @@ correlations, PCA, bins) is estimated on that subset's training rows only.
 
 from __future__ import annotations
 
-import csv
 import json
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +27,16 @@ from .errors import (
     SubsetError,
 )
 from .feature_forge import FeatureMatrix, LabelVector
-from .panel_ingest import CalendarQuarter, Format, RawPanel, company_slices
+from .panel_ingest import (
+    CalendarQuarter,
+    Format,
+    PanelIndex,
+    RawPanel,
+    _data_rows,
+    _parse_value,
+    _RowCodes,
+    take_or_nan,
+)
 
 CONSENSUS_HEADER = ["company_id", "year", "quarter", "consensus_mean",
                     "consensus_median", "actual_nongaap"]
@@ -64,44 +73,52 @@ def enumerate_subsets(quarters, train_len: int = 80) -> list:
 
 @dataclass
 class ConsensusTable:
-    """Analyst estimates and non-GAAP actuals keyed by (company, quarter)."""
+    """Analyst estimates and non-GAAP actuals, one row per index row.
 
-    rows: dict
+    values holds the consensus_mean, consensus_median and actual_nongaap
+    columns, NaN where the CSV cell is blank.
+    """
 
-    def series(self, keys, field_index: int) -> np.ndarray:
-        out = np.full(len(keys), np.nan)
-        for i, key in enumerate(keys):
-            row = self.rows.get(key)
-            if row is not None:
-                out[i] = row[field_index]
-        return out
+    index: PanelIndex
+    values: np.ndarray
+
+    def series(self, index: PanelIndex, field_index: int) -> np.ndarray:
+        """One column on the rows of index, NaN where the table has no row."""
+        return take_or_nan(self.values[:, field_index], self.index.find(index))
 
 
 def load_consensus(path) -> ConsensusTable:
-    rows = {}
+    """Load the consensus CSV in one streaming pass; rows may come in any
+    order, and errors name the CSV row as load_panel's do."""
+    coded = _RowCodes()
+    companies = coded.companies
+    values = array("d")
+
+    def check_repeats(names, company) -> np.ndarray:
+        """Each row's key; raises for a repeated (company, quarter)."""
+        key = coded.keys(company)
+        coded.raise_first_repeat(key, names, company, lambda i: "key")
+        return key
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError("consensus file is empty") from None
-        if header != CONSENSUS_HEADER:
-            raise PanelError(f"bad consensus header {header!r}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise PanelError(f"row {row_num}: expected 6 fields")
-            company, year_s, quarter_s = row[0], row[1], row[2]
-            try:
-                key = (company, CalendarQuarter(int(year_s), int(quarter_s)))
-            except ValueError as exc:
-                raise PanelError(f"row {row_num}: malformed quarter") from exc
-            if key in rows:
-                raise PanelError(f"row {row_num}: duplicate key {key}")
-            values = tuple(float(v) if v != "" else np.nan for v in row[3:6])
-            rows[key] = values
-    return ConsensusTable(rows)
+            for row_num, row in _data_rows(fh, CONSENSUS_HEADER, "consensus"):
+                q = coded.quarter_of(row[1], row[2], row_num)
+                # coded before its values, so a repeated key is named first
+                coded.company.append(companies.setdefault(row[0], len(companies)))
+                coded.quarter.append(q)
+                coded.row_num.append(row_num)
+                for text in row[3:6]:
+                    values.append(_parse_value(text, row_num))
+        except PanelError:
+            check_repeats(*coded.provisional_codes())
+            raise
+
+    names, company = coded.sorted_codes()
+    order = np.argsort(check_repeats(names, company), kind="stable")
+    index = PanelIndex(names, company[order],
+                       np.frombuffer(coded.quarter, dtype=np.int64)[order])
+    return ConsensusTable(index, np.frombuffer(values).reshape(-1, 3)[order])
 
 
 def consensus_classes(table: ConsensusTable, panel: RawPanel, horizon: str,
@@ -111,23 +128,21 @@ def consensus_classes(table: ConsensusTable, panel: RawPanel, horizon: str,
     Both are converted to relative-change targets (future estimate against
     past actual, scaled by current assets) and cut within each quarter with
     the same criteria the labels use. Returns (consensus, actual) label
-    vectors aligned with the panel keys; keys absent from the table are
-    missing.
+    vectors on the panel's rows; rows absent from the table are missing.
     """
     if estimate not in ("mean", "median"):
         raise ValueError(f"unknown estimate {estimate!r}")
     est_col = 0 if estimate == "mean" else 1
-    est = table.series(panel.keys, est_col)
-    actual = table.series(panel.keys, 2)
+    est = table.series(panel.index, est_col)
+    actual = table.series(panel.index, 2)
     assets = panel.columns[feature_forge.DEFAULT_ASSETS_VAR] \
         if feature_forge.DEFAULT_ASSETS_VAR in panel.columns else None
     if assets is None:
         raise PanelError("consensus scoring needs the assets column")
-    slices = company_slices(panel.keys)
     target_est = feature_forge.relative_change_targets(
-        panel.keys, slices, est, actual, assets, horizon)
+        panel.index, est, actual, assets, horizon)
     target_act = feature_forge.relative_change_targets(
-        panel.keys, slices, actual, actual, assets, horizon)
+        panel.index, actual, actual, assets, horizon)
 
     def cut(targets):
         if scheme == "sign":
@@ -135,8 +150,8 @@ def consensus_classes(table: ConsensusTable, panel: RawPanel, horizon: str,
             values[np.isnan(targets)] = np.nan
         else:
             values = feature_forge.quantile_rank_classes(
-                panel.keys, targets, n_classes)
-        return LabelVector(list(panel.keys), values, n_classes, horizon, scheme)
+                panel.index, targets, n_classes)
+        return LabelVector(panel.index, values, n_classes, horizon, scheme)
 
     return cut(target_est), cut(target_act)
 
@@ -282,11 +297,12 @@ def decompose_importance(model, pca, metas, top_c: int = 5, top_v: int = 10,
 
 @dataclass
 class ConsensusVectors:
-    """Per-key class lookups derived from a ConsensusTable."""
+    """Consensus (mean and median estimate) and non-GAAP actual classes on
+    the panel's rows, derived from a ConsensusTable."""
 
-    mean_cls: dict
-    median_cls: dict
-    actual_cls: dict
+    mean_cls: LabelVector
+    median_cls: LabelVector
+    actual_cls: LabelVector
     estimate: str = "mean"
     pairing: str = "split"
 
@@ -413,10 +429,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     training rows only; look-backs may reach quarters before the window.
     """
     seed_valid, seed_search, seed_final = _subset_seeds(config.seed, split.index)
-    train_set = {q.index for q in split.train_quarters}
+    train_quarters = [q.index for q in split.train_quarters]
     test_idx_q = split.test_quarter.index
-
-    label_map = {key: value for key, value in zip(labels.keys, labels.values)}
 
     def stage(name):
         def wrap(exc):
@@ -424,10 +438,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         return wrap
 
     try:
-        work_mask = np.array([q.index <= test_idx_q for _, q in features.keys])
-        work = features.take_rows(work_mask)
-        train_rows = np.flatnonzero(
-            np.array([q.index in train_set for _, q in work.keys]))
+        work = features.take_rows(features.index.quarter <= test_idx_q)
+        train_rows = np.flatnonzero(np.isin(work.index.quarter, train_quarters))
         work = feature_forge.clip_outliers(work, config.clip_pct,
                                            fit_rows=train_rows)
     except Exception as exc:
@@ -446,11 +458,10 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     except Exception as exc:
         raise stage("build_lags")(exc) from exc
 
-    label_values = np.array([label_map.get(key, np.nan) for key in lagged.keys])
-    q_arr = np.array([q.index for _, q in lagged.keys])
+    label_values = take_or_nan(labels.values, labels.index.find(lagged.index))
+    q_arr = lagged.index.quarter
     has_label = ~np.isnan(label_values)
-    train_idx = np.flatnonzero(
-        np.isin(q_arr, list(train_set)) & has_label)
+    train_idx = np.flatnonzero(np.isin(q_arr, train_quarters) & has_label)
     test_idx = np.flatnonzero((q_arr == test_idx_q) & has_label)
     if len(train_idx) == 0:
         raise SubsetError(split.index, "train_selection",
@@ -474,11 +485,10 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
     y_train = label_values[train_idx].astype(np.int64)
     y_test = label_values[test_idx].astype(np.int64)
-    train_keys = [lagged.keys[i] for i in train_idx]
 
     try:
         tr_i, va_i = tuner.make_validation_split(
-            train_keys, config.validation_size, config.validation_mode,
+            q_arr[train_idx], config.validation_size, config.validation_mode,
             seed_valid)
 
         def objective(params: HyperParams):
@@ -520,13 +530,15 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         per_class=_per_class_accuracy(predictions, y_test, config.n_classes),
     )
     if config.consensus is not None and len(test_idx):
-        test_keys = [lagged.keys[i] for i in test_idx]
-        cons_map = (config.consensus.mean_cls
-                    if config.consensus.estimate == "mean"
-                    else config.consensus.median_cls)
-        cons = np.array([cons_map.get(k, np.nan) for k in test_keys])
-        actual_ng = np.array([config.consensus.actual_cls.get(k, np.nan)
-                              for k in test_keys])
+        test_index = lagged.index.take(test_idx)
+
+        def on_test_rows(vector: LabelVector) -> np.ndarray:
+            return take_or_nan(vector.values, vector.index.find(test_index))
+
+        cons = on_test_rows(config.consensus.mean_cls
+                            if config.consensus.estimate == "mean"
+                            else config.consensus.median_cls)
+        actual_ng = on_test_rows(config.consensus.actual_cls)
         scored = ~np.isnan(cons) & ~np.isnan(actual_ng)
         if scored.any():
             cons_actual = (actual_ng[scored].astype(np.int64)
@@ -545,8 +557,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             metrics.diverge_consensus_acc = cond.diverge_consensus_acc
             for est_name, attr in (("mean_cls", "consensus_mean_accuracy"),
                                    ("median_cls", "consensus_median_accuracy")):
-                est_map = getattr(config.consensus, est_name)
-                est = np.array([est_map.get(k, np.nan) for k in test_keys])
+                est = on_test_rows(getattr(config.consensus, est_name))
                 ok = ~np.isnan(est) & ~np.isnan(actual_ng)
                 if config.consensus.pairing == "split":
                     ref = actual_ng[ok].astype(np.int64)
@@ -572,7 +583,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         pca_kept=pca.kept,
         n_train=len(train_idx),
         n_test=len(test_idx),
-        test_companies=[lagged.keys[i][0] for i in test_idx],
+        test_companies=lagged.index.company_names(test_idx),
         predictions=predictions,
         actuals=y_test,
         metrics=metrics,
@@ -589,20 +600,15 @@ def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
                             horizon: str, n_classes: int, scheme: str,
                             estimate: str = "mean",
                             pairing: str = "split") -> ConsensusVectors:
-    """Precompute per-key consensus and non-GAAP actual classes."""
+    """Precompute consensus and non-GAAP actual classes per panel row."""
     mean_cls, actual_cls = consensus_classes(
         table, panel, horizon, n_classes, scheme, estimate="mean")
     median_cls, _ = consensus_classes(
         table, panel, horizon, n_classes, scheme, estimate="median")
-
-    def to_map(vector: LabelVector) -> dict:
-        return {key: float(v) for key, v in zip(vector.keys, vector.values)
-                if not np.isnan(v)}
-
     return ConsensusVectors(
-        mean_cls=to_map(mean_cls),
-        median_cls=to_map(median_cls),
-        actual_cls=to_map(actual_cls),
+        mean_cls=mean_cls,
+        median_cls=median_cls,
+        actual_cls=actual_cls,
         estimate=estimate,
         pairing=pairing,
     )

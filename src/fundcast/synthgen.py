@@ -21,6 +21,7 @@ from .panel_ingest import (
     CalendarQuarter,
     CompanyMeta,
     Format,
+    PanelIndex,
     RawPanel,
     StatementGroup,
     VariableSpec,
@@ -128,7 +129,7 @@ def _ar1(rng, shape, phi: float) -> np.ndarray:
 
 
 def generate_panel(spec: SignalSpec):
-    """Generate (RawPanel, ground-truth target vector aligned to its keys).
+    """Generate (RawPanel, ground-truth target vector aligned to its rows).
 
     The realized net income is NI(c,t) = S_c * (0.5 + sum_j coef_j *
     u_j(c,t-1) + seasonal(t) + eps(c,t)); the returned target is the
@@ -187,24 +188,32 @@ def generate_panel(spec: SignalSpec):
             col[mask] = np.nan
             values[name] = col
 
-    companies = [f"C{i:05d}" for i in range(1, nc + 1)]
-    keys = [(c, q) for c in companies for q in quarters]
-    columns = {name: grid.reshape(-1).astype(np.float64)
+    # Panel rows go in company-id order, which is generation order unless
+    # there are more than 99999 companies.
+    ids = [f"C{i:05d}" for i in range(1, nc + 1)]
+    order = sorted(range(nc), key=ids.__getitem__)
+    companies = [ids[i] for i in order]
+    first = quarters[0].index
+    index = PanelIndex(companies, np.repeat(np.arange(nc), nq),
+                       np.tile(np.arange(first, first + nq), nc))
+    columns = {name: grid[order].reshape(-1).astype(np.float64)
                for name, grid in values.items()}
     meta = {c: CompanyMeta(sector_code=20, min_share_price=5.0,
                            fiscal_alignment_flag=True, reporting_gap_flag=False)
             for c in companies}
-    panel = RawPanel(keys, columns, meta)
-    return panel, truth_grid.reshape(-1)
+    panel = RawPanel(index, columns, meta)
+    return panel, truth_grid[order].reshape(-1)
 
 
 def write_truth_csv(panel: RawPanel, truth: np.ndarray, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
-        for (company, quarter), value in zip(panel.keys, truth):
-            writer.writerow([company, quarter.year, quarter.quarter,
-                             "" if np.isnan(value) else repr(float(value))])
+        index = panel.index
+        for company, q, value in zip(index.company_names(), index.quarter.tolist(),
+                                     truth.tolist()):
+            writer.writerow([company, q // 4, q % 4 + 1,
+                             "" if value != value else repr(value)])
 
 
 def generate_consensus_rows(panel: RawPanel, *, income_var: str = "niq",
@@ -220,14 +229,12 @@ def generate_consensus_rows(panel: RawPanel, *, income_var: str = "niq",
     sd = float(np.nanstd(ni)) * max(0.0, 1.0 - skill)
     mean_est = actual_ng + rng.normal(0.0, sd if sd > 0 else 0.0, size=len(ni))
     median_est = actual_ng + rng.normal(0.0, sd if sd > 0 else 0.0, size=len(ni))
-    rows = []
-    for i, (company, quarter) in enumerate(panel.keys):
-        if np.isnan(actual_ng[i]):
-            continue
-        rows.append((company, quarter.year, quarter.quarter,
-                     float(mean_est[i]), float(median_est[i]),
-                     float(actual_ng[i])))
-    return rows
+    index = panel.index
+    return [(company, q // 4, q % 4 + 1, mean, median, actual)
+            for company, q, mean, median, actual in zip(
+                index.company_names(), index.quarter.tolist(), mean_est.tolist(),
+                median_est.tolist(), actual_ng.tolist())
+            if actual == actual]
 
 
 def write_consensus_csv(rows, path) -> None:

@@ -106,28 +106,29 @@ class TrialRecord:
         return out
 
 
-def make_validation_split(train_keys, size_quarters: int, mode: str, seed: int):
-    """Partition training keys into (train_idx, validation_idx) by quarter.
+def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
+    """Partition training rows into (train_idx, validation_idx) by quarter.
 
-    chronological_tail reserves the last size_quarters calendar quarters
-    wholesale; random_quarters reserves size_quarters distinct quarters
-    drawn uniformly. No key lands on both sides.
+    quarters holds each row's CalendarQuarter.index. chronological_tail
+    reserves the last size_quarters calendar quarters wholesale;
+    random_quarters reserves size_quarters distinct quarters drawn
+    uniformly. No row lands on both sides.
     """
     if mode not in ("chronological_tail", "random_quarters"):
         raise ValueError(f"unknown validation mode {mode!r}")
-    quarters = sorted({q for _, q in train_keys})
-    if len(quarters) < size_quarters + 1:
+    quarters = np.asarray(quarters)
+    distinct = np.unique(quarters)
+    if len(distinct) < size_quarters + 1:
         raise WindowTooSmallError(
-            f"window spans {len(quarters)} quarters; "
+            f"window spans {len(distinct)} quarters; "
             f"need >= {size_quarters + 1} for a {size_quarters}-quarter split")
     if mode == "chronological_tail":
-        held = set(quarters[-size_quarters:])
+        held = distinct[-size_quarters:]
     else:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(quarters), size=size_quarters, replace=False)
-        held = {quarters[i] for i in picks}
-    in_valid = np.array([q in held for _, q in train_keys], dtype=bool)
-    idx = np.arange(len(train_keys))
+        held = distinct[rng.choice(len(distinct), size=size_quarters, replace=False)]
+    in_valid = np.isin(quarters, held)
+    idx = np.arange(len(quarters))
     return idx[~in_valid], idx[in_valid]
 
 

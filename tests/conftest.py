@@ -6,15 +6,32 @@ from fundcast.panel_ingest import (
     CalendarQuarter,
     CompanyMeta,
     Format,
+    PanelIndex,
     RawPanel,
     StatementGroup,
     VariableSpec,
 )
+from fundcast.rollcast import ConsensusTable
 
 
 def quarter_range(start_year: int, start_q: int, n: int):
     start = CalendarQuarter(start_year, start_q)
     return [CalendarQuarter.from_index(start.index + i) for i in range(n)]
+
+
+def index_from_keys(keys) -> PanelIndex:
+    """PanelIndex of (company_id, CalendarQuarter) keys, sorted by company
+    id and then quarter."""
+    names = sorted({company for company, _ in keys})
+    code = {name: i for i, name in enumerate(names)}
+    return PanelIndex(names, [code[company] for company, _ in keys],
+                      [q.index for _, q in keys])
+
+
+def keys_of(index: PanelIndex) -> list:
+    """(company_id, CalendarQuarter) of each index row."""
+    return [(company, CalendarQuarter.from_index(q))
+            for company, q in zip(index.company_names(), index.quarter.tolist())]
 
 
 def grid_panel(companies, quarters, columns, meta=None) -> RawPanel:
@@ -23,7 +40,15 @@ def grid_panel(companies, quarters, columns, meta=None) -> RawPanel:
     cols = {name: np.asarray(grid, dtype=np.float64).reshape(-1)
             for name, grid in columns.items()}
     meta = meta or {c: CompanyMeta() for c in companies}
-    return RawPanel(keys, cols, meta)
+    return RawPanel(index_from_keys(keys), cols, meta)
+
+
+def consensus_table(rows: dict) -> ConsensusTable:
+    """ConsensusTable from {(company_id, CalendarQuarter): (mean, median,
+    actual)}."""
+    keys = sorted(rows, key=lambda k: (k[0], k[1].index))
+    values = np.array([rows[k] for k in keys], dtype=np.float64).reshape(-1, 3)
+    return ConsensusTable(index_from_keys(keys), values)
 
 
 def simple_spec(name, group="income", formats=(Format.RAW,), crucial=False,
@@ -37,8 +62,7 @@ def single_company_fill_period(series, max_p=20):
     company's series when every row is a fit row."""
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
-    return _pooled_fill_period(series, [("A", 0, n)], np.ones(n, dtype=bool),
-                               max_p)
+    return _pooled_fill_period(series, [(0, n)], np.ones(n, dtype=bool), max_p)
 
 
 def split_gain(parent_stats, left_stats, params) -> float:

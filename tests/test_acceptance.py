@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quarter_range, single_company_fill_period, split_gain
+from conftest import (
+    consensus_table,
+    index_from_keys,
+    quarter_range,
+    single_company_fill_period,
+    split_gain,
+)
 from fundcast import (
     boostwood,
     feature_forge,
@@ -291,7 +297,7 @@ class TestCriterion7HarnessArithmetic:
                  + [FeatureColumnMeta(f"m{i}", Format.RAW, expand_lags=False)
                     for i in range(11)])
         keys = [("A", q) for q in quarter_range(1990, 1, 25)]
-        matrix = FeatureMatrix(keys, rng.normal(size=(25, 165)), metas)
+        matrix = FeatureMatrix(index_from_keys(keys), rng.normal(size=(25, 165)), metas)
         lagged = feature_forge.build_lags(matrix, 20)
         assert lagged.n_cols == 3091
         report(7, "120 quarters -> 40 advancing subsets; "
@@ -312,7 +318,7 @@ def e2e_run():
     panel = panel_ingest.shift_forward_aligned(panel, schema)
     features = feature_forge.convert_formats(panel, schema)
     labels = feature_forge.build_labels(panel, "qoq", 3, "quantile_rank")
-    table = rollcast.ConsensusTable({
+    table = consensus_table({
         (row[0], panel_ingest.CalendarQuarter(row[1], row[2])): tuple(row[3:6])
         for row in synthgen.generate_consensus_rows(panel, seed=1)})
     consensus = rollcast.build_consensus_vectors(

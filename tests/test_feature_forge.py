@@ -3,6 +3,8 @@ import pytest
 
 from conftest import (
     grid_panel,
+    index_from_keys,
+    keys_of,
     quarter_range,
     simple_spec,
     single_company_fill_period,
@@ -127,7 +129,7 @@ def hand_matrix(values, fmt=Format.QOQ, origin=None):
     origin_arr = None
     if origin is not None:
         origin_arr = np.asarray(origin, dtype=bool).reshape(-1, 1)
-    return FeatureMatrix(keys, values, metas, origin_positive=origin_arr)
+    return FeatureMatrix(index_from_keys(keys), values, metas, origin_positive=origin_arr)
 
 
 class TestClipOutliers:
@@ -229,7 +231,7 @@ class TestImpute:
         values = np.asarray(col, dtype=np.float64).reshape(-1, 1)
         metas = [FeatureColumnMeta("x", fmt)]
         keys = [("A", q) for q in quarter_range(1990, 1, len(col))]
-        return FeatureMatrix(keys, values, metas)
+        return FeatureMatrix(index_from_keys(keys), values, metas)
 
     def test_column_over_70pct_missing_deleted(self):
         col = [1.0] * 29 + [np.nan] * 71
@@ -280,7 +282,7 @@ class TestImpute:
         values = np.array([[1.0], [np.nan], [2.0]])
         metas = [FeatureColumnMeta("x", Format.QOQ)]
         keys = [("A", q) for q in quarter_range(1990, 1, 3)]
-        out, report = impute(FeatureMatrix(keys, values, metas), [], look_back=1)
+        out, report = impute(FeatureMatrix(index_from_keys(keys), values, metas), [], look_back=1)
         assert out.values[1, 0] == CONSTANT_FILL
         assert report.relevant_filled == 0
 
@@ -290,9 +292,19 @@ class TestImpute:
         m, _ = panel_matrix({"niq": col}, specs)
         out, report = impute(m, specs, look_back=2)
         # rows 0 (no lookback), 1 (missing), 2 (lookback hits missing) deleted
-        kept_quarters = [q.quarter for _, q in out.keys]
+        kept_quarters = [q.quarter for _, q in keys_of(out.index)]
         assert kept_quarters == [4, 1]
         assert report.deleted_rows == 3
+
+    def test_crucial_lookback_counts_missing_quarters(self):
+        specs = [simple_spec("niq", formats=(Format.RAW,), crucial=True)]
+        quarters = [q for i, q in enumerate(quarter_range(1990, 1, 5)) if i != 2]
+        panel = grid_panel(["A", "B"], quarters, {"niq": np.ones((2, 4))})
+        out, report = impute(convert_formats(panel, specs), specs, look_back=2)
+        # 1990Q4 lacks a 1990Q3 row; each company's first row has no look-back
+        assert [(c, str(q)) for c, q in keys_of(out.index)] == [
+            ("A", "1990Q2"), ("A", "1991Q1"), ("B", "1990Q2"), ("B", "1991Q1")]
+        assert report.deleted_rows == 4
 
     def test_fit_rows_restrict_deletion_rate(self):
         col = [np.nan] * 8 + [1.0] * 2
@@ -311,7 +323,7 @@ class TestCorrelationDedupe:
         metas = [FeatureColumnMeta(f"v{i}", Format.RAW)
                  for i in range(values.shape[1])]
         keys = [("A", q) for q in quarter_range(1990, 1, values.shape[0])]
-        return FeatureMatrix(keys, values, metas)
+        return FeatureMatrix(index_from_keys(keys), values, metas)
 
     def test_duplicate_column_dropped(self, rng):
         x = rng.normal(size=30)
@@ -362,7 +374,7 @@ class TestBuildLags:
         keys = [(f"C{c}", q) for c in range(n_companies)
                 for q in quarter_range(1990, 1, n_quarters)]
         values = rng.normal(size=(len(keys), n_lag_bases + n_flat))
-        return FeatureMatrix(keys, values, metas)
+        return FeatureMatrix(index_from_keys(keys), values, metas)
 
     def test_reference_schema_column_count(self):
         m = self._matrix(154, 11, 25)
@@ -385,19 +397,25 @@ class TestBuildLags:
         values = np.arange(6, dtype=float).reshape(-1, 1)
         metas = [FeatureColumnMeta("f", Format.YOY, expand_lags=True)]
         keys = [("A", q) for q in quarter_range(1990, 1, 6)]
-        out = build_lags(FeatureMatrix(keys, values, metas), 3)
+        out = build_lags(FeatureMatrix(index_from_keys(keys), values, metas), 3)
         assert out.n_rows == 4
         np.testing.assert_array_equal(out.values[0], [2.0, 1.0, 0.0])
         np.testing.assert_array_equal(out.values[3], [5.0, 4.0, 3.0])
         assert [m.lag for m in out.metas] == [0, 1, 2]
+
+    def test_lags_never_cross_companies(self):
+        m = self._matrix(1, 0, 4, n_companies=2)
+        out = build_lags(m, 2)
+        assert [c for c, _ in keys_of(out.index)] == ["C0"] * 3 + ["C1"] * 3
+        np.testing.assert_array_equal(out.values[3], [m.values[5, 0], m.values[4, 0]])
 
     def test_quarter_gap_drops_incomplete_rows(self):
         quarters = [q for i, q in enumerate(quarter_range(1990, 1, 6)) if i != 2]
         values = np.arange(5, dtype=float).reshape(-1, 1)
         metas = [FeatureColumnMeta("f", Format.YOY, expand_lags=True)]
         keys = [("A", q) for q in quarters]
-        out = build_lags(FeatureMatrix(keys, values, metas), 2)
-        out_quarters = [str(q) for _, q in out.keys]
+        out = build_lags(FeatureMatrix(index_from_keys(keys), values, metas), 2)
+        out_quarters = [str(q) for _, q in keys_of(out.index)]
         # 1990Q4 lacks 1990Q3; 1991Q1 and 1991Q2 have their immediate priors
         assert out_quarters == ["1990Q2", "1991Q1", "1991Q2"]
 
@@ -414,7 +432,7 @@ class TestBuildLabels:
         # targets for Q1 across three companies: -5, 0, 9 (assets 10)
         panel = self._panel([[0.0, -50.0], [0.0, 0.0], [0.0, 90.0]])
         labels = build_labels(panel, "qoq", 3)
-        q1 = [labels.values[i] for i, (_, q) in enumerate(labels.keys)
+        q1 = [labels.values[i] for i, (_, q) in enumerate(keys_of(labels.index))
               if q.quarter == 1]
         assert q1 == [0.0, 1.0, 2.0]
 
@@ -432,7 +450,7 @@ class TestBuildLabels:
         ni = np.column_stack([np.zeros(9), rng.permutation(9.0 * np.arange(1, 10))])
         panel = self._panel(ni.tolist())
         labels = build_labels(panel, "qoq", 3)
-        first = [labels.values[i] for i, (_, q) in enumerate(labels.keys)
+        first = [labels.values[i] for i, (_, q) in enumerate(keys_of(labels.index))
                  if q.quarter == 1]
         assert sorted(first).count(0.0) == 3
         assert sorted(first).count(1.0) == 3
@@ -452,7 +470,7 @@ class TestBuildLabels:
         panel2 = self._panel([[10.0, 30.0], [10.0, 20.0]],
                              atq_grid=[[50.0, 1.0], [50.0, 1.0]])
         labels2 = build_labels(panel2, "qoq", 3)
-        q1 = [labels2.values[i] for i, (_, q) in enumerate(labels2.keys)
+        q1 = [labels2.values[i] for i, (_, q) in enumerate(keys_of(labels2.index))
               if q.quarter == 1]
         assert q1[0] > q1[1]
 
@@ -472,8 +490,8 @@ class TestBuildLabels:
         for _ in range(10):
             k = int(rng.integers(6, 40))
             targets = rng.normal(size=k)
-            keys = [(f"C{i}", quarter_range(2001, 1, 1)[0]) for i in range(k)]
-            classes = quantile_rank_classes(keys, targets, 3)
+            keys = [(f"C{i:04d}", quarter_range(2001, 1, 1)[0]) for i in range(k)]
+            classes = quantile_rank_classes(index_from_keys(keys), targets, 3)
             counts = np.bincount(classes.astype(int), minlength=3)
             assert counts.max() - counts.min() <= 1
             order = np.argsort(targets)
@@ -489,8 +507,8 @@ class TestBuildLabels:
         # scores 1/n_classes up to binomial noise
         k, n_classes = 3000, 3
         targets = rng.normal(size=k)
-        keys = [(f"C{i}", quarter_range(2001, 1, 1)[0]) for i in range(k)]
-        classes = quantile_rank_classes(keys, targets, n_classes)
+        keys = [(f"C{i:04d}", quarter_range(2001, 1, 1)[0]) for i in range(k)]
+        classes = quantile_rank_classes(index_from_keys(keys), targets, n_classes)
         guesses = rng.integers(0, n_classes, size=k)
         acc = (guesses == classes).mean()
         sigma = np.sqrt((1 / 3) * (2 / 3) / k)
@@ -511,5 +529,5 @@ class TestLagCountClosedForm:
                         for i in range(n_flat)])
             keys = [("A", q) for q in quarter_range(1990, 1, n_lags + 3)]
             values = rng.normal(size=(n_lags + 3, n_lagged + n_flat))
-            out = build_lags(FeatureMatrix(keys, values, metas), n_lags)
+            out = build_lags(FeatureMatrix(index_from_keys(keys), values, metas), n_lags)
             assert out.n_cols == n_lagged * n_lags + n_flat

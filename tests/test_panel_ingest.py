@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import grid_panel, quarter_range, simple_spec
+from conftest import grid_panel, index_from_keys, keys_of, quarter_range, simple_spec
 from fundcast.errors import PanelError, SchemaError
 from fundcast.panel_ingest import (
     CalendarQuarter,
     CompanyMeta,
     FilterRules,
     Format,
+    PanelIndex,
     RawPanel,
     StatementGroup,
     apply_sample_filters,
-    company_slices,
     load_panel,
     load_schema,
     save_panel,
     shift_forward_aligned,
 )
+from fundcast.rollcast import load_consensus
 
 SCHEMA_HEADER = ("name,statement_group,yoy,qoq,pct_assets,pct_revenue,"
                  "crucial,next_quarter_aligned\n")
@@ -52,6 +53,58 @@ class TestCalendarQuarter:
     def test_index_roundtrip(self):
         for q in quarter_range(1990, 1, 9):
             assert CalendarQuarter.from_index(q.index) == q
+
+
+class TestPanelIndex:
+    def _index(self):
+        q = CalendarQuarter(2000, 1).index
+        return PanelIndex(("A", "B"), [0, 0, 0, 1, 1], [q, q + 1, q + 3, q, q + 1])
+
+    def test_rows_must_be_sorted_and_distinct(self):
+        with pytest.raises(PanelError, match="duplicate key \\(A, 2000Q1\\)"):
+            PanelIndex(("A",), [0, 0], [8000, 8000])
+        with pytest.raises(PanelError, match="not sorted"):
+            PanelIndex(("A", "B"), [1, 0], [8000, 8000])
+        with pytest.raises(PanelError, match="not sorted"):
+            PanelIndex(("A",), [0, 0], [8001, 8000])
+
+    def test_names_codes_and_quarters_checked(self):
+        with pytest.raises(PanelError, match="names"):
+            PanelIndex(("B", "A"), [0], [8000])
+        with pytest.raises(PanelError, match="code"):
+            PanelIndex(("A",), [1], [8000])
+        with pytest.raises(PanelError, match="quarter index"):
+            PanelIndex(("A",), [0], [-1])
+
+    def test_runs_and_names(self):
+        index = self._index()
+        assert index.runs() == [(0, 3), (3, 5)]
+        assert index.company_names() == ["A", "A", "A", "B", "B"]
+        assert index.take(np.array([1, 4])).company_names() == ["A", "B"]
+        assert PanelIndex((), [], []).runs() == []
+
+    def test_shifted_stays_within_company_and_calendar(self):
+        index = self._index()
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        # A has 2000Q1, Q2, Q4; B has 2000Q1, Q2
+        np.testing.assert_array_equal(index.shifted(values, 1),
+                                      [np.nan, 1.0, np.nan, np.nan, 4.0])
+        np.testing.assert_array_equal(index.shifted(values, -1),
+                                      [2.0, np.nan, np.nan, 5.0, np.nan])
+        np.testing.assert_array_equal(index.shifted(values, -2),
+                                      [np.nan, 3.0, np.nan, np.nan, np.nan])
+
+    def test_find_matches_company_ids_across_name_tables(self):
+        index = self._index()
+        other = PanelIndex(("B", "C"), [0, 1], [CalendarQuarter(2000, 2).index,
+                                               CalendarQuarter(2000, 1).index])
+        np.testing.assert_array_equal(index.find(other), [4, -1])
+        np.testing.assert_array_equal(other.find(index), [-1, -1, -1, -1, 0])
+
+    def test_negative_year_is_malformed(self, tmp_path):
+        path = write_panel(tmp_path, "A,-1,1,niq,1\n")
+        with pytest.raises(PanelError, match="row 2: malformed quarter"):
+            load_panel(path, [simple_spec("niq")])
 
 
 class TestLoadSchema:
@@ -104,8 +157,8 @@ class TestLoadPanel:
         schema = [simple_spec("niq")]
         path = write_panel(tmp_path, "A,1990,1,niq,1.5\nA,1990,2,niq,2.5\n")
         panel = load_panel(path, schema)
-        assert panel.keys == [("A", CalendarQuarter(1990, 1)),
-                              ("A", CalendarQuarter(1990, 2))]
+        assert keys_of(panel.index) == [("A", CalendarQuarter(1990, 1)),
+                                        ("A", CalendarQuarter(1990, 2))]
         assert panel.columns["niq"].tolist() == [1.5, 2.5]
 
     def test_empty_value_is_missing_not_zero(self, tmp_path):
@@ -163,29 +216,29 @@ class TestSampleFilters:
     def test_utility_sector_removed(self):
         panel = self._panel({"A": _meta(sector=55), "B": _meta()})
         out = apply_sample_filters(panel, FilterRules())
-        assert {c for c, _ in out.keys} == {"B"}
+        assert set(out.index.company_names()) == {"B"}
 
     def test_subdollar_share_price_removed(self):
         panel = self._panel({"A": _meta(price=0.50), "B": _meta()})
         out = apply_sample_filters(panel, FilterRules())
-        assert {c for c, _ in out.keys} == {"B"}
+        assert set(out.index.company_names()) == {"B"}
 
     def test_passing_company_retained_unchanged(self):
         panel = self._panel({"A": _meta(), "B": _meta()})
         out = apply_sample_filters(panel, FilterRules())
-        assert out.keys == panel.keys
+        assert keys_of(out.index) == keys_of(panel.index)
         np.testing.assert_array_equal(out.columns["niq"], panel.columns["niq"])
 
     def test_absent_meta_passes(self):
         panel = self._panel({"A": CompanyMeta(), "B": _meta()})
         out = apply_sample_filters(panel, FilterRules())
-        assert {c for c, _ in out.keys} == {"A", "B"}
+        assert set(out.index.company_names()) == {"A", "B"}
 
     def test_fiscal_and_gap_rules(self):
         panel = self._panel({"A": _meta(fiscal=False), "B": _meta(gap=True),
                              "C": _meta()})
         out = apply_sample_filters(panel, FilterRules())
-        assert {c for c, _ in out.keys} == {"C"}
+        assert set(out.index.company_names()) == {"C"}
 
     def test_empty_company_id_removed(self):
         quarters = quarter_range(1990, 1, 2)
@@ -193,7 +246,7 @@ class TestSampleFilters:
                            {"niq": [[1.0, 2.0], [3.0, 4.0]]},
                            meta={"": CompanyMeta(), "B": CompanyMeta()})
         out = apply_sample_filters(panel, FilterRules())
-        assert {c for c, _ in out.keys} == {"B"}
+        assert set(out.index.company_names()) == {"B"}
 
     def test_idempotent(self, rng):
         for _ in range(10):
@@ -203,7 +256,7 @@ class TestSampleFilters:
             panel = self._panel(metas)
             once = apply_sample_filters(panel, FilterRules())
             twice = apply_sample_filters(once, FilterRules())
-            assert once.keys == twice.keys
+            assert keys_of(once.index) == keys_of(twice.index)
 
 
 class TestShiftForwardAligned:
@@ -222,7 +275,7 @@ class TestShiftForwardAligned:
     def test_gap_shifts_by_calendar_quarter(self):
         keys = [("A", CalendarQuarter(2000, 1)), ("A", CalendarQuarter(2000, 2)),
                 ("A", CalendarQuarter(2001, 1))]
-        panel = RawPanel(keys, {"rate": np.array([1.0, 2.0, 3.0]),
+        panel = RawPanel(index_from_keys(keys), {"rate": np.array([1.0, 2.0, 3.0]),
                                 "niq": np.array([7.0, 8.0, 9.0])})
         out = shift_forward_aligned(panel, self._schema())
         # 2000Q3 has no row, so 2000Q2 must not take the 2001Q1 value
@@ -248,12 +301,12 @@ class TestShiftForwardAligned:
         panel = grid_panel(companies, quarters,
                            {"rate": grid, "niq": rng.normal(size=(3, 6))})
         out = shift_forward_aligned(panel, self._schema())
-        assert out.keys == panel.keys
+        assert keys_of(out.index) == keys_of(panel.index)
         assert set(out.columns) == set(panel.columns)
         new_missing = np.isnan(out.columns["rate"]) & ~np.isnan(panel.columns["rate"])
-        slices = company_slices(panel.keys)
-        assert new_missing.sum() == len(slices)
-        for _, start, stop in slices:
+        runs = panel.index.runs()
+        assert new_missing.sum() == len(runs)
+        for start, stop in runs:
             assert new_missing[stop - 1]
 
 
@@ -278,8 +331,62 @@ class TestRoundTrip:
             path = tmp_path / f"panel{trial}.csv"
             save_panel(panel, path, schema=schema)
             back = load_panel(path, schema)
-            assert back.keys == panel.keys
+            assert keys_of(back.index) == keys_of(panel.index)
             for name in panel.columns:
                 np.testing.assert_array_equal(back.columns[name],
                                               panel.columns[name])
             assert back.meta == panel.meta
+
+
+class TestStrictValues:
+    """Meta and consensus cells either parse exactly or name their row."""
+
+    @pytest.mark.parametrize("attribute, text", [
+        ("fiscal_alignment_flag", "2"),
+        ("fiscal_alignment_flag", "yes"),
+        ("reporting_gap_flag", "yes"),
+        ("reporting_gap_flag", "-1"),
+        ("sector_code", "abc"),
+        ("sector_code", "55.5"),
+        ("min_share_price", "cheap"),
+        ("min_share_price", "nan"),
+    ])
+    def test_bad_meta_value_names_row(self, tmp_path, attribute, text):
+        path = write_panel(tmp_path, f"A,1990,1,niq,1.0\nA,1990,1,meta_{attribute},{text}\n")
+        with pytest.raises(PanelError, match=f"^row 3: bad meta_{attribute}"):
+            load_panel(path, [simple_spec("niq")])
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1", True), ("0", False), ("true", True), ("False", False)])
+    def test_flag_spellings(self, tmp_path, text, expected):
+        path = write_panel(tmp_path, f"A,1990,1,meta_fiscal_alignment_flag,{text}\n"
+                                     f"A,1990,1,meta_reporting_gap_flag,{text}\n"
+                                     "A,1990,1,niq,1.0\n")
+        meta = load_panel(path, [simple_spec("niq")]).meta["A"]
+        assert meta.fiscal_alignment_flag is expected
+        assert meta.reporting_gap_flag is expected
+
+    def test_integral_sector_code_accepted(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,meta_sector_code,55.0\nA,1990,1,niq,1\n")
+        assert load_panel(path, [simple_spec("niq")]).meta["A"].sector_code == 55
+
+    def test_conflicting_meta_rows_rejected(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,meta_sector_code,20\n"
+                                     "A,1990,2,meta_sector_code,20\n"
+                                     "A,1990,3,meta_sector_code,55\n"
+                                     "A,1990,1,niq,1\n")
+        with pytest.raises(PanelError, match="^row 4: conflicting meta_sector_code"):
+            load_panel(path, [simple_spec("niq")])
+
+    def test_repeated_equal_meta_rows_accepted(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,meta_min_share_price,2.5\n"
+                                     "A,1990,2,meta_min_share_price,2.50\n"
+                                     "A,1990,1,niq,1\n")
+        assert load_panel(path, [simple_spec("niq")]).meta["A"].min_share_price == 2.5
+
+    def test_bad_consensus_number_names_row(self, tmp_path):
+        path = tmp_path / "consensus.csv"
+        path.write_text("company_id,year,quarter,consensus_mean,consensus_median,"
+                        "actual_nongaap\nA,1990,1,1.0,1.0,1.0\nA,1990,2,1.0,oops,1.0\n")
+        with pytest.raises(PanelError, match="^row 3: bad value 'oops'"):
+            load_consensus(path)

@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import grid_panel, quarter_range, simple_spec
+from conftest import consensus_table, grid_panel, keys_of, quarter_range, simple_spec
 from fundcast import boostwood, feature_forge, synthgen, tuner
 from fundcast.boostwood import HyperParams
 from fundcast.errors import InsufficientHistoryError, ReportError
 from fundcast.feature_forge import FeatureColumnMeta, LabelVector
 from fundcast.panel_ingest import CalendarQuarter, Format
 from fundcast.rollcast import (
-    ConsensusTable,
     SubsetConfig,
     build_records,
     conditional_accuracy,
@@ -120,10 +119,10 @@ class TestConsensusClasses:
     def test_consensus_equal_to_actual_everywhere(self):
         panel = consensus_panel()
         rows = {}
-        for i, (company, q) in enumerate(panel.keys):
+        for i, (company, q) in enumerate(keys_of(panel.index)):
             actual = float(panel.columns["niq"][i]) * 1.1
             rows[(company, q)] = (actual, actual, actual)
-        table = ConsensusTable(rows)
+        table = consensus_table(rows)
         cons, actual = consensus_classes(table, panel, "qoq", 3, "quantile_rank")
         ok = ~np.isnan(cons.values)
         assert ok.any()
@@ -133,13 +132,13 @@ class TestConsensusClasses:
         panel = consensus_panel(n_companies=9, n_quarters=2)
         q1, q2 = quarter_range(2000, 1, 2)
         rows = {}
-        for k, company in enumerate(sorted({c for c, _ in panel.keys}), start=1):
+        for k, company in enumerate(sorted(set(panel.index.company_names())), start=1):
             rows[(company, q1)] = (np.nan, np.nan, 0.0)
             # actual rises with k, consensus estimate falls with k
             rows[(company, q2)] = (10.0 - k, 10.0 - k, float(k))
-        table = ConsensusTable(rows)
+        table = consensus_table(rows)
         cons, actual = consensus_classes(table, panel, "qoq", 3, "quantile_rank")
-        at_q1 = [i for i, (_, q) in enumerate(panel.keys) if q == q1]
+        at_q1 = [i for i, (_, q) in enumerate(keys_of(panel.index)) if q == q1]
         cons_q1 = cons.values[at_q1]
         act_q1 = actual.values[at_q1]
         assert not np.isnan(cons_q1).any()
@@ -148,7 +147,7 @@ class TestConsensusClasses:
     def test_empty_overlap_all_missing(self):
         panel = consensus_panel()
         other_q = CalendarQuarter(1950, 1)
-        table = ConsensusTable({("ZZ", other_q): (1.0, 1.0, 1.0)})
+        table = consensus_table({("ZZ", other_q): (1.0, 1.0, 1.0)})
         cons, actual = consensus_classes(table, panel, "qoq", 3, "quantile_rank")
         assert np.isnan(cons.values).all()
         assert np.isnan(actual.values).all()
@@ -251,7 +250,7 @@ class TestRunSubset:
         splits, feats, labels, cfg = small_pipeline()
         split = splits[0]
         full = run_subset(split, feats, labels, cfg)
-        mask = np.array([q != split.test_quarter for _, q in feats.keys])
+        mask = np.array([q != split.test_quarter for _, q in keys_of(feats.index)])
         cut = run_subset(split, feats.take_rows(mask), labels, cfg)
         assert cut.model_text == full.model_text
         assert cut.n_test == 0
@@ -262,10 +261,10 @@ class TestRunSubset:
         split = splits[0]
         train_set = {q.index for q in split.train_quarters}
         values = labels.values.copy()
-        for i, (_, q) in enumerate(labels.keys):
+        for i, (_, q) in enumerate(keys_of(labels.index)):
             if q.index in train_set and not np.isnan(values[i]):
                 values[i] = 1.0
-        forced = LabelVector(labels.keys, values, 3, "qoq", "quantile_rank")
+        forced = LabelVector(labels.index, values, 3, "qoq", "quantile_rank")
         with pytest.warns(UserWarning, match="single class"):
             res = run_subset(split, feats, forced, cfg)
         share = (res.actuals == 1).mean()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fundcast.errors import InvalidSpecError
+from conftest import keys_of
 from fundcast.panel_ingest import (
     RawPanel,
-    company_slices,
     load_panel,
     load_schema,
     save_panel,
@@ -44,14 +44,14 @@ class TestGeneratePanel:
         spec = small_spec(noise_sd=0.0, missing_rate=0.0,
                           seasonality_amplitude=0.0)
         panel, truth = generate_panel(spec)
-        slices = company_slices(panel.keys)
+        runs = panel.index.runs()
         atq = panel.columns["atq"]
         # regressors: per-driver one-quarter change scaled by current assets
         cols = []
         for name in spec.driver_variables:
             col = panel.columns[name]
             prev = np.full_like(col, np.nan)
-            for _, s, e in slices:
+            for s, e in runs:
                 prev[s + 1:e] = col[s:e - 1]
             cols.append((col - prev) / atq)
         x = np.column_stack(cols)
@@ -67,15 +67,15 @@ class TestGeneratePanel:
         panel, truth = generate_panel(spec)
         from fundcast.feature_forge import relative_change_targets
         realized = relative_change_targets(
-            panel.keys, company_slices(panel.keys), panel.columns["niq"],
-            panel.columns["niq"], panel.columns["atq"], "qoq")
+            panel.index, panel.columns["niq"], panel.columns["niq"],
+            panel.columns["atq"], "qoq")
         ok = ~np.isnan(truth)
         np.testing.assert_allclose(realized[ok], truth[ok], atol=1e-10)
 
     def test_same_seed_identical_panels(self):
         a, ta = generate_panel(small_spec())
         b, tb = generate_panel(small_spec())
-        assert a.keys == b.keys
+        assert keys_of(a.index) == keys_of(b.index)
         for name in a.columns:
             np.testing.assert_array_equal(a.columns[name], b.columns[name])
         np.testing.assert_array_equal(ta, tb)
@@ -119,7 +119,7 @@ class TestGeneratePanel:
         path = tmp_path / "panel.csv"
         save_panel(panel, path, schema=schema)
         back = load_panel(path, schema)
-        assert back.keys == panel.keys
+        assert keys_of(back.index) == keys_of(panel.index)
         for name in panel.columns:
             np.testing.assert_array_equal(back.columns[name],
                                           panel.columns[name])

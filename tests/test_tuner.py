@@ -17,11 +17,16 @@ def keys_over(quarters, n_companies=3):
     return [(f"C{i}", q) for i in range(n_companies) for q in quarters]
 
 
+def split_keys(keys, size, mode, seed):
+    """make_validation_split over the keys' quarter indexes."""
+    return make_validation_split([q.index for _, q in keys], size, mode, seed)
+
+
 class TestValidationSplit:
     def test_chronological_tail_takes_last_quarters(self):
         quarters = quarter_range(1988, 1, 80)
         keys = keys_over(quarters)
-        train_idx, valid_idx = make_validation_split(keys, 4,
+        train_idx, valid_idx = split_keys(keys, 4,
                                                      "chronological_tail", 0)
         held = {keys[i][1] for i in valid_idx}
         assert held == set(quarters[-4:])
@@ -31,38 +36,38 @@ class TestValidationSplit:
     def test_boundary_single_training_quarter(self):
         quarters = quarter_range(1990, 1, 6)
         keys = keys_over(quarters)
-        train_idx, valid_idx = make_validation_split(keys, 5,
+        train_idx, valid_idx = split_keys(keys, 5,
                                                      "chronological_tail", 0)
         assert {keys[i][1] for i in train_idx} == {quarters[0]}
 
     def test_same_seed_identical_random_split(self):
         keys = keys_over(quarter_range(1990, 1, 12))
-        a = make_validation_split(keys, 3, "random_quarters", 7)
-        b = make_validation_split(keys, 3, "random_quarters", 7)
+        a = split_keys(keys, 3, "random_quarters", 7)
+        b = split_keys(keys, 3, "random_quarters", 7)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_partition_disjoint_exhaustive(self):
         keys = keys_over(quarter_range(1990, 1, 10))
-        train_idx, valid_idx = make_validation_split(keys, 3,
+        train_idx, valid_idx = split_keys(keys, 3,
                                                      "random_quarters", 3)
         merged = np.sort(np.concatenate([train_idx, valid_idx]))
         np.testing.assert_array_equal(merged, np.arange(len(keys)))
 
     def test_random_mode_holds_requested_quarter_count(self):
         keys = keys_over(quarter_range(1990, 1, 15))
-        _, valid_idx = make_validation_split(keys, 6, "random_quarters", 1)
+        _, valid_idx = split_keys(keys, 6, "random_quarters", 1)
         assert len({keys[i][1] for i in valid_idx}) == 6
 
     def test_window_too_small(self):
         keys = keys_over(quarter_range(1990, 1, 4))
         with pytest.raises(WindowTooSmallError):
-            make_validation_split(keys, 4, "chronological_tail", 0)
+            split_keys(keys, 4, "chronological_tail", 0)
 
     def test_unknown_mode(self):
         keys = keys_over(quarter_range(1990, 1, 4))
         with pytest.raises(ValueError):
-            make_validation_split(keys, 2, "sideways", 0)
+            split_keys(keys, 2, "sideways", 0)
 
 
 class TestParamRange:
