@@ -370,13 +370,12 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
                 raw_cols = [j for j in owned if m.metas[j].format is Format.RAW]
                 j = raw_cols[0] if raw_cols else owned[0]
                 missing_any |= np.isnan(m.values[:, j])
-        # A row is kept when its company has a row, all present, in each of
-        # the look_back quarters ending at it: look_back rows lie between
-        # the first row at or after the window start and the row itself.
+        # A row is kept when its company has a present row in each of the
+        # look_back quarters ending at it, that is when the rows from the
+        # window start up to it hold look_back present ones.
         csum = np.concatenate(([0], np.cumsum(~missing_any)))
         first = np.searchsorted(m.index.key, m.index.key - (look_back - 1))
-        stop = np.arange(1, n + 1)
-        retained = (stop - first == look_back) & (csum[stop] - csum[first] == look_back)
+        retained = csum[1:] - csum[first] == look_back
     report.deleted_rows = int((~retained).sum())
 
     index = m.index.take(retained)

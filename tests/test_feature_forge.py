@@ -497,6 +497,12 @@ class TestBuildLabels:
             order = np.argsort(targets)
             assert (np.diff(classes[order]) >= 0).all()
 
+    def test_quantile_ties_break_on_company_id(self):
+        q = quarter_range(2001, 1, 1)[0]
+        keys = [(name, q) for name in ("A", "B", "C")]
+        classes = quantile_rank_classes(index_from_keys(keys), np.zeros(3), 3)
+        np.testing.assert_array_equal(classes, [0.0, 1.0, 2.0])
+
     def test_zero_assets_gives_missing(self):
         panel = self._panel([[1.0, 5.0]], atq_grid=[[0.0, 1.0]])
         labels = build_labels(panel, "qoq", 2, "sign")

@@ -201,6 +201,29 @@ class TestLoadPanel:
             load_panel(path, schema)
 
 
+class TestLoadPanelErrorOrder:
+    """The error raised is the one on the earliest row of the file."""
+
+    def test_first_of_two_duplicates_named(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,niq,1\nB,1990,1,niq,1\n"
+                                     "B,1990,1,niq,2\nA,1990,1,niq,2\n")
+        with pytest.raises(PanelError, match="^row 4: duplicate cell for 'niq' at B,1990Q1"):
+            load_panel(path, [simple_spec("niq")])
+
+    def test_duplicate_before_later_bad_row(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,niq,1\nA,1990,1,niq,2\n"
+                                     "A,1990,2,niq,oops\n")
+        with pytest.raises(PanelError, match="^row 3: duplicate"):
+            load_panel(path, [simple_spec("niq")])
+
+    def test_consensus_duplicate_before_its_bad_value(self, tmp_path):
+        path = tmp_path / "consensus.csv"
+        path.write_text("company_id,year,quarter,consensus_mean,consensus_median,"
+                        "actual_nongaap\nA,1990,1,1,1,1\nA,1990,1,oops,1,1\n")
+        with pytest.raises(PanelError, match="^row 3: duplicate key"):
+            load_consensus(path)
+
+
 def _meta(sector=10, price=5.0, fiscal=True, gap=False):
     return CompanyMeta(sector_code=sector, min_share_price=price,
                        fiscal_alignment_flag=fiscal, reporting_gap_flag=gap)
