@@ -112,35 +112,84 @@ def _encode(x, bin_edges, bins_total, dtype):
     return codes
 
 
-def bin_features(x: np.ndarray, max_bin: int) -> BinnedMatrix:
-    """Quantile-based binning fitted on training rows.
+@dataclass(frozen=True)
+class SortedColumns:
+    """Rows to bin, with each column sorted once.
 
-    Per feature, up to max_bin - 1 edges at the k/max_bin quantiles of the
-    finite training values; duplicate or non-separating edges collapse, so
-    a constant feature gets a single bin with every code 0.
+    sorted[f] holds column f ascending: -inf values first, then the
+    n_finite[f] finite ones from position first_finite[f], then +inf, then
+    NaN. bin_features reads every max_bin's quantile edges from it, so
+    binning the same rows at several max_bin sorts them only once.
     """
-    if max_bin < 2:
-        raise InvalidParamsError(f"max_bin must be >= 2: {max_bin}")
+
+    values: np.ndarray
+    sorted: np.ndarray
+    first_finite: np.ndarray
+    n_finite: np.ndarray
+
+
+def sort_columns(x: np.ndarray) -> SortedColumns:
+    """SortedColumns of a matrix of rows to bin."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={x.ndim}")
-    n, d = x.shape
+    s = np.sort(x.T, axis=1)
+    return SortedColumns(x, s, (s == -np.inf).sum(axis=1),
+                         np.isfinite(s).sum(axis=1))
+
+
+def _quantile_edges(cols: SortedColumns, max_bin: int) -> list:
+    """Per column, the distinct k/max_bin quantiles of the finite values
+    below their maximum.
+
+    The quantiles follow np.quantile's linear rule step for step (virtual
+    index (n - 1) q, its floor and the next index, both clamped to the last
+    value at or past it, and the two-sided lerp), so the edges are the ones
+    np.quantile gives on each column's finite values.
+    """
+    probs = np.arange(1, max_bin) / max_bin
+    live = np.flatnonzero(cols.n_finite)
+    n = cols.n_finite[live, None]
+    first = cols.first_finite[live, None]
+    virtual = (n - 1) * probs
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above = virtual >= n - 1
+    prev[above] = -1
+    nxt[above] = -1
+    gamma = virtual - prev
+    last = first + n - 1
+    rows = cols.sorted[live]
+    a = np.take_along_axis(rows, np.where(prev < 0, last, first + prev.astype(np.intp)), 1)
+    b = np.take_along_axis(rows, np.where(nxt < 0, last, first + nxt.astype(np.intp)), 1)
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+
+    bin_edges = [np.empty(0) for _ in cols.n_finite]
+    for i, f in enumerate(live):
+        edges = np.unique(q[i])
+        bin_edges[f] = edges[edges < rows[i, last[i, 0]]]
+    return bin_edges
+
+
+def bin_features(x, max_bin: int) -> BinnedMatrix:
+    """Quantile-based binning fitted on training rows.
+
+    x is the matrix of training rows, or its SortedColumns (sort_columns)
+    when the same rows are binned at several max_bin. Per feature, up to
+    max_bin - 1 edges at the k/max_bin quantiles of the finite training
+    values; duplicate or non-separating edges collapse, so a constant
+    feature gets a single bin with every code 0.
+    """
+    if max_bin < 2:
+        raise InvalidParamsError(f"max_bin must be >= 2: {max_bin}")
+    cols = x if isinstance(x, SortedColumns) else sort_columns(x)
+    bin_edges = _quantile_edges(cols, max_bin)
+    n_bins = np.array([len(edges) + 1 for edges in bin_edges], dtype=np.int64)
     bins_total = max_bin + 1
     dtype = np.uint8 if bins_total <= 256 else np.uint16
-    probs = np.arange(1, max_bin) / max_bin
-    bin_edges = []
-    n_bins = np.ones(d, dtype=np.int64)
-    for f in range(d):
-        col = x[:, f]
-        finite = col[np.isfinite(col)]
-        if len(finite) == 0:
-            bin_edges.append(np.empty(0))
-            continue
-        edges = np.unique(np.quantile(finite, probs))
-        edges = edges[edges < finite.max()]
-        bin_edges.append(edges)
-        n_bins[f] = len(edges) + 1
-    codes = _encode(x, bin_edges, bins_total, dtype)
+    codes = _encode(cols.values, bin_edges, bins_total, dtype)
     return BinnedMatrix(codes, bin_edges, n_bins, bins_total)
 
 
@@ -210,7 +259,13 @@ class Tree:
 
 @dataclass
 class GbdtModel:
-    """Per-class tree ensembles plus base scores and importance tallies."""
+    """Per-class tree ensembles plus base scores and importance tallies.
+
+    fit also hands back what it computed on its own rows, none of which
+    to_text writes: the raw scores of the returned trees on the training
+    rows (train_scores) and validation rows (valid_scores), and the
+    validation log-loss at best_round (best_valid_loss).
+    """
 
     n_classes: int
     n_features: int
@@ -219,6 +274,9 @@ class GbdtModel:
     trees: list
     params: HyperParams
     best_round: int | None = None
+    train_scores: np.ndarray | None = None
+    valid_scores: np.ndarray | None = None
+    best_valid_loss: float | None = None
 
     @property
     def n_rounds_fitted(self) -> int:
@@ -232,64 +290,155 @@ def _flat_index(codes: np.ndarray, width: int) -> np.ndarray:
     return index
 
 
+def _bin_sums(flat: np.ndarray, weights: np.ndarray, f: int, width: int):
+    """Per-feature sums of one per-row weight over a raveled _flat_index."""
+    return np.bincount(flat, weights=np.repeat(weights, f),
+                       minlength=f * width).reshape(f, width)
+
+
 def _histograms(index: np.ndarray, g: np.ndarray, h: np.ndarray, width: int):
-    """Per-feature (gradient, hessian, count) histograms via one flat bincount
-    over rows of _flat_index."""
+    """Stacked per-feature (gradient, hessian, count) histograms, shape
+    (3, f, width), over rows of _flat_index."""
     f = index.shape[1]
     flat = index.ravel()
-    minlength = f * width
-    cnt = np.bincount(flat, minlength=minlength).reshape(f, width)
-    gs = np.bincount(flat, weights=np.repeat(g, f), minlength=minlength).reshape(f, width)
-    hs = np.bincount(flat, weights=np.repeat(h, f), minlength=minlength).reshape(f, width)
-    return gs, hs, cnt
+    cnt = np.bincount(flat, minlength=f * width).reshape(f, width)
+    return np.stack([_bin_sums(flat, g, f, width), _bin_sums(flat, h, f, width),
+                     cnt])
 
 
-def _best_split(gs, hs, cnt, n_bins, params: HyperParams, totals):
-    """Best (gain, local feature, bin threshold, default_left) or None.
+def _left_sums(hist, n_dirs: int, stop: int):
+    """Left-child sums of every split candidate below bin `stop`.
 
-    Candidates are ordered (feature asc, bin asc, missing-right before
-    missing-left); np.argmax keeps the first of equal gains, which pins
-    the tie-break deterministically. Missing-left candidates are built
-    only when the missing bin holds rows or a nonzero gradient or hessian
-    sum on some feature. Otherwise each equals the missing-right candidate
-    just before it, which argmax already picks.
+    hist is (..., f, width) with the missing values in the last bin. The
+    result is (..., f, stop, n_dirs): prefix sums over the bins (missing
+    values right), then, when n_dirs is 2, the same plus the missing bin
+    (missing values left).
     """
-    g_tot, h_tot, c_tot = totals
-    width = gs.shape[1]
-    miss = width - 1
-    gl = np.cumsum(gs[:, :miss], axis=1)
-    hl = np.cumsum(hs[:, :miss], axis=1)
-    cl = np.cumsum(cnt[:, :miss], axis=1)
-    in_range = np.arange(miss)[None, :] <= (n_bins - 2)[:, None]
-    n_dirs = 1
-    if cnt[:, miss].any() or gs[:, miss].any() or hs[:, miss].any():
-        n_dirs = 2
-        gl = np.stack([gl, gl + gs[:, miss][:, None]], axis=2)
-        hl = np.stack([hl, hl + hs[:, miss][:, None]], axis=2)
-        cl = np.stack([cl, cl + cnt[:, miss][:, None]], axis=2)
-        in_range = in_range[:, :, None]
-    gr = g_tot - gl
-    hr = h_tot - hl
-    cr = c_tot - cl
+    left = np.cumsum(hist[..., :stop], axis=-1)[..., None]
+    if n_dirs == 2:
+        left = np.concatenate([left, left + hist[..., -1][..., None, None]],
+                              axis=-1)
+    return left
 
+
+def _valid_candidates(cl, c_tot, n_bins, min_data_in_leaf: int):
+    """Candidates, from their left-child row counts cl (f, stop, n_dirs),
+    whose children both keep min_data_in_leaf rows and whose bin is not
+    past the feature's last one."""
+    in_range = np.arange(cl.shape[-2]) <= (n_bins - 2)[:, None]
+    return ((cl >= min_data_in_leaf) & (c_tot - cl >= min_data_in_leaf)
+            & in_range[..., None])
+
+
+def _gains(left, totals, valid, params: HyperParams):
+    """Gain of every split candidate of b nodes, evaluated only where valid.
+
+    left (b, 2, f, stop, n_dirs) holds the left-child gradient and hessian
+    sums, totals (b, 2) the nodes' sums; valid (f, stop, n_dirs) is shared
+    by the b nodes. The result is (b, f, stop, n_dirs), -inf where not
+    valid or not finite. Candidates run (feature, bin, missing-right before
+    missing-left).
+    """
+    b = left.shape[0]
+    cells = np.flatnonzero(valid)
+    gl, hl = left.reshape(b, 2, -1)[:, :, cells].transpose(1, 0, 2)
+    g_tot = totals[:, :1]
+    h_tot = totals[:, 1:2]
     l1, l2 = params.lambda_l1, params.lambda_l2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        parent = float(_leaf_objective(np.float64(g_tot), np.float64(h_tot), l1, l2))
-        gains = (_leaf_objective(gl, hl, l1, l2)
-                 + _leaf_objective(gr, hr, l1, l2) - parent)
+        found = (_leaf_objective(gl, hl, l1, l2)
+                 + _leaf_objective(g_tot - gl, h_tot - hl, l1, l2)
+                 - _leaf_objective(g_tot, h_tot, l1, l2))
+    found[~np.isfinite(found)] = _NEG_INF
+    gains = np.full((b,) + valid.shape, _NEG_INF)
+    gains.reshape(b, -1)[:, cells] = found
+    return gains
 
-    valid = (cl >= params.min_data_in_leaf) & (cr >= params.min_data_in_leaf)
-    valid &= in_range
-    valid &= np.isfinite(gains)
-    gains = np.where(valid, gains, _NEG_INF)
 
+def _pick(gains, min_gain_to_split: float):
+    """Best (gain, feature position, bin threshold, default_left) of one
+    node's _gains, or None when it does not clear min_gain_to_split.
+
+    np.argmax keeps the first of equal gains, which pins the tie-break to
+    the candidate order deterministically.
+    """
     flat = int(np.argmax(gains))
     best_gain = float(gains.flat[flat])
-    if not best_gain > params.min_gain_to_split:
+    if not best_gain > min_gain_to_split:
         return None
-    f_local, rem = divmod(flat, miss * n_dirs)
+    _, stop, n_dirs = gains.shape
+    f_local, rem = divmod(flat, stop * n_dirs)
     t, direction = divmod(rem, n_dirs)
     return best_gain, f_local, t, bool(direction == 1)
+
+
+def _best_split(hist, n_bins, params: HyperParams, totals):
+    """Best split of one node from its stacked (gradient, hessian, count)
+    histograms (3, f, width) and sums, or None.
+
+    Missing-left candidates are built only when the missing bin holds rows
+    or a nonzero gradient or hessian sum on some feature. Otherwise each
+    equals the missing-right candidate just before it, which argmax
+    already picks.
+    """
+    miss = hist.shape[-1] - 1
+    left = _left_sums(hist, 2 if hist[:, :, miss].any() else 1, miss)
+    valid = _valid_candidates(left[2], totals[2], n_bins, params.min_data_in_leaf)
+    return _pick(_gains(left[None, :2], np.array([totals[:2]]), valid, params)[0],
+                 params.min_gain_to_split)
+
+
+class _Bag:
+    """The rows every tree of a round grows on, shared by all classes.
+
+    Built once per bag draw: the rows' codes, their raveled flat code
+    index and count histogram over every feature, the root's valid split candidates
+    (which depend on counts alone) and the rows left out, whose scores
+    come from Tree.predict. roots caches the last root pass, valid while
+    the gradients stay the same.
+    """
+
+    def __init__(self, codes: np.ndarray, rows: np.ndarray, width: int,
+                 n_bins: np.ndarray, min_data_in_leaf: int):
+        d = codes.shape[1]
+        self.rows = rows
+        self.codes = codes[rows]
+        self.flat = _flat_index(self.codes, width).ravel()
+        self.counts = np.bincount(self.flat, minlength=d * width).reshape(d, width)
+        # a bin without rows sums to exactly 0, so counts alone tell
+        # whether a missing-left candidate can differ from missing-right
+        self.n_dirs = 2 if self.counts[:, -1].any() else 1
+        valid = _valid_candidates(_left_sums(self.counts, self.n_dirs, width - 1),
+                                  len(rows), n_bins, min_data_in_leaf)
+        # prefix sums past the last valid bin are never read
+        stop = int(np.flatnonzero(valid.any(axis=(0, 2)))[-1]) + 1 \
+            if valid.any() else 0
+        self.valid = valid[:, :stop]
+        left_out = np.ones(codes.shape[0], dtype=bool)
+        left_out[rows] = False
+        self.out_rows = np.flatnonzero(left_out)
+        self.out_codes = codes[self.out_rows]
+        self.roots = None
+
+
+class _RootPass:
+    """Every class's root histograms, sums and split gains over every
+    feature, for one bag and one set of gradients."""
+
+    def __init__(self, bag: _Bag, grad, hess, params: HyperParams):
+        k = grad.shape[1]
+        d, width = bag.counts.shape
+        self.g = [grad[bag.rows, c] for c in range(k)]
+        self.h = [hess[bag.rows, c] for c in range(k)]
+        self.hist = np.empty((k, 3, d, width))
+        self.totals = np.empty((k, 2))
+        for c in range(k):
+            self.hist[c, 0] = _bin_sums(bag.flat, self.g[c], d, width)
+            self.hist[c, 1] = _bin_sums(bag.flat, self.h[c], d, width)
+            self.totals[c] = self.g[c].sum(), self.h[c].sum()
+        self.hist[:, 2] = bag.counts
+        left = _left_sums(self.hist[:, :2], bag.n_dirs, bag.valid.shape[1])
+        self.gains = _gains(left, self.totals, bag.valid, params)
 
 
 class _LeafState:
@@ -305,11 +454,14 @@ class _LeafState:
         self.best = best
 
 
-def _grow_tree(codes, bag, feats, width, n_bins_f, g, h,
+def _grow_tree(index, width, n_bins_f, g, h, root_leaf: _LeafState,
                params: HyperParams, growth: str):
-    """Grow one tree on the bagged rows over a feature subset.
+    """Grow one tree on the bagged rows from its root, node 0, whose best
+    split root_leaf already holds.
 
-    Returns None when the root admits no valid split. Leaf values are the
+    index is the bag's _flat_index over the tree's features, g and h the
+    bagged gradients and hessians. Returns the tree, with feature positions
+    local to index, and each bagged row's leaf value. Leaf values are the
     learning-rate-scaled Newton weights.
     """
     # each child of a split keeps min_data_in_leaf rows, so a smaller node
@@ -323,24 +475,10 @@ def _grow_tree(codes, bag, feats, width, n_bins_f, g, h,
     def evaluate(hist_t, g_t, h_t, c_t, depth):
         if not splittable(c_t, depth):
             return None
-        return _best_split(hist_t[0], hist_t[1], hist_t[2], n_bins_f, params,
-                           (g_t, h_t, c_t))
+        return _best_split(hist_t, n_bins_f, params, (g_t, h_t, c_t))
 
-    if not splittable(len(bag), 0):
-        return None
-    # node rows below index the bagged rows, not the full matrix
-    index = _flat_index(codes[np.ix_(bag, feats)], width)
-    g = g[bag]
-    h = h[bag]
     tree = Tree()
-    root = tree.add_node()
-    hist = _histograms(index, g, h, width)
-    g_sum = float(g.sum())
-    h_sum = float(h.sum())
-    root_leaf = _LeafState(root, np.arange(len(bag)), hist, g_sum, h_sum, 0,
-                           evaluate(hist, g_sum, h_sum, len(bag), 0))
-    if root_leaf.best is None:
-        return None
+    tree.add_node()
 
     if growth == "leaf_wise":
         frontier = [root_leaf]
@@ -376,13 +514,13 @@ def _grow_tree(codes, bag, feats, width, n_bins_f, g, h,
     else:
         raise ValueError(f"unknown growth mode {growth!r}")
 
+    in_bag = np.empty(len(g))
     for leaf in leaves:
-        tree.value[leaf.node_id] = params.learning_rate * _leaf_weight(
+        value = params.learning_rate * _leaf_weight(
             leaf.g, leaf.h, params.lambda_l1, params.lambda_l2)
-    if tree.n_leaves < 2:
-        return None
-    tree.feature = [feats[f] if f >= 0 else -1 for f in tree.feature]
-    return tree
+        tree.value[leaf.node_id] = value
+        in_bag[leaf.rows] = value
+    return tree, in_bag
 
 
 def _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate, sink):
@@ -408,10 +546,10 @@ def _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate, sink):
     # direct histogram for the smaller child, subtraction for the sibling
     elif len(rows_l) <= len(rows_r):
         hist_l = _histograms(index[rows_l], g[rows_l], h[rows_l], width)
-        hist_r = tuple(p - q for p, q in zip(leaf.hist, hist_l))
+        hist_r = leaf.hist - hist_l
     else:
         hist_r = _histograms(index[rows_r], g[rows_r], h[rows_r], width)
-        hist_l = tuple(p - q for p, q in zip(leaf.hist, hist_r))
+        hist_l = leaf.hist - hist_r
 
     gl, hl = float(g[rows_l].sum()), float(h[rows_l].sum())
     gr, hr = leaf.g - gl, leaf.h - hl
@@ -471,6 +609,11 @@ def fit(binned: BinnedMatrix, labels, params: HyperParams, *,
     every bagging_freq rounds (no resampling in between); feature_fraction
     features are drawn per tree. valid=(binned, labels) enables early
     stopping on validation log-loss with patience early_stopping_rounds.
+
+    Work whose result is already known is skipped: no tree can split on a
+    bag below 2 * min_data_in_leaf rows, and after a round without trees
+    the scores, gradients, root splits and validation loss are those of
+    the round before.
     """
     params.validate()
     m = binned.n_rows
@@ -480,71 +623,104 @@ def fit(binned: BinnedMatrix, labels, params: HyperParams, *,
     if len(y) != m:
         raise DimensionMismatchError(f"{len(y)} labels for {m} rows")
     d = binned.n_features
-    miss_code = binned.bins_total - 1
+    width = binned.bins_total
+    miss_code = width - 1
 
     counts = np.bincount(y, minlength=k).astype(np.float64)
     prior = counts / m
     base = np.log(np.clip(prior, 1e-12, None))
     model = GbdtModel(k, d, miss_code, base, [], params)
+    scores = np.tile(base, (m, 1))
+    valid_scores = None
+    if valid is not None:
+        binned_valid, labels_valid = valid
+        valid_scores = np.tile(base, (binned_valid.n_rows, 1))
+    model.train_scores, model.valid_scores = scores, valid_scores
     if (counts > 0).sum() < 2:
         warnings.warn("training labels contain a single class; model is base only")
         return model
+    if valid is not None:
+        y_valid, _ = _extract_labels(labels_valid, k)
 
     onehot_rows = np.arange(m)
-    scores = np.tile(base, (m, 1))
     rng = np.random.default_rng(params.seed)
     bagging = params.bagging_freq > 0 and params.bagging_fraction < 1.0
-    n_bag = max(1, int(np.ceil(params.bagging_fraction * m)))
+    n_bag = max(1, int(np.ceil(params.bagging_fraction * m))) if bagging else m
     n_feats = max(1, int(np.ceil(params.feature_fraction * d)))
-    bag = np.arange(m)
-
-    valid_scores = None
-    y_valid = None
-    if valid is not None:
-        binned_valid, labels_valid = valid
-        y_valid, _ = _extract_labels(labels_valid, k)
-        valid_scores = np.tile(base, (binned_valid.n_rows, 1))
+    all_feats = np.arange(d)
+    # no tree splits a root below this, so such a bag leaves every tree None
+    can_split = n_bag >= 2 * params.min_data_in_leaf
+    bag_rows = np.arange(m)
+    bag = None
+    grad = hess = None
+    loss = None
     best_loss = np.inf
     best_round = -1
+    best_scores = None
 
     for r in range(params.n_rounds):
-        if bagging and r % params.bagging_freq == 0:
-            bag = np.sort(rng.permutation(m)[:n_bag])
-        p = softmax(scores)
-        grad = p.copy()
-        grad[onehot_rows, y] -= 1.0
-        hess = p * (1.0 - p)
-
-        round_trees = []
-        for c in range(k):
-            if n_feats < d:
-                feats = np.sort(rng.permutation(d)[:n_feats])
-            else:
-                feats = np.arange(d)
-            tree = _grow_tree(binned.codes, bag, feats, binned.bins_total,
-                              binned.n_bins[feats], grad[:, c], hess[:, c],
-                              params, growth)
-            round_trees.append(tree)
-            if tree is not None:
-                scores[:, c] += tree.predict(binned.codes, miss_code)
+        round_trees = [None] * k
+        # the draws change nothing when no tree can split
+        if can_split:
+            if bagging and r % params.bagging_freq == 0:
+                bag = None
+                bag_rows = np.sort(rng.permutation(m)[:n_bag])
+            feats = [np.sort(rng.permutation(d)[:n_feats]) if n_feats < d
+                     else all_feats for _ in range(k)]
+            if bag is None:
+                bag = _Bag(binned.codes, bag_rows, width, binned.n_bins,
+                           params.min_data_in_leaf)
+        if can_split and bag.valid.size:
+            if grad is None:
+                p = softmax(scores)
+                grad = p.copy()
+                grad[onehot_rows, y] -= 1.0
+                hess = p * (1.0 - p)
+                bag.roots = None
+            if bag.roots is None:
+                bag.roots = _RootPass(bag, grad, hess, params)
+            roots = bag.roots
+            for c, f in enumerate(feats):
+                best = _pick(roots.gains[c][f], params.min_gain_to_split)
+                if best is None:
+                    continue
+                root = _LeafState(0, np.arange(len(bag.rows)), roots.hist[c][:, f],
+                                  float(roots.totals[c, 0]),
+                                  float(roots.totals[c, 1]), 0, best)
+                tree, in_bag = _grow_tree(
+                    _flat_index(bag.codes[:, f], width), width, binned.n_bins[f],
+                    roots.g[c], roots.h[c], root, params, growth)
+                tree.feature = [f[j] if j >= 0 else -1 for j in tree.feature]
+                round_trees[c] = tree
+                scores[bag.rows, c] += in_bag
+                if len(bag.out_rows):
+                    scores[bag.out_rows, c] += tree.predict(bag.out_codes, miss_code)
         model.trees.append(round_trees)
+        moved = any(tree is not None for tree in round_trees)
+        if moved:
+            grad = hess = None
 
         if valid_scores is not None:
-            for c, tree in enumerate(round_trees):
-                if tree is not None:
-                    valid_scores[:, c] += tree.predict(binned_valid.codes, miss_code)
-            loss = log_loss(valid_scores, y_valid)
+            if moved or loss is None:
+                for c, tree in enumerate(round_trees):
+                    if tree is not None:
+                        valid_scores[:, c] += tree.predict(binned_valid.codes, miss_code)
+                loss = log_loss(valid_scores, y_valid)
             if loss < best_loss:
                 best_loss = loss
                 best_round = r
+                if early_stopping_rounds is not None:
+                    best_scores = (scores.copy(), valid_scores.copy())
             elif (early_stopping_rounds is not None
                   and r - best_round >= early_stopping_rounds):
                 break
 
-    if (valid_scores is not None and early_stopping_rounds is not None
-            and best_round >= 0):
-        model.trees = model.trees[:best_round + 1]
-        model.best_round = best_round
+    if best_round >= 0:
+        model.best_valid_loss = float(best_loss)
+        if early_stopping_rounds is not None:
+            model.trees = model.trees[:best_round + 1]
+            model.best_round = best_round
+            model.train_scores, model.valid_scores = best_scores
     return model
 
 

@@ -104,6 +104,13 @@ def _parse_optional_float(text: str):
     return None if text.lower() == "none" else float(text)
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_sectors(text: str) -> tuple:
     if not text.strip():
         return ()
@@ -137,9 +144,9 @@ _KEYS = {
     "pipeline.standardize": ("standardize", _parse_bool),
     "pipeline.train_len": ("train_len", int),
     "pipeline.max_subsets": ("max_subsets", int),
-    "validation.size": ("validation_size", int),
+    "validation.size": ("validation_size", _parse_count),
     "validation.mode": ("validation_mode", str),
-    "search.budget": ("search_budget", int),
+    "search.budget": ("search_budget", _parse_count),
     "search.mode": ("search_mode", str),
     "gbdt.n_rounds": ("n_rounds", int),
     "gbdt.early_stopping": ("early_stopping", int),

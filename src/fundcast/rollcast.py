@@ -491,21 +491,26 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             q_arr[train_idx], config.validation_size, config.validation_mode,
             seed_valid)
 
+        # every trial bins the same rows; only max_bin differs
+        search_cols = boostwood.sort_columns(comps_train[tr_i])
+
         def objective(params: HyperParams):
-            binned = boostwood.bin_features(comps_train[tr_i], params.max_bin)
+            binned = boostwood.bin_features(search_cols, params.max_bin)
             binned_va = binned.map_new(comps_train[va_i])
             model = boostwood.fit(
                 binned, y_train[tr_i], params, n_classes=config.n_classes,
                 valid=(binned_va, y_train[va_i]),
                 early_stopping_rounds=config.early_stopping)
-            val_pred = boostwood.predict(model, binned_va)
-            train_pred = boostwood.predict(model, binned)
+            # argmax of the fitted scores is what boostwood.predict returns
+            val_pred = np.argmax(model.valid_scores, axis=1)
+            train_pred = np.argmax(model.train_scores, axis=1)
             val_acc = float((val_pred == y_train[va_i]).mean())
             train_acc = float((train_pred == y_train[tr_i]).mean())
             facts = {"best_round": model.best_round,
                      "rounds_fitted": model.n_rounds_fitted,
                      "null_trees": sum(tree is None for round_trees in model.trees
-                                       for tree in round_trees)}
+                                       for tree in round_trees),
+                     "best_valid_loss": model.best_valid_loss}
             return val_acc, train_acc, facts
 
         best, trials = tuner.search(

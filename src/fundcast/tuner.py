@@ -83,6 +83,7 @@ class TrialRecord:
     best_round: int | None = None
     rounds_fitted: int | None = None
     null_trees: int | None = None
+    best_valid_loss: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -100,6 +101,7 @@ class TrialRecord:
             "best_round": self.best_round,
             "rounds_fitted": self.rounds_fitted,
             "null_trees": self.null_trees,
+            "best_valid_loss": self.best_valid_loss,
         }
         out["params"] = {k: (v if not isinstance(v, float) else float(v))
                          for k, v in vars(self.params).items()}
@@ -112,10 +114,12 @@ def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
     quarters holds each row's CalendarQuarter.index. chronological_tail
     reserves the last size_quarters calendar quarters wholesale;
     random_quarters reserves size_quarters distinct quarters drawn
-    uniformly. No row lands on both sides.
+    uniformly. size_quarters must be >= 1. No row lands on both sides.
     """
     if mode not in ("chronological_tail", "random_quarters"):
         raise ValueError(f"unknown validation mode {mode!r}")
+    if size_quarters < 1:
+        raise ValueError(f"validation size must be >= 1, got {size_quarters}")
     quarters = np.asarray(quarters)
     distinct = np.unique(quarters)
     if len(distinct) < size_quarters + 1:
@@ -138,8 +142,8 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
 
     objective(params) returns (validation_metric, train_metric), optionally
     followed by a dict of training facts (TrialRecord's best_round,
-    rounds_fitted, null_trees); a trial exception is recorded, not fatal,
-    unless every trial fails. Ties on the metric go to the earliest trial.
+    rounds_fitted, null_trees, best_valid_loss); a trial exception is
+    recorded, not fatal, unless every trial fails. Ties on the metric go to the earliest trial.
     """
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")

@@ -82,6 +82,32 @@ def split_gain(parent_stats, left_stats, params) -> float:
     return score(gl, hl) + score(gp - gl, hp - hl) - score(gp, hp)
 
 
+def quantile_bin_edges(x, max_bin):
+    """Per-column bin edges by np.quantile on the finite values: up to
+    max_bin - 1 distinct k/max_bin quantiles below the column's maximum,
+    none for a column without a finite value."""
+    probs = np.arange(1, max_bin) / max_bin
+    edges = []
+    for col in np.asarray(x, dtype=np.float64).T:
+        finite = col[np.isfinite(col)]
+        if len(finite) == 0:
+            edges.append(np.empty(0))
+            continue
+        q = np.unique(np.quantile(finite, probs))
+        edges.append(q[q < finite.max()])
+    return edges
+
+
+def edge_codes(x, edges, miss_code):
+    """Bin code of every cell: edges below the value, or miss_code for NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    codes = np.empty(x.shape, dtype=np.int64)
+    for f, col in enumerate(x.T):
+        codes[:, f] = np.searchsorted(edges[f], col, side="left")
+        codes[np.isnan(col), f] = miss_code
+    return codes
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

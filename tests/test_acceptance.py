@@ -209,8 +209,8 @@ class TestCriterion4SplitOracle:
                 lambda_l1=float(rng.choice([0.0, 0.5])),
                 lambda_l2=float(rng.choice([0.0, 2.0])))
             totals = (gs.sum(), hs.sum(), int(cnt.sum()))
-            got = boostwood._best_split(gs, hs, cnt, np.array([nb]), params,
-                                        totals)
+            got = boostwood._best_split(np.stack([gs, hs, cnt]), np.array([nb]),
+                                        params, totals)
             want = oracle_best_split(gs, hs, cnt, nb, params)
             if want is None:
                 assert got is None
@@ -342,6 +342,7 @@ def e2e_run():
 
 
 class TestCriterion8EndToEndSignalRecovery:
+    @pytest.mark.slow
     def test_pipeline_recovers_planted_signal(self, e2e_run):
         results, elapsed = e2e_run
         accs = [r.metrics.accuracy for r in results]
@@ -363,6 +364,7 @@ class TestCriterion8EndToEndSignalRecovery:
 
 
 class TestCriterion9ConditionalAccuracyAlgebra:
+    @pytest.mark.slow
     def test_hand_table_and_decomposition_identity(self, e2e_run):
         model = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 2, 0])
         cons = np.array([0, 1, 2, 0, 1, 2, 2, 0, 1, 0, 1, 2])

@@ -144,7 +144,8 @@ class TestSplitOracle:
                 lambda_l1=float(rng.choice([0.0, 0.5])),
                 lambda_l2=float(rng.choice([0.0, 2.0])))
             totals = (gs.sum(), hs.sum(), int(cnt.sum()))
-            got = _best_split(gs, hs, cnt, np.array([nb]), params, totals)
+            got = _best_split(np.stack([gs, hs, cnt]), np.array([nb]),
+                              params, totals)
             want = oracle_best_split(gs, hs, cnt, np.array([nb]), params)
             if want is None:
                 assert got is None
@@ -296,21 +297,41 @@ class TestFit:
 
 class TestSplitBound:
     """Nodes with fewer than 2 * min_data_in_leaf rows cannot split, so
-    training builds no histogram for them."""
+    training builds no histogram for them. Root histograms come from one
+    root pass per round, shared by every class; only children call
+    _histograms."""
 
     @pytest.fixture
-    def histogram_calls(self, monkeypatch):
-        calls = []
-        real = boostwood._histograms
+    def calls(self, monkeypatch):
+        calls = {"histograms": [], "root_pass": [], "grow_tree": 0, "softmax": 0}
+        real_histograms = boostwood._histograms
+        real_grow_tree = boostwood._grow_tree
+        real_softmax = boostwood.softmax
 
-        def counting(index, g, h, width):
-            calls.append(len(index))
-            return real(index, g, h, width)
+        def histograms(index, g, h, width):
+            calls["histograms"].append(len(index))
+            return real_histograms(index, g, h, width)
 
-        monkeypatch.setattr(boostwood, "_histograms", counting)
+        class RootPass(boostwood._RootPass):
+            def __init__(self, bag, *args):
+                calls["root_pass"].append(len(bag.rows))
+                super().__init__(bag, *args)
+
+        def grow_tree(*args):
+            calls["grow_tree"] += 1
+            return real_grow_tree(*args)
+
+        def softmax(scores):
+            calls["softmax"] += 1
+            return real_softmax(scores)
+
+        monkeypatch.setattr(boostwood, "_histograms", histograms)
+        monkeypatch.setattr(boostwood, "_RootPass", RootPass)
+        monkeypatch.setattr(boostwood, "_grow_tree", grow_tree)
+        monkeypatch.setattr(boostwood, "softmax", softmax)
         return calls
 
-    def test_small_bagged_root_builds_no_histogram(self, histogram_calls):
+    def test_small_bagged_root_builds_no_histogram(self, calls):
         x = np.arange(100.0).reshape(-1, 1)
         y = (x[:, 0] >= 50).astype(np.int64)
         # bagged roots of 50 rows, below 2 * 30
@@ -318,9 +339,25 @@ class TestSplitBound:
                              bagging_freq=1, n_rounds=3, seed=0)
         model = fit(bin_features(x, max_bin=16), y, params)
         assert all(tree is None for row in model.trees for tree in row)
-        assert histogram_calls == []
+        assert calls["histograms"] == []
+        assert calls["root_pass"] == []
 
-    def test_two_small_children_build_no_histogram(self, histogram_calls):
+    def test_small_bag_skips_every_round(self, calls):
+        x, y = make_separable(n_per=40, seed=3)
+        bm = bin_features(x[::2], max_bin=16)
+        # bags of 30 rows, below 2 * 20: the model is known without a tree
+        params = HyperParams(min_data_in_leaf=20, bagging_fraction=0.5,
+                             bagging_freq=2, n_rounds=30, seed=0)
+        model = fit(bm, y[::2], params, valid=(bm.map_new(x[1::2]), y[1::2]),
+                    early_stopping_rounds=5)
+        assert model.best_round == 0
+        assert model.trees == [[None] * 3]
+        assert calls["grow_tree"] == 0
+        # one log-loss of the base scores; no gradients
+        assert calls["softmax"] == 1
+        assert calls["root_pass"] == []
+
+    def test_two_small_children_build_no_histogram(self, calls):
         x = np.arange(100.0).reshape(-1, 1)
         y = (x[:, 0] >= 50).astype(np.int64)
         # the root splits 50 / 50; each child is below 2 * 30
@@ -329,7 +366,20 @@ class TestSplitBound:
         model = fit(bin_features(x, max_bin=16), y, params)
         trees = model.trees[0]
         assert all(tree is not None and tree.n_leaves == 2 for tree in trees)
-        assert histogram_calls == [100] * len(trees)
+        assert calls["root_pass"] == [100]
+        assert calls["grow_tree"] == len(trees)
+        assert calls["histograms"] == []
+
+    def test_null_round_reuses_gradients_and_root_pass(self, calls):
+        x, y = make_separable(n_per=20, seed=4)
+        # no root clears this gain, so the scores never move
+        params = HyperParams(min_data_in_leaf=2, min_gain_to_split=1e9,
+                             n_rounds=6, seed=0)
+        model = fit(bin_features(x, max_bin=16), y, params)
+        assert all(tree is None for row in model.trees for tree in row)
+        assert calls["softmax"] == 1
+        assert calls["root_pass"] == [60]
+        assert calls["grow_tree"] == 0
 
 
 def replay_train_losses(model, bm, y):

@@ -78,6 +78,15 @@ CASES = {
         early_stopping_rounds=5,
         check=lambda text: "best_round=0\n" in text and n_null_trees(text) == 3,
     ),
+    # without bagging_freq every tree grows on all 300 rows, although
+    # bagging_fraction * 300 is below 2 * min_data_in_leaf
+    "bagging_fraction_without_freq": dict(
+        data=dict(n=300, d=4, seed=12),
+        params=dict(learning_rate=0.3, num_leaves=8, min_data_in_leaf=60,
+                    bagging_fraction=0.3, bagging_freq=0, n_rounds=4, seed=12),
+        max_bin=16,
+        check=lambda text: n_null_trees(text) < 12,
+    ),
 }
 
 GOLDEN_SHA256 = {
@@ -89,6 +98,8 @@ GOLDEN_SHA256 = {
         "daef0851bbef0612a8a48973dfbc541d6baf3d3738fbbb35ec76d0d72697fbe8",
     "root_below_split_bound_early_stopping":
         "ad034a9879bb8d8468d3915c52fd30d24697cca18970c18564351307f65cbb1b",
+    "bagging_fraction_without_freq":
+        "22cd760b1be69f67bbc20581091177809b74d3729d8ee23e4fea8d532a16af0f",
 }
 
 

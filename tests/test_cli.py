@@ -73,6 +73,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gbdt"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["validation.size", "search.budget"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_count_below_one_names_line(self, tmp_path, key, value):
+        path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
+        line = path.read_text().splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: .*{key}.*>= 1"):
+            parse_config(path)
+
 
 class TestSynthCommand:
     def test_writes_files_that_reload(self, tmp_path):
@@ -184,6 +192,8 @@ class TestBacktestCommand:
             # early stopping keeps rounds 0..best_round
             assert record["rounds_fitted"] == record["best_round"] + 1
             assert 0 <= record["null_trees"] <= 3 * record["rounds_fitted"]
+            # validation log-loss of the kept model
+            assert record["best_valid_loss"] > 0
         assert main(["backtest", "--config", str(path)]) == 0
         assert ledger() == first
 

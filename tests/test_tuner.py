@@ -64,6 +64,15 @@ class TestValidationSplit:
         with pytest.raises(WindowTooSmallError):
             split_keys(keys, 4, "chronological_tail", 0)
 
+    @pytest.mark.parametrize("mode", ["chronological_tail", "random_quarters"])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_size_below_one_rejected(self, size, mode):
+        # 30 rows over 10 quarters: size 0 used to hold out all 30 rows,
+        # size -2 the last 8 quarters
+        keys = keys_over(quarter_range(1990, 1, 10))
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            split_keys(keys, size, mode, 0)
+
     def test_unknown_mode(self):
         keys = keys_over(quarter_range(1990, 1, 4))
         with pytest.raises(ValueError):
