@@ -149,19 +149,23 @@ def _quantile_edges(cols: SortedColumns, max_bin: int) -> list:
     """
     probs = np.arange(1, max_bin) / max_bin
     live = np.flatnonzero(cols.n_finite)
+    rows = cols.sorted[live]
     n = cols.n_finite[live, None]
     first = cols.first_finite[live, None]
     virtual = (n - 1) * probs
     prev = np.floor(virtual)
     nxt = prev + 1
+    # np.quantile marks neighbours at or past the last value with -1 (the
+    # last value) and takes gamma against that mark
     above = virtual >= n - 1
-    prev[above] = -1
-    nxt[above] = -1
+    prev[above] = nxt[above] = -1
     gamma = virtual - prev
-    last = first + n - 1
-    rows = cols.sorted[live]
-    a = np.take_along_axis(rows, np.where(prev < 0, last, first + prev.astype(np.intp)), 1)
-    b = np.take_along_axis(rows, np.where(nxt < 0, last, first + nxt.astype(np.intp)), 1)
+
+    def value(index):
+        at = first + np.where(index < 0, n - 1, index).astype(np.intp)
+        return np.take_along_axis(rows, at, axis=1)
+
+    a, b = value(prev), value(nxt)
     diff = b - a
     q = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
@@ -169,7 +173,7 @@ def _quantile_edges(cols: SortedColumns, max_bin: int) -> list:
     bin_edges = [np.empty(0) for _ in cols.n_finite]
     for i, f in enumerate(live):
         edges = np.unique(q[i])
-        bin_edges[f] = edges[edges < rows[i, last[i, 0]]]
+        bin_edges[f] = edges[edges < rows[i, first[i, 0] + n[i, 0] - 1]]
     return bin_edges
 
 

@@ -143,7 +143,8 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
     objective(params) returns (validation_metric, train_metric), optionally
     followed by a dict of training facts (TrialRecord's best_round,
     rounds_fitted, null_trees, best_valid_loss); a trial exception is
-    recorded, not fatal, unless every trial fails. Ties on the metric go to the earliest trial.
+    recorded, not fatal, unless every trial fails. Ties on the metric go to
+    the earliest trial.
     """
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")
