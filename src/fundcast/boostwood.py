@@ -396,10 +396,10 @@ class _Bag:
     """The rows every tree of a round grows on, shared by all classes.
 
     Built once per bag draw: the rows' codes, their raveled flat code
-    index and count histogram over every feature, the root's valid split candidates
-    (which depend on counts alone) and the rows left out, whose scores
-    come from Tree.predict. roots caches the last root pass, valid while
-    the gradients stay the same.
+    index and count histogram over every feature, the root's valid split
+    candidates (which depend on counts alone) and the rows left out, whose
+    scores come from Tree.predict. roots caches the last root pass, valid
+    while the gradients stay the same.
     """
 
     def __init__(self, codes: np.ndarray, rows: np.ndarray, width: int,
@@ -415,9 +415,8 @@ class _Bag:
         valid = _valid_candidates(_left_sums(self.counts, self.n_dirs, width - 1),
                                   len(rows), n_bins, min_data_in_leaf)
         # prefix sums past the last valid bin are never read
-        stop = int(np.flatnonzero(valid.any(axis=(0, 2)))[-1]) + 1 \
-            if valid.any() else 0
-        self.valid = valid[:, :stop]
+        used = np.flatnonzero(valid.any(axis=(0, 2)))
+        self.valid = valid[:, :used[-1] + 1 if len(used) else 0]
         left_out = np.ones(codes.shape[0], dtype=bool)
         left_out[rows] = False
         self.out_rows = np.flatnonzero(left_out)
