@@ -116,13 +116,15 @@ def _encode(x, bin_edges, bins_total, dtype):
 class SortedColumns:
     """Rows to bin, with each column sorted once.
 
-    sorted[f] holds column f ascending: -inf values first, then the
-    n_finite[f] finite ones from position first_finite[f], then +inf, then
-    NaN. bin_features reads every max_bin's quantile edges from it, so
-    binning the same rows at several max_bin sorts them only once.
+    order[f] is the stable argsort of column f and sorted[f] the column in
+    that order: -inf values first, then the n_finite[f] finite ones from
+    position first_finite[f], then +inf, then NaN. bin_features reads every
+    max_bin's quantile edges and the rows' codes from it, so binning the
+    same rows at several max_bin sorts them only once.
     """
 
     values: np.ndarray
+    order: np.ndarray
     sorted: np.ndarray
     first_finite: np.ndarray
     n_finite: np.ndarray
@@ -133,8 +135,9 @@ def sort_columns(x: np.ndarray) -> SortedColumns:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={x.ndim}")
-    s = np.sort(x.T, axis=1)
-    return SortedColumns(x, s, (s == -np.inf).sum(axis=1),
+    order = np.argsort(x.T, axis=1, kind="stable")
+    s = np.take_along_axis(x.T, order, axis=1)
+    return SortedColumns(x, order, s, (s == -np.inf).sum(axis=1),
                          np.isfinite(s).sum(axis=1))
 
 
@@ -193,8 +196,27 @@ def bin_features(x, max_bin: int) -> BinnedMatrix:
     n_bins = np.array([len(edges) + 1 for edges in bin_edges], dtype=np.int64)
     bins_total = max_bin + 1
     dtype = np.uint8 if bins_total <= 256 else np.uint16
-    codes = _encode(cols.values, bin_edges, bins_total, dtype)
+    codes = _sorted_codes(cols, bin_edges, bins_total, dtype)
     return BinnedMatrix(codes, bin_edges, n_bins, bins_total)
+
+
+def _sorted_codes(cols: SortedColumns, bin_edges, bins_total, dtype):
+    """_encode's codes of the rows cols holds, read from their sort order.
+
+    Down a sorted column the code steps up by one just past each edge, at
+    the edge's right insertion point, so the codes in sorted order are the
+    running count of those steps; NaN, sorted last, takes the missing code.
+    """
+    d, n = cols.sorted.shape
+    steps = [f * (n + 1) + np.searchsorted(cols.sorted[f], edges, side="right")
+             for f, edges in enumerate(bin_edges)]
+    counts = np.bincount(np.concatenate([np.empty(0, np.intp), *steps]),
+                         minlength=d * (n + 1)).reshape(d, n + 1)
+    in_order = np.cumsum(counts[:, :n], axis=1).astype(dtype)
+    in_order[np.isnan(cols.sorted)] = bins_total - 1
+    codes = np.empty((n, d), dtype=dtype)
+    np.put_along_axis(codes.T, cols.order, in_order, axis=1)
+    return codes
 
 
 def _soft_threshold(g, l1):

@@ -8,6 +8,7 @@ serialize reproducibly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,50 +23,82 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
 
     Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue,
     eigenvectors in columns. Deterministic: fixed (p, q) sweep order and a
-    stable sort.
+    stable sort. Raises DegenerateInputError for a non-finite entry or norm,
+    and when the off-diagonal norm is still above tol * norm after
+    max_sweeps sweeps.
+
+    The matrix a sits on top of the eigenvector matrix v in one
+    column-major (2n, n) array, so one contiguous 2n-long column pair
+    rotates a's columns and v's together; a's rows rotate as a second,
+    strided pair. Each rotation writes c x - s y and s x + c y through four
+    products into preallocated buffers and one subtract and one add back
+    into x and y; c and s come from Python float arithmetic (math.sqrt,
+    math.copysign) and reach the ufuncs as two 0-d arrays. That is the same
+    correctly rounded IEEE operation on each element, in the same order, as
+    the plain loop that copies the rows and columns and computes the
+    products as new arrays, so the output bytes equal that loop's.
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DegenerateInputError(f"expected a square matrix, got {a.shape}")
     n = a.shape[0]
     a = (a + a.T) / 2.0
-    v = np.eye(n)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise DegenerateInputError(
+            "matrix has non-finite entries or a norm that overflows")
     if n == 1:
-        return a[0, :1].copy(), v
-
-    norm = np.linalg.norm(a)
+        return a[0, :1].copy(), np.eye(1)
     if norm == 0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
+        return np.zeros(n), np.eye(n)
+
+    av = np.empty((2 * n, n), order="F")
+    av[:n] = a
+    av[n:] = np.eye(n)
+    a, v = av[:n], av[n:]
+    rows, cols = list(a), list(av.T)
+    row_buf = tuple(np.empty(n) for _ in range(4))
+    col_buf = tuple(np.empty(2 * n) for _ in range(4))
+    # c and s as 0-d arrays: a ufunc converts a Python float on every call
+    c_arr, s_arr = np.empty(()), np.empty(())
+    skip = float(tol * norm / (n * n))
+    for sweep in range(max_sweeps + 1):
+        off = np.sqrt(np.sum(np.tril(np.ascontiguousarray(a), -1) ** 2) * 2.0)
         if off <= tol * norm:
             break
+        if sweep == max_sweeps:
+            raise DegenerateInputError(
+                f"Jacobi rotations did not converge in {max_sweeps} sweeps: "
+                f"off-diagonal norm {off:.6g} above {tol * norm:.6g}")
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * norm / (n * n):
+                apq = a.item(p, q)
+                if abs(apq) <= skip:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                theta = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
+                t = 1.0
+                if theta != 0.0:
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                c_arr[()], s_arr[()] = c, t * c
+                _rotate(rows[p], rows[q], c_arr, s_arr, row_buf)
+                _rotate(cols[p], cols[q], c_arr, s_arr, col_buf)
     w = np.diag(a).copy()
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
+
+
+def _rotate(x, y, c, s, buf):
+    """x, y = c x - s y, s x + c y, in place, through the buffers buf."""
+    cx, sy, sx, cy = buf
+    np.multiply(x, c, cx)
+    np.multiply(y, s, sy)
+    np.multiply(x, s, sx)
+    np.multiply(y, c, cy)
+    np.subtract(cx, sy, x)
+    np.add(sx, cy, y)
 
 
 @dataclass

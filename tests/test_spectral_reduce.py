@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import reference_jacobi_eigh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,25 @@ def awkward_matrices(draw):
     return x * draw(st.sampled_from((1.0, 1e-3, 1e3)))
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Covariances with duplicated columns, or plain symmetric matrices with
+    negative eigenvalues, at scales 1, 1e-3 and 1e3."""
+    d = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.normal(size=(draw(st.integers(2, 40)), d))
+        duplicated = rng.random(d) < draw(st.sampled_from((0.0, 0.25, 0.5)))
+        for j in np.flatnonzero(duplicated[1:]) + 1:
+            x[:, j] = x[:, rng.integers(j)]
+        xc = x - x.mean(axis=0)
+        a = xc.T @ xc / len(x)
+    else:
+        a = rng.normal(size=(d, d))
+        a = a + a.T
+    return a * draw(st.sampled_from((1.0, 1e-3, 1e3)))
+
+
 class TestFitPcaProperties:
     @settings(max_examples=150, deadline=None)
     @given(x=awkward_matrices(), standardize=st.booleans())
@@ -108,6 +128,37 @@ class TestJacobi:
     def test_rejects_non_square(self):
         with pytest.raises(DegenerateInputError):
             jacobi_eigh(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_rejects_non_finite_before_any_sweep(self, rng, n, bad):
+        x = rng.normal(size=(n + 5, n))
+        cov = x.T @ x
+        cov[n // 2, 0] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            jacobi_eigh(cov)
+
+    def test_rejects_overflowing_norm(self):
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            jacobi_eigh(np.full((3, 3), 1e300))
+
+    def test_unconverged_decomposition_raises(self, rng):
+        x = rng.normal(size=(30, 12))
+        cov = x.T @ x / len(x)
+        with pytest.raises(DegenerateInputError,
+                           match=r"1 sweeps.*off-diagonal norm \d"):
+            jacobi_eigh(cov, max_sweeps=1)
+        w, _ = jacobi_eigh(cov)
+        np.testing.assert_allclose(w, oracle_eigh(cov)[0], atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=symmetric_matrices())
+    def test_bytes_equal_reference_loop(self, a):
+        w, v = jacobi_eigh(a)
+        w_ref, v_ref = reference_jacobi_eigh(a)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert (w.strides, v.strides) == (w_ref.strides, v_ref.strides)
 
 
 class TestFitPca:
