@@ -208,11 +208,12 @@ def _sorted_codes(cols: SortedColumns, bin_edges, bins_total, dtype):
     running count of those steps; NaN, sorted last, takes the missing code.
     """
     d, n = cols.sorted.shape
-    steps = [f * (n + 1) + np.searchsorted(cols.sorted[f], edges, side="right")
-             for f, edges in enumerate(bin_edges)]
-    counts = np.bincount(np.concatenate([np.empty(0, np.intp), *steps]),
-                         minlength=d * (n + 1)).reshape(d, n + 1)
-    in_order = np.cumsum(counts[:, :n], axis=1).astype(dtype)
+    steps = np.zeros((d, n + 1), dtype=np.intp)
+    for f, edges in enumerate(bin_edges):
+        # two edges with no value between them step at the same position
+        at = np.searchsorted(cols.sorted[f], edges, side="right")
+        np.add.at(steps[f], at, 1)
+    in_order = np.cumsum(steps[:, :n], axis=1).astype(dtype)
     in_order[np.isnan(cols.sorted)] = bins_total - 1
     codes = np.empty((n, d), dtype=dtype)
     np.put_along_axis(codes.T, cols.order, in_order, axis=1)

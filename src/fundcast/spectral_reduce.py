@@ -43,8 +43,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
         raise DegenerateInputError(f"expected a square matrix, got {a.shape}")
     n = a.shape[0]
     a = (a + a.T) / 2.0
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(a)
+    norm = np.linalg.norm(a)
     if not np.isfinite(norm):
         raise DegenerateInputError(
             "matrix has non-finite entries or a norm that overflows")
@@ -64,6 +63,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     c_arr, s_arr = np.empty(()), np.empty(())
     skip = float(tol * norm / (n * n))
     for sweep in range(max_sweeps + 1):
+        # np.sum groups its pairwise sums by memory order: sum in row order
         off = np.sqrt(np.sum(np.tril(np.ascontiguousarray(a), -1) ** 2) * 2.0)
         if off <= tol * norm:
             break
