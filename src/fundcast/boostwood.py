@@ -123,7 +123,6 @@ class SortedColumns:
     same rows at several max_bin sorts them only once.
     """
 
-    values: np.ndarray
     order: np.ndarray
     sorted: np.ndarray
     first_finite: np.ndarray
@@ -137,7 +136,7 @@ def sort_columns(x: np.ndarray) -> SortedColumns:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={x.ndim}")
     order = np.argsort(x.T, axis=1, kind="stable")
     s = np.take_along_axis(x.T, order, axis=1)
-    return SortedColumns(x, order, s, (s == -np.inf).sum(axis=1),
+    return SortedColumns(order, s, (s == -np.inf).sum(axis=1),
                          np.isfinite(s).sum(axis=1))
 
 

@@ -139,7 +139,8 @@ class TestJacobi:
             jacobi_eigh(cov)
 
     def test_rejects_overflowing_norm(self):
-        with pytest.raises(DegenerateInputError, match="overflow"):
+        with np.errstate(over="ignore"), \
+                pytest.raises(DegenerateInputError, match="overflow"):
             jacobi_eigh(np.full((3, 3), 1e300))
 
     def test_unconverged_decomposition_raises(self, rng):
@@ -151,7 +152,7 @@ class TestJacobi:
         w, _ = jacobi_eigh(cov)
         np.testing.assert_allclose(w, oracle_eigh(cov)[0], atol=1e-9)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(a=symmetric_matrices())
     def test_bytes_equal_reference_loop(self, a):
         w, v = jacobi_eigh(a)
