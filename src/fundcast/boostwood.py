@@ -10,7 +10,6 @@ seed + params + data reproduce a bit-identical model.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,28 +87,18 @@ class BinnedMatrix:
     def n_features(self) -> int:
         return self.codes.shape[1]
 
-    def map_new(self, x: np.ndarray) -> "BinnedMatrix":
-        """Bin new rows with the training-time edges."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
+    def map_new(self, x) -> "BinnedMatrix":
+        """Bin new rows with the training-time edges.
+
+        x is the matrix of new rows, or its SortedColumns (sort_columns)
+        when the same rows are binned under several sets of edges.
+        """
+        cols = x if isinstance(x, SortedColumns) else sort_columns(x)
+        if cols.sorted.shape[0] != self.n_features:
             raise DimensionMismatchError(
-                f"expected {self.n_features} features, got {x.shape}")
-        codes = _encode(x, self.bin_edges, self.bins_total, self.codes.dtype)
+                f"expected {self.n_features} features, got {cols.sorted.shape[0]}")
+        codes = _sorted_codes(cols, self.bin_edges, self.bins_total, self.codes.dtype)
         return BinnedMatrix(codes, self.bin_edges, self.n_bins, self.bins_total)
-
-
-def _encode(x, bin_edges, bins_total, dtype):
-    n, d = x.shape
-    codes = np.zeros((n, d), dtype=dtype)
-    miss_code = bins_total - 1
-    for f in range(d):
-        col = x[:, f]
-        nan = np.isnan(col)
-        edges = bin_edges[f]
-        if len(edges):
-            codes[:, f] = np.searchsorted(edges, col, side="left")
-        codes[nan, f] = miss_code
-    return codes
 
 
 @dataclass(frozen=True)
@@ -200,7 +189,8 @@ def bin_features(x, max_bin: int) -> BinnedMatrix:
 
 
 def _sorted_codes(cols: SortedColumns, bin_edges, bins_total, dtype):
-    """_encode's codes of the rows cols holds, read from their sort order.
+    """Bin codes of the rows cols holds, read from their sort order: the
+    number of edges below each value, and bins_total - 1 for NaN.
 
     Down a sorted column the code steps up by one just past each edge, at
     the edge's right insertion point, so the codes in sorted order are the
@@ -480,64 +470,26 @@ class _LeafState:
 
 
 def _grow_tree(index, width, n_bins_f, g, h, root_leaf: _LeafState,
-               params: HyperParams, growth: str):
-    """Grow one tree on the bagged rows from its root, node 0, whose best
-    split root_leaf already holds.
+               params: HyperParams):
+    """Grow one tree best-first on the bagged rows from its root, node 0,
+    whose best split root_leaf already holds.
 
     index is the bag's _flat_index over the tree's features, g and h the
-    bagged gradients and hessians. Returns the tree, with feature positions
-    local to index, and each bagged row's leaf value. Leaf values are the
-    learning-rate-scaled Newton weights.
+    bagged gradients and hessians. Each step splits the first leaf of
+    highest gain and puts its children at the end of the leaf list. Returns
+    the tree, with feature positions local to index, and each bagged row's
+    leaf value. Leaf values are the learning-rate-scaled Newton weights.
     """
-    # each child of a split keeps min_data_in_leaf rows, so a smaller node
-    # cannot split and needs neither a histogram nor a split search
-    min_split = 2 * params.min_data_in_leaf
-
-    def splittable(n_rows, depth):
-        return n_rows >= min_split and (
-            params.max_depth is None or depth < params.max_depth)
-
-    def evaluate(hist_t, g_t, h_t, c_t, depth):
-        if not splittable(c_t, depth):
-            return None
-        return _best_split(hist_t, n_bins_f, params, (g_t, h_t, c_t))
-
     tree = Tree()
     tree.add_node()
-
-    if growth == "leaf_wise":
-        frontier = [root_leaf]
-        n_leaves = 1
-        while n_leaves < params.num_leaves:
-            pick = None
-            for leaf in frontier:
-                if leaf.best is None:
-                    continue
-                if pick is None or leaf.best[0] > pick.best[0]:
-                    pick = leaf
-            if pick is None:
-                break
-            _split_leaf(tree, pick, index, width, g, h, splittable, evaluate,
-                        frontier)
-            n_leaves += 1
-        leaves = frontier
-    elif growth == "level_wise":
-        queue = deque([root_leaf])
-        leaves = []
-        n_leaves = 1
-        while queue:
-            leaf = queue.popleft()
-            if leaf.best is None or n_leaves >= params.num_leaves:
-                leaves.append(leaf)
-                continue
-            children = []
-            _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate,
-                        children)
-            queue.extend(children)
-            n_leaves += 1
-        leaves.extend(queue)
-    else:
-        raise ValueError(f"unknown growth mode {growth!r}")
+    leaves = [root_leaf]
+    while len(leaves) < params.num_leaves:
+        pick = max((leaf for leaf in leaves if leaf.best is not None),
+                   key=lambda leaf: leaf.best[0], default=None)
+        if pick is None:
+            break
+        leaves.remove(pick)
+        leaves.extend(_split_leaf(tree, pick, index, width, n_bins_f, g, h, params))
 
     in_bag = np.empty(len(g))
     for leaf in leaves:
@@ -548,8 +500,9 @@ def _grow_tree(index, width, n_bins_f, g, h, root_leaf: _LeafState,
     return tree, in_bag
 
 
-def _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate, sink):
-    """Materialize a leaf's best split; append the two children to sink."""
+def _split_leaf(tree, leaf, index, width, n_bins_f, g, h, params: HyperParams):
+    """Materialize a leaf's best split; return its left and right children,
+    each holding its own best split or None."""
     gain, f_local, t, default_left = leaf.best
     tree.is_leaf[leaf.node_id] = False
     tree.feature[leaf.node_id] = f_local
@@ -566,7 +519,11 @@ def _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate, sink):
     rows_r = leaf.rows[~go_left]
 
     depth = leaf.depth + 1
-    if not splittable(max(len(rows_l), len(rows_r)), depth):
+    # each child of a split keeps min_data_in_leaf rows, so a smaller node
+    # cannot split and needs neither a histogram nor a split search
+    min_split = 2 * params.min_data_in_leaf
+    if ((params.max_depth is not None and depth >= params.max_depth)
+            or max(len(rows_l), len(rows_r)) < min_split):
         hist_l = hist_r = None
     # direct histogram for the smaller child, subtraction for the sibling
     elif len(rows_l) <= len(rows_r):
@@ -579,18 +536,17 @@ def _split_leaf(tree, leaf, index, width, g, h, splittable, evaluate, sink):
     gl, hl = float(g[rows_l].sum()), float(h[rows_l].sum())
     gr, hr = leaf.g - gl, leaf.h - hl
 
-    node_l = tree.add_node()
-    node_r = tree.add_node()
-    tree.left[leaf.node_id] = node_l
-    tree.right[leaf.node_id] = node_r
-    child_l = _LeafState(node_l, rows_l, hist_l, gl, hl, depth,
-                         evaluate(hist_l, gl, hl, len(rows_l), depth))
-    child_r = _LeafState(node_r, rows_r, hist_r, gr, hr, depth,
-                         evaluate(hist_r, gr, hr, len(rows_r), depth))
-    if isinstance(sink, list) and leaf in sink:
-        sink.remove(leaf)
-    sink.append(child_l)
-    sink.append(child_r)
+    def child(rows, hist, g_sum, h_sum):
+        best = None
+        if hist is not None and len(rows) >= min_split:
+            best = _best_split(hist, n_bins_f, params, (g_sum, h_sum, len(rows)))
+        return _LeafState(tree.add_node(), rows, hist, g_sum, h_sum, depth, best)
+
+    child_l = child(rows_l, hist_l, gl, hl)
+    child_r = child(rows_r, hist_r, gr, hr)
+    tree.left[leaf.node_id] = child_l.node_id
+    tree.right[leaf.node_id] = child_r.node_id
+    return child_l, child_r
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -623,8 +579,7 @@ def _extract_labels(labels, n_classes):
 
 def fit(binned: BinnedMatrix, labels, params: HyperParams, *,
         n_classes: int | None = None, valid=None,
-        early_stopping_rounds: int | None = None,
-        growth: str = "leaf_wise") -> GbdtModel:
+        early_stopping_rounds: int | None = None) -> GbdtModel:
     """Train the multiclass ensemble.
 
     Per round and class, gradients are p - y and hessians p(1 - p) from the
@@ -714,7 +669,7 @@ def fit(binned: BinnedMatrix, labels, params: HyperParams, *,
                                   float(roots.totals[c, 1]), 0, best)
                 tree, in_bag = _grow_tree(
                     _flat_index(bag.codes[:, f], width), width, binned.n_bins[f],
-                    roots.g[c], roots.h[c], root, params, growth)
+                    roots.g[c], roots.h[c], root, params)
                 tree.feature = [f[j] if j >= 0 else -1 for j in tree.feature]
                 round_trees[c] = tree
                 scores[bag.rows, c] += in_bag
@@ -761,30 +716,22 @@ def predict_raw(model: GbdtModel, binned: BinnedMatrix) -> np.ndarray:
     return scores
 
 
-def predict_proba(model: GbdtModel, binned: BinnedMatrix) -> np.ndarray:
-    """Per-class probabilities; rows sum to 1."""
-    return softmax(predict_raw(model, binned))
-
-
 def predict(model: GbdtModel, binned: BinnedMatrix) -> np.ndarray:
     """Argmax class per row (lowest class wins ties)."""
     return np.argmax(predict_raw(model, binned), axis=1)
 
 
-def feature_importance(model: GbdtModel, kind: str = "split_count") -> np.ndarray:
-    """Per-feature tallies over all fitted trees; unused features score 0."""
-    if kind not in ("split_count", "total_gain"):
-        raise ValueError(f"unknown importance kind {kind!r}")
+def feature_importance(model: GbdtModel) -> np.ndarray:
+    """Per-feature total split gain over all fitted trees; unused features
+    score 0."""
     out = np.zeros(model.n_features)
     for round_trees in model.trees:
         for tree in round_trees:
             if tree is None:
                 continue
             for node, leaf in enumerate(tree.is_leaf):
-                if leaf:
-                    continue
-                f = tree.feature[node]
-                out[f] += 1 if kind == "split_count" else tree.gain[node]
+                if not leaf:
+                    out[tree.feature[node]] += tree.gain[node]
     return out
 
 

@@ -277,7 +277,7 @@ def run_backtest(config: ExperimentConfig):
         income_var=config.income_var, assets_var=config.assets_var)
 
     consensus_vectors = None
-    if config.consensus_path and os.path.exists(config.consensus_path):
+    if config.consensus_path:
         table = rollcast.load_consensus(config.consensus_path)
         consensus_vectors = rollcast.build_consensus_vectors(
             table, panel, config.horizon, config.n_classes, config.scheme,

@@ -547,15 +547,30 @@ def quantile_rank_classes(index: PanelIndex, targets: np.ndarray,
     return out
 
 
+def cut_classes(index: PanelIndex, targets: np.ndarray, n_classes: int,
+                horizon: str, scheme: str) -> LabelVector:
+    """Class labels of relative-change targets on the index rows.
+
+    quantile_rank cuts the targets within each calendar quarter into
+    n_classes equal-count bins; sign yields 1 for a strict increase and 0
+    otherwise. A missing target gets a missing label.
+    """
+    if scheme == "sign":
+        if n_classes != 2:
+            raise ValueError("sign scheme requires n_classes=2")
+        values = np.where(targets > 0, 1.0, 0.0)
+        values[np.isnan(targets)] = np.nan
+    else:
+        values = quantile_rank_classes(index, targets, n_classes)
+    return LabelVector(index, values, n_classes, horizon, scheme)
+
+
 def build_labels(panel: RawPanel, horizon: str = "qoq", n_classes: int = 3,
                  scheme: str = "quantile_rank", *,
                  income_var: str = "niq",
                  assets_var: str = DEFAULT_ASSETS_VAR) -> LabelVector:
-    """Construct classification labels from relative earnings changes.
-
-    quantile_rank cuts the targets within each calendar quarter into
-    n_classes equal-count bins; sign yields 1 for a strict increase and 0
-    otherwise. Rows with missing future income get a missing label.
+    """Construct classification labels from relative earnings changes,
+    cut by cut_classes. Rows with missing future income get a missing label.
     """
     if income_var not in panel.columns or assets_var not in panel.columns:
         raise PanelError(
@@ -563,11 +578,4 @@ def build_labels(panel: RawPanel, horizon: str = "qoq", n_classes: int = 3,
     income = panel.columns[income_var]
     assets = panel.columns[assets_var]
     targets = relative_change_targets(panel.index, income, income, assets, horizon)
-    if scheme == "sign":
-        if n_classes != 2:
-            raise ValueError("sign scheme requires n_classes=2")
-        values = np.where(targets > 0, 1.0, 0.0)
-        values[np.isnan(targets)] = np.nan
-    else:
-        values = quantile_rank_classes(panel.index, targets, n_classes)
-    return LabelVector(panel.index, values, n_classes, horizon, scheme)
+    return cut_classes(panel.index, targets, n_classes, horizon, scheme)

@@ -121,41 +121,6 @@ def load_consensus(path) -> ConsensusTable:
     return ConsensusTable(index, np.frombuffer(values).reshape(-1, 3)[order])
 
 
-def consensus_classes(table: ConsensusTable, panel: RawPanel, horizon: str,
-                      n_classes: int, scheme: str, estimate: str = "mean"):
-    """Class labels for consensus estimates and non-GAAP actuals.
-
-    Both are converted to relative-change targets (future estimate against
-    past actual, scaled by current assets) and cut within each quarter with
-    the same criteria the labels use. Returns (consensus, actual) label
-    vectors on the panel's rows; rows absent from the table are missing.
-    """
-    if estimate not in ("mean", "median"):
-        raise ValueError(f"unknown estimate {estimate!r}")
-    est_col = 0 if estimate == "mean" else 1
-    est = table.series(panel.index, est_col)
-    actual = table.series(panel.index, 2)
-    assets = panel.columns[feature_forge.DEFAULT_ASSETS_VAR] \
-        if feature_forge.DEFAULT_ASSETS_VAR in panel.columns else None
-    if assets is None:
-        raise PanelError("consensus scoring needs the assets column")
-    target_est = feature_forge.relative_change_targets(
-        panel.index, est, actual, assets, horizon)
-    target_act = feature_forge.relative_change_targets(
-        panel.index, actual, actual, assets, horizon)
-
-    def cut(targets):
-        if scheme == "sign":
-            values = np.where(targets > 0, 1.0, 0.0)
-            values[np.isnan(targets)] = np.nan
-        else:
-            values = feature_forge.quantile_rank_classes(
-                panel.index, targets, n_classes)
-        return LabelVector(panel.index, values, n_classes, horizon, scheme)
-
-    return cut(target_est), cut(target_act)
-
-
 @dataclass
 class MetricsBundle:
     """Accuracy metrics for one subset, consensus-conditional where available."""
@@ -251,15 +216,15 @@ class ImportanceDecomposition:
         }
 
 
-def decompose_importance(model, pca, metas, top_c: int = 5, top_v: int = 10,
-                         kind: str = "total_gain") -> ImportanceDecomposition:
+def decompose_importance(model, pca, metas, top_c: int = 5,
+                         top_v: int = 10) -> ImportanceDecomposition:
     """Map component-level importance back to original variables.
 
-    Components rank by model importance; within each of the top top_c, the
-    top_v original columns rank by absolute loading. Tallies group the
-    selected columns by lag bucket and format.
+    Components rank by model importance (total split gain); within each of
+    the top top_c, the top_v original columns rank by absolute loading.
+    Tallies group the selected columns by lag bucket and format.
     """
-    importance = boostwood.feature_importance(model, kind)
+    importance = boostwood.feature_importance(model)
     order = np.argsort(-importance, kind="stable")
     components = order[:min(top_c, len(order))]
 
@@ -330,9 +295,6 @@ class SubsetConfig:
     search_mode: str = "uniform"
     base_params: HyperParams = field(default_factory=HyperParams)
     early_stopping: int | None = 20
-    importance_top_components: int = 5
-    importance_top_variables: int = 10
-    importance_kind: str = "total_gain"
     seed: int = 0
     consensus: ConsensusVectors | None = None
 
@@ -493,10 +455,11 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
         # every trial bins the same rows; only max_bin differs
         search_cols = boostwood.sort_columns(comps_train[tr_i])
+        valid_cols = boostwood.sort_columns(comps_train[va_i])
 
         def objective(params: HyperParams):
             binned = boostwood.bin_features(search_cols, params.max_bin)
-            binned_va = binned.map_new(comps_train[va_i])
+            binned_va = binned.map_new(valid_cols)
             model = boostwood.fit(
                 binned, y_train[tr_i], params, n_classes=config.n_classes,
                 valid=(binned_va, y_train[va_i]),
@@ -573,11 +536,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
     importance = None
     if pca.kept >= 1 and model.trees:
-        importance = decompose_importance(
-            model, pca, deduped.metas,
-            top_c=config.importance_top_components,
-            top_v=config.importance_top_variables,
-            kind=config.importance_kind)
+        importance = decompose_importance(model, pca, deduped.metas)
 
     return SubsetResult(
         split=split,
@@ -605,15 +564,30 @@ def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
                             horizon: str, n_classes: int, scheme: str,
                             estimate: str = "mean",
                             pairing: str = "split") -> ConsensusVectors:
-    """Precompute consensus and non-GAAP actual classes per panel row."""
-    mean_cls, actual_cls = consensus_classes(
-        table, panel, horizon, n_classes, scheme, estimate="mean")
-    median_cls, _ = consensus_classes(
-        table, panel, horizon, n_classes, scheme, estimate="median")
+    """Consensus (mean and median estimate) and non-GAAP actual classes per
+    panel row.
+
+    Each is converted to relative-change targets (its future value against
+    the past actual, scaled by current assets) and cut within each quarter
+    by the labels' criteria. Rows absent from the table are missing.
+    """
+    if estimate not in ("mean", "median"):
+        raise ValueError(f"unknown estimate {estimate!r}")
+    assets_var = feature_forge.DEFAULT_ASSETS_VAR
+    if assets_var not in panel.columns:
+        raise PanelError("consensus scoring needs the assets column")
+    actual = table.series(panel.index, 2)
+
+    def classes(future):
+        targets = feature_forge.relative_change_targets(
+            panel.index, future, actual, panel.columns[assets_var], horizon)
+        return feature_forge.cut_classes(panel.index, targets, n_classes,
+                                         horizon, scheme)
+
     return ConsensusVectors(
-        mean_cls=mean_cls,
-        median_cls=median_cls,
-        actual_cls=actual_cls,
+        mean_cls=classes(table.series(panel.index, 0)),
+        median_cls=classes(table.series(panel.index, 1)),
+        actual_cls=classes(actual),
         estimate=estimate,
         pairing=pairing,
     )

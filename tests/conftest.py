@@ -1,6 +1,11 @@
+from collections import deque
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fundcast import boostwood
 from fundcast.feature_forge import _pooled_fill_period
 from fundcast.panel_ingest import (
     CalendarQuarter,
@@ -152,6 +157,39 @@ def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
     w = np.diag(a).copy()
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
+
+
+def _level_wise_tree(index, width, n_bins_f, g, h, root_leaf, params):
+    """boostwood._grow_tree's tree grown breadth-first: each leaf in queue
+    order splits while the tree has fewer than num_leaves leaves."""
+    tree = boostwood.Tree()
+    tree.add_node()
+    queue = deque([root_leaf])
+    leaves = []
+    n_leaves = 1
+    while queue:
+        leaf = queue.popleft()
+        if leaf.best is None or n_leaves >= params.num_leaves:
+            leaves.append(leaf)
+            continue
+        queue.extend(boostwood._split_leaf(tree, leaf, index, width, n_bins_f,
+                                           g, h, params))
+        n_leaves += 1
+    in_bag = np.empty(len(g))
+    for leaf in leaves:
+        value = params.learning_rate * boostwood._leaf_weight(
+            leaf.g, leaf.h, params.lambda_l1, params.lambda_l2)
+        tree.value[leaf.node_id] = value
+        in_bag[leaf.rows] = value
+    return tree, in_bag
+
+
+@contextmanager
+def level_wise_growth():
+    """Within the block, boostwood.fit grows every tree level-wise: the
+    oracle that leaf-wise growth is measured against."""
+    with mock.patch.object(boostwood, "_grow_tree", _level_wise_tree):
+        yield
 
 
 @pytest.fixture

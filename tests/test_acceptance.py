@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     consensus_table,
     index_from_keys,
+    level_wise_growth,
     quarter_range,
     single_company_fill_period,
     split_gain,
@@ -233,8 +234,9 @@ class TestCriterion5LeafWiseDominance:
             bm = boostwood.bin_features(x, max_bin=16)
             params = HyperParams(learning_rate=0.3, num_leaves=8,
                                  min_data_in_leaf=5, n_rounds=5, seed=seed)
-            leaf = boostwood.fit(bm, y, params, growth="leaf_wise")
-            level = boostwood.fit(bm, y, params, growth="level_wise")
+            leaf = boostwood.fit(bm, y, params)
+            with level_wise_growth():
+                level = boostwood.fit(bm, y, params)
             loss_leaf = replay_losses(leaf, bm, y)[-1]
             loss_level = replay_losses(level, bm, y)[-1]
             assert loss_leaf <= loss_level + 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import split_gain
+from conftest import level_wise_growth, split_gain
 from fundcast import boostwood
 from fundcast.boostwood import (
     BinnedMatrix,
@@ -16,7 +16,6 @@ from fundcast.boostwood import (
     from_text,
     log_loss,
     predict,
-    predict_proba,
     predict_raw,
     softmax,
     to_text,
@@ -205,7 +204,7 @@ class TestFit:
                              min_data_in_leaf=1, seed=0)
         model = fit(bm, y, params)
         assert all(t is None for row in model.trees for t in row)
-        proba = predict_proba(model, bm)
+        proba = softmax(predict_raw(model, bm))
         prior = np.bincount(y) / len(y)
         np.testing.assert_allclose(proba, np.tile(prior, (len(y), 1)), atol=1e-12)
 
@@ -444,8 +443,9 @@ class TestLeafWiseVsLevelWise:
             bm = bin_features(x, max_bin=16)
             params = HyperParams(learning_rate=0.3, num_leaves=8,
                                  min_data_in_leaf=5, n_rounds=5, seed=seed)
-            leaf = fit(bm, y, params, growth="leaf_wise")
-            level = fit(bm, y, params, growth="level_wise")
+            leaf = fit(bm, y, params)
+            with level_wise_growth():
+                level = fit(bm, y, params)
             loss_leaf = replay_train_losses(leaf, bm, y)[-1]
             loss_level = replay_train_losses(level, bm, y)[-1]
             wins.append(loss_leaf <= loss_level + 1e-12)
@@ -458,14 +458,14 @@ class TestPredict:
         bm = bin_features(x, max_bin=16)
         model = fit(bm, y, HyperParams(num_leaves=4, min_data_in_leaf=2,
                                        n_rounds=10, seed=0))
-        proba = predict_proba(model, bm)
+        proba = softmax(predict_raw(model, bm))
         np.testing.assert_allclose(proba.sum(axis=1), np.ones(len(y)), atol=1e-12)
 
     def test_empty_model_uniform_from_zero_base(self):
         model = GbdtModel(n_classes=3, n_features=2, miss_code=16,
                           base_score=np.zeros(3), trees=[], params=HyperParams())
         bm = bin_features(np.zeros((4, 2)), max_bin=8)
-        proba = predict_proba(model, bm)
+        proba = softmax(predict_raw(model, bm))
         np.testing.assert_allclose(proba, np.full((4, 3), 1 / 3), atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -474,7 +474,7 @@ class TestPredict:
         model = fit(bm, y, HyperParams(n_rounds=2, min_data_in_leaf=1, seed=0))
         other = bin_features(np.zeros((3, 5)), max_bin=8)
         with pytest.raises(DimensionMismatchError):
-            predict_proba(model, other)
+            predict_raw(model, other)
 
 
 class TestFeatureImportance:
@@ -489,14 +489,6 @@ class TestFeatureImportance:
         bm = bin_features(x, max_bin=16)
         model = fit(bm, y, HyperParams(num_leaves=4, min_data_in_leaf=5,
                                        n_rounds=10, seed=0))
-        gain = feature_importance(model, "total_gain")
-        split = feature_importance(model, "split_count")
+        gain = feature_importance(model)
         assert np.argmax(gain) == 3
-        assert np.argmax(split) == 3
         assert (gain >= 0).all()
-
-    def test_unknown_kind_rejected(self):
-        model = GbdtModel(n_classes=2, n_features=1, miss_code=16,
-                          base_score=np.zeros(2), trees=[], params=HyperParams())
-        with pytest.raises(ValueError):
-            feature_importance(model, "magic")

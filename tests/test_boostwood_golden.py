@@ -6,10 +6,12 @@ cannot silently stop exercising its code path.
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from conftest import level_wise_growth
 from fundcast.boostwood import HyperParams, bin_features, fit, to_text
 
 
@@ -80,7 +82,7 @@ CASES = {
         params=dict(learning_rate=0.3, num_leaves=6, min_data_in_leaf=5,
                     n_rounds=8, seed=4, lambda_l2=1.0),
         max_bin=16,
-        growth="level_wise",
+        level_wise=True,
         check=lambda text: len(split_lines(text)) > 0,
     ),
     "no_regularisation": dict(
@@ -147,8 +149,10 @@ def fit_case(case):
     if n_valid:
         kwargs = dict(valid=(binned.map_new(x[n_train:]), y[n_train:]),
                       early_stopping_rounds=5)
-    model = fit(binned, y[:n_train], HyperParams(**case["params"]),
-                n_classes=3, growth=case.get("growth", "leaf_wise"), **kwargs)
+    growth = level_wise_growth() if case.get("level_wise") else nullcontext()
+    with growth:
+        model = fit(binned, y[:n_train], HyperParams(**case["params"]),
+                    n_classes=3, **kwargs)
     return to_text(model)
 
 

@@ -7,9 +7,11 @@ makes it worth pinning, and the bytes must not change with any speedup.
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import pytest
 
+from conftest import level_wise_growth
 from fundcast.boostwood import HyperParams, bin_features, fit, to_text
 from test_boostwood_golden import make_data, n_null_trees, split_lines
 
@@ -63,7 +65,7 @@ CASES = {
                     feature_fraction=0.5, bagging_fraction=0.7,
                     bagging_freq=2, n_rounds=8, seed=10, lambda_l2=1.0),
         max_bin=16,
-        growth="level_wise",
+        level_wise=True,
         check=lambda text: len(split_lines(text)) > 0,
     ),
     # a bagged root of 60 rows is below 2 * 60: the validation loss never
@@ -112,8 +114,10 @@ def fit_case(case):
     if n_valid:
         kwargs = dict(valid=(binned.map_new(x[n_train:]), y[n_train:]),
                       early_stopping_rounds=case["early_stopping_rounds"])
-    model = fit(binned, y[:n_train], HyperParams(**case["params"]),
-                n_classes=3, growth=case.get("growth", "leaf_wise"), **kwargs)
+    growth = level_wise_growth() if case.get("level_wise") else nullcontext()
+    with growth:
+        model = fit(binned, y[:n_train], HyperParams(**case["params"]),
+                    n_classes=3, **kwargs)
     return to_text(model)
 
 

@@ -2,16 +2,20 @@
 
 Binning: bin_features reads each max_bin's quantile edges from columns
 sorted once (sort_columns), by np.quantile's own linear rule; the edges and
-codes must equal the per-column np.quantile oracle in conftest. Fitting:
-the scores fit hands back for its training and validation rows must equal
-predict_raw of the returned model on those rows.
+the codes of training and new rows (map_new, from a matrix or its
+SortedColumns) must equal the per-column np.quantile oracle in conftest.
+Fitting: the scores fit hands back for its training and validation rows
+must equal predict_raw of the returned model on those rows, for trees grown
+leaf-wise and through the level-wise oracle.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_codes, quantile_bin_edges
+from conftest import edge_codes, level_wise_growth, quantile_bin_edges
 from fundcast.boostwood import (
     HyperParams,
     bin_features,
@@ -66,8 +70,8 @@ class TestBinningOracle:
         miss = binned.bins_total - 1
         np.testing.assert_array_equal(binned.codes, edge_codes(x, want, miss))
         new = np.resize(new, (new.shape[0], x.shape[1]))
-        np.testing.assert_array_equal(binned.map_new(new).codes,
-                                      edge_codes(new, want, miss))
+        new_binned = binned.map_new(sort_columns(new) if presorted else new)
+        np.testing.assert_array_equal(new_binned.codes, edge_codes(new, want, miss))
 
 
 class TestFittedScores:
@@ -78,11 +82,11 @@ class TestFittedScores:
            bagging=st.sampled_from(((1.0, 0), (0.5, 1), (0.7, 3))),
            min_gain_to_split=st.sampled_from((0.0, 0.5, 5.0)),
            early_stopping=st.sampled_from((None, 2)),
-           growth=st.sampled_from(("leaf_wise", "level_wise")))
+           level_wise=st.booleans())
     def test_handed_back_scores_equal_predict(self, seed, n, min_data_in_leaf,
                                               feature_fraction, bagging,
                                               min_gain_to_split, early_stopping,
-                                              growth):
+                                              level_wise):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n + 30, 3))
         x[rng.random(x.shape) < 0.1] = np.nan
@@ -94,9 +98,10 @@ class TestFittedScores:
             feature_fraction=feature_fraction, bagging_fraction=bagging[0],
             bagging_freq=bagging[1], min_gain_to_split=min_gain_to_split,
             n_rounds=12, seed=seed)
-        model = fit(binned, y[:n], params, n_classes=3,
-                    valid=(binned_va, y[n:]),
-                    early_stopping_rounds=early_stopping, growth=growth)
+        with level_wise_growth() if level_wise else nullcontext():
+            model = fit(binned, y[:n], params, n_classes=3,
+                        valid=(binned_va, y[n:]),
+                        early_stopping_rounds=early_stopping)
         np.testing.assert_array_equal(model.train_scores, predict_raw(model, binned))
         np.testing.assert_array_equal(model.valid_scores,
                                       predict_raw(model, binned_va))

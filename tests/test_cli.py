@@ -217,3 +217,12 @@ class TestConsensusFlow:
         assert rec["metrics"]["consensus_available"] is True
         assert rec["metrics"]["consensus_accuracy"] is not None
         assert rec["metrics"]["n_converge"] + rec["metrics"]["n_diverge"] > 0
+
+    def test_missing_consensus_file_fails_naming_path(self, tmp_path, capsys):
+        # the path is set but synth writes no consensus file
+        missing = tmp_path / "out" / "consensus.csv"
+        path, out = write_config(tmp_path, extra=f"\npaths.consensus = {missing}\n")
+        assert main(["synth", "--config", str(path)]) == 0
+        assert main(["backtest", "--config", str(path)]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not (out / "report.jsonl").exists()

@@ -11,9 +11,9 @@ from fundcast.feature_forge import FeatureColumnMeta, LabelVector
 from fundcast.panel_ingest import CalendarQuarter, Format
 from fundcast.rollcast import (
     SubsetConfig,
+    build_consensus_vectors,
     build_records,
     conditional_accuracy,
-    consensus_classes,
     decompose_importance,
     enumerate_subsets,
     read_jsonl,
@@ -115,6 +115,11 @@ def consensus_panel(n_companies=9, n_quarters=3):
     return grid_panel(companies, quarters, {"niq": ni, "atq": atq})
 
 
+def mean_and_actual_classes(table, panel):
+    vectors = build_consensus_vectors(table, panel, "qoq", 3, "quantile_rank")
+    return vectors.mean_cls, vectors.actual_cls
+
+
 class TestConsensusClasses:
     def test_consensus_equal_to_actual_everywhere(self):
         panel = consensus_panel()
@@ -123,7 +128,7 @@ class TestConsensusClasses:
             actual = float(panel.columns["niq"][i]) * 1.1
             rows[(company, q)] = (actual, actual, actual)
         table = consensus_table(rows)
-        cons, actual = consensus_classes(table, panel, "qoq", 3, "quantile_rank")
+        cons, actual = mean_and_actual_classes(table, panel)
         ok = ~np.isnan(cons.values)
         assert ok.any()
         assert (cons.values[ok] == actual.values[ok]).all()
@@ -137,18 +142,24 @@ class TestConsensusClasses:
             # actual rises with k, consensus estimate falls with k
             rows[(company, q2)] = (10.0 - k, 10.0 - k, float(k))
         table = consensus_table(rows)
-        cons, actual = consensus_classes(table, panel, "qoq", 3, "quantile_rank")
+        cons, actual = mean_and_actual_classes(table, panel)
         at_q1 = [i for i, (_, q) in enumerate(keys_of(panel.index)) if q == q1]
         cons_q1 = cons.values[at_q1]
         act_q1 = actual.values[at_q1]
         assert not np.isnan(cons_q1).any()
         assert (cons_q1 == act_q1).mean() == pytest.approx(1 / 3)
 
+    def test_unknown_estimate_rejected(self):
+        table = consensus_table({})
+        with pytest.raises(ValueError, match="estimate"):
+            build_consensus_vectors(table, consensus_panel(), "qoq", 3,
+                                    "quantile_rank", estimate="mode")
+
     def test_empty_overlap_all_missing(self):
         panel = consensus_panel()
         other_q = CalendarQuarter(1950, 1)
         table = consensus_table({("ZZ", other_q): (1.0, 1.0, 1.0)})
-        cons, actual = consensus_classes(table, panel, "qoq", 3, "quantile_rank")
+        cons, actual = mean_and_actual_classes(table, panel)
         assert np.isnan(cons.values).all()
         assert np.isnan(actual.values).all()
 
