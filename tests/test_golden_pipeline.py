@@ -1,8 +1,9 @@
 """Golden bytes of a tiny end-to-end run: synth, then backtest with consensus.
 
-The SHA-256 of the synthetic panel and consensus CSVs, the report and the
-first subset's model are pinned. A change to the CSV writer, the CSV readers
-or the panel bookkeeping between them that alters any output shows here.
+The SHA-256 of the synthetic panel and consensus CSVs, the report, and the
+first subset's fill periods and model are pinned. A change to the CSV
+writer, the CSV readers, the panel bookkeeping between them or the imputation
+that alters any output shows here.
 """
 
 import hashlib
@@ -45,6 +46,8 @@ GOLDEN = {
         "b8fa78f4ca33c1e0480c30f17d34f66d67d47c34f770c2817f7a7649bdd3fbeb",
     "consensus.csv":
         "c0bc59f7f2bba6061e663a8459d87eabc61b9dcecd0fd6f505e82f234e78dae7",
+    "fills/subset_001.jsonl":
+        "15a355d3e02e7b37c6e9c5984eb5bcfb47439f89004b82f726304868641451b4",
     "report.jsonl":
         "c4e238b36db8161b5e791b88878372bf57fa20b3135e8ab0691055589710e23d",
     "models/subset_001.txt":
