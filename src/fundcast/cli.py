@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from dataclasses import asdict, dataclass, field
 
 from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
@@ -104,10 +105,10 @@ def _parse_optional_float(text: str):
     return None if text.lower() == "none" else float(text)
 
 
-def _parse_count(text: str) -> int:
+def _parse_count(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value}")
     return value
 
 
@@ -135,9 +136,10 @@ _KEYS = {
     "filters.exclude_reporting_gaps": ("filter_exclude_reporting_gaps", _parse_bool),
     "pipeline.formula_variant": ("formula_variant", str),
     "pipeline.clip_pct": ("clip_pct", float),
-    "pipeline.fill_max_p": ("fill_max_p", int),
-    "pipeline.fill_horizon_cap": ("fill_horizon_cap", int),
-    "pipeline.look_back": ("look_back", int),
+    "pipeline.fill_max_p": ("fill_max_p", _parse_count),
+    "pipeline.fill_horizon_cap": ("fill_horizon_cap",
+                                  partial(_parse_count, least=0)),
+    "pipeline.look_back": ("look_back", _parse_count),
     "pipeline.n_lags": ("n_lags", int),
     "pipeline.correlation_cutoff": ("correlation_cutoff", float),
     "pipeline.pca_threshold": ("pca_threshold", float),

@@ -254,8 +254,8 @@ def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
                          dedupe_pairs=list(m.dedupe_pairs))
 
 
-def _pooled_fill_period(column: np.ndarray, runs, fit_mask: np.ndarray,
-                        max_p: int):
+def _pooled_fill_period(column: np.ndarray, company: np.ndarray,
+                        fit_mask: np.ndarray, max_p: int):
     """Choose p for one column by pooling residuals across companies.
 
     For each p in 1..max_p, the residual of a present value is its squared
@@ -265,63 +265,74 @@ def _pooled_fill_period(column: np.ndarray, runs, fit_mask: np.ndarray,
     candidates. Contributions are restricted to present values on fit rows;
     the look-back window itself may use any past present value. Returns
     (p, per-p mean squared residuals) with p the smallest minimizer, or
-    (1, None) when no fit row contributes. runs holds each company's
-    (start, stop) rows.
+    (1, None) when no fit row contributes. company holds each row's
+    company code, non-decreasing down the rows.
+
+    Every company's prefix sums come from one cumsum down a position-by-
+    company grid, and every contributing residual from one gather. The
+    sums keep the order of a per-company pass: each company's residuals
+    are added as one row-major (entries, max_p) block, which numpy sums in
+    entry order (pairwise when max_p is 1), and the companies in row order.
     """
-    sse = np.zeros(max_p)
-    cnt = 0
-    for start, stop in runs:
-        seg = column[start:stop]
-        present = ~np.isnan(seg)
-        if present.sum() < 2:
-            continue
-        vals = seg[present]
-        contrib = fit_mask[start:stop][present][1:]
-        if not contrib.any():
-            continue
-        n = len(vals)
-        csum = np.concatenate(([0.0], np.cumsum(vals)))
-        i_idx = np.arange(1, n)
-        w = np.minimum(np.arange(1, max_p + 1)[:, None], i_idx[None, :])
-        pred = (csum[i_idx] - csum[i_idx - w]) / w
-        resid = (vals[i_idx] - pred) ** 2
-        sse += resid[:, contrib].sum(axis=1)
-        cnt += int(contrib.sum())
-    if cnt == 0:
+    present = ~np.isnan(column)
+    vals = column[present]
+    owner = company[present]
+    # position of each present value among its company's present values
+    pos = np.arange(len(vals)) - np.searchsorted(owner, owner)
+    entries = np.flatnonzero(fit_mask[present] & (pos > 0))
+    if not len(entries):
         return 1, None
-    mse = sse / cnt
+    group = np.cumsum(np.r_[True, owner[1:] != owner[:-1]]) - 1
+    grid = np.zeros((int(pos.max()) + 1, int(group[-1]) + 1))
+    grid[pos, group] = vals
+    csum = np.zeros((grid.shape[0] + 1, grid.shape[1]))
+    np.cumsum(grid, axis=0, out=csum[1:])
+
+    i, g = pos[entries], group[entries]
+    w = np.minimum(np.arange(1, max_p + 1), i[:, None])
+    resid = csum[i[:, None] - w, g[:, None]]
+    np.subtract(csum[i, g][:, None], resid, out=resid)
+    resid /= w
+    np.subtract(vals[entries][:, None], resid, out=resid)
+    np.square(resid, out=resid)
+
+    heads = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    counts = np.diff(np.r_[heads, len(entries)])
+    sums = np.empty((len(heads), max_p))
+    # companies with the same number of residuals share one gather and sum
+    for k in np.unique(counts).tolist():
+        same = np.flatnonzero(counts == k)
+        sums[same] = resid[heads[same][:, None] + np.arange(k)].sum(axis=1)
+    mse = np.cumsum(sums, axis=0)[-1] / len(entries)
     return int(np.argmin(mse)) + 1, mse
 
 
-def _fill_column_runs(seg: np.ndarray, p: int, horizon_cap: int) -> int:
-    """Fill the first horizon_cap values of each NaN run with the rolling
-    mean of the last p present-or-filled values. Returns cells filled."""
-    isnan = np.isnan(seg)
-    if not isnan.any():
+def _fill_gaps(column: np.ndarray, company: np.ndarray, p: int,
+               horizon_cap: int) -> int:
+    """Fill, in place, the first horizon_cap cells of each missing run inside
+    a company with the rolling mean of the last p present-or-filled values
+    of that company; a run with no earlier value stays missing. company
+    holds each row's company code, non-decreasing down the rows. Returns
+    cells filled."""
+    missing = np.isnan(column)
+    if horizon_cap < 1 or not missing.any():
         return 0
+    head = np.searchsorted(company, company)  # first row of each company
+    opens = head == np.arange(len(column))
+    starts = np.flatnonzero(missing & (opens | ~np.r_[False, missing[:-1]]))
+    stops = np.flatnonzero(
+        missing & (np.r_[opens[1:], True] | ~np.r_[missing[1:], False])) + 1
+    seen = np.r_[0, np.cumsum(~missing)]
+    after_value = seen[starts] > seen[head[starts]]
+    starts, stops = starts[after_value], stops[after_value]
     filled = 0
-    n = len(seg)
-    i = 0
-    while i < n:
-        if not isnan[i]:
-            i += 1
-            continue
-        run_start = i
-        while i < n and isnan[i]:
-            i += 1
-        # window of up to p values directly before the run, skipping NaNs
-        window = []
-        j = run_start - 1
-        while j >= 0 and len(window) < p:
-            if not np.isnan(seg[j]):
-                window.append(seg[j])
-            j -= 1
-        if not window:
-            continue
-        window.reverse()
-        for k in range(run_start, min(run_start + horizon_cap, i)):
+    for start, stop, first in zip(starts.tolist(), stops.tolist(),
+                                  head[starts].tolist()):
+        before = column[first:start]
+        window = before[~np.isnan(before)][-p:].tolist()
+        for k in range(start, min(start + horizon_cap, stop)):
             value = float(np.mean(window[-p:]))
-            seg[k] = value
+            column[k] = value
             window.append(value)
             filled += 1
     return filled
@@ -394,22 +405,17 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
     values = values[:, keep_cols]
     metas = [meta for meta, keep in zip(metas, keep_cols) if keep]
 
-    runs = index.runs()
-
     # (3) relevant fill-in for percent formats
     for j, meta in enumerate(metas):
         if meta.format not in RATIO_FORMATS:
             continue
         col = values[:, j]
-        p, mse = _pooled_fill_period(col, runs, fit_mask, max_p)
+        p, mse = _pooled_fill_period(col, index.company, fit_mask, max_p)
         report.chosen_p[meta.name] = p
         if mse is not None:
             report.residuals[meta.name] = mse
-        if not np.isnan(col).any():
-            continue
-        for start, stop in runs:
-            report.relevant_filled += _fill_column_runs(
-                col[start:stop], p, horizon_cap)
+        report.relevant_filled += _fill_gaps(col, index.company, p,
+                                             horizon_cap)
 
     # (4) constant fill-in
     remaining = np.isnan(values)

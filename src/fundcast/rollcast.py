@@ -573,6 +573,8 @@ def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
     """
     if estimate not in ("mean", "median"):
         raise ValueError(f"unknown estimate {estimate!r}")
+    if pairing not in ("split", "shared"):
+        raise ValueError(f"unknown pairing {pairing!r}")
     assets_var = feature_forge.DEFAULT_ASSETS_VAR
     if assets_var not in panel.columns:
         raise PanelError("consensus scoring needs the assets column")

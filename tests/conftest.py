@@ -67,7 +67,74 @@ def single_company_fill_period(series, max_p=20):
     company's series when every row is a fit row."""
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
-    return _pooled_fill_period(series, [(0, n)], np.ones(n, dtype=bool), max_p)
+    return _pooled_fill_period(series, np.zeros(n, dtype=np.int64),
+                               np.ones(n, dtype=bool), max_p)
+
+
+def reference_pooled_fill_period(column, runs, fit_mask, max_p):
+    """One pass per company over its (start, stop) rows: the plain form of
+    feature_forge._pooled_fill_period, which must give the same p and the
+    same residual bytes. resid[:, contrib] is a column-major copy, so its
+    row sums add each company's residuals in entry order."""
+    sse = np.zeros(max_p)
+    cnt = 0
+    for start, stop in runs:
+        seg = column[start:stop]
+        present = ~np.isnan(seg)
+        if present.sum() < 2:
+            continue
+        vals = seg[present]
+        contrib = fit_mask[start:stop][present][1:]
+        if not contrib.any():
+            continue
+        n = len(vals)
+        csum = np.concatenate(([0.0], np.cumsum(vals)))
+        i_idx = np.arange(1, n)
+        w = np.minimum(np.arange(1, max_p + 1)[:, None], i_idx[None, :])
+        pred = (csum[i_idx] - csum[i_idx - w]) / w
+        resid = (vals[i_idx] - pred) ** 2
+        sse += resid[:, contrib].sum(axis=1)
+        cnt += int(contrib.sum())
+    if cnt == 0:
+        return 1, None
+    mse = sse / cnt
+    return int(np.argmin(mse)) + 1, mse
+
+
+def reference_fill_column_runs(seg, p, horizon_cap):
+    """Row-by-row scan of one company's segment: the plain form of
+    feature_forge._fill_gaps. Fills the first horizon_cap values of each NaN
+    run in place with the rolling mean of the last p present-or-filled
+    values and returns the cells filled."""
+    isnan = np.isnan(seg)
+    if not isnan.any():
+        return 0
+    filled = 0
+    n = len(seg)
+    i = 0
+    while i < n:
+        if not isnan[i]:
+            i += 1
+            continue
+        run_start = i
+        while i < n and isnan[i]:
+            i += 1
+        # window of up to p values directly before the run, skipping NaNs
+        window = []
+        j = run_start - 1
+        while j >= 0 and len(window) < p:
+            if not np.isnan(seg[j]):
+                window.append(seg[j])
+            j -= 1
+        if not window:
+            continue
+        window.reverse()
+        for k in range(run_start, min(run_start + horizon_cap, i)):
+            value = float(np.mean(window[-p:]))
+            seg[k] = value
+            window.append(value)
+            filled += 1
+    return filled
 
 
 def split_gain(parent_stats, left_stats, params) -> float:

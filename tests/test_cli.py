@@ -73,13 +73,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gbdt"):
             parse_config(path)
 
-    @pytest.mark.parametrize("key", ["validation.size", "search.budget"])
+    @pytest.mark.parametrize("key", ["validation.size", "search.budget",
+                                     "pipeline.fill_max_p",
+                                     "pipeline.look_back"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_count_below_one_names_line(self, tmp_path, key, value):
         path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
         line = path.read_text().splitlines().index(f"{key} = {value}") + 1
         with pytest.raises(ConfigError, match=f"line {line}: .*{key}.*>= 1"):
             parse_config(path)
+
+    def test_negative_fill_horizon_cap_names_line(self, tmp_path):
+        path, _ = write_config(tmp_path,
+                               extra="\npipeline.fill_horizon_cap = -1\n")
+        line = path.read_text().splitlines().index(
+            "pipeline.fill_horizon_cap = -1") + 1
+        with pytest.raises(ConfigError,
+                           match=f"line {line}: .*fill_horizon_cap.*>= 0"):
+            parse_config(path)
+
+    def test_zero_fill_horizon_cap_accepted(self, tmp_path):
+        path, _ = write_config(tmp_path,
+                               extra="\npipeline.fill_horizon_cap = 0\n")
+        assert parse_config(path).fill_horizon_cap == 0
 
 
 class TestSynthCommand:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     grid_panel,
     index_from_keys,
     keys_of,
     quarter_range,
+    reference_fill_column_runs,
+    reference_pooled_fill_period,
     simple_spec,
     single_company_fill_period,
 )
@@ -14,6 +18,8 @@ from fundcast.feature_forge import (
     CONSTANT_FILL,
     FeatureColumnMeta,
     FeatureMatrix,
+    _fill_gaps,
+    _pooled_fill_period,
     build_labels,
     build_lags,
     clip_outliers,
@@ -219,6 +225,80 @@ class TestSelectFillPeriod:
         _, res = single_company_fill_period(series, max_p=20)
         assert res.shape == (20,)
         np.testing.assert_array_equal(res, np.zeros(20))
+
+
+@st.composite
+def fill_columns(draw):
+    """(column, company codes, fit mask) over a few companies: missing runs
+    of any length, all-missing and single-value companies, and fit masks
+    from all-False up."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(("runs", "missing", "single")),
+                              min_size=1, max_size=12)):
+        n = draw(st.integers(1, 40))
+        part = rng.normal(size=n) * draw(st.sampled_from((1e-3, 1.0, 1e6)))
+        if kind == "runs":
+            # a two-state chain, so missing cells come in runs
+            stay = draw(st.floats(0.0, 0.95))
+            missing = rng.random() < 0.3
+            for t in range(n):
+                if rng.random() > stay:
+                    missing = not missing
+                if missing:
+                    part[t] = np.nan
+        else:
+            keep = rng.integers(n)
+            part[np.arange(n) != keep] = np.nan
+            if kind == "missing":
+                part[keep] = np.nan
+        parts.append(part)
+    column = np.concatenate(parts)
+    company = np.repeat(2 * np.arange(len(parts)), [len(p) for p in parts])
+    fit_mask = rng.random(len(column)) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return column, company, fit_mask
+
+
+class TestFillMatchesPerCompanyLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(data=fill_columns(), max_p=st.integers(1, 20),
+           horizon_cap=st.integers(0, 8))
+    def test_same_bytes_as_reference(self, data, max_p, horizon_cap):
+        column, company, fit_mask = data
+        cut = (np.flatnonzero(np.diff(company)) + 1).tolist()
+        runs = list(zip([0] + cut, cut + [len(company)]))
+
+        p, mse = _pooled_fill_period(column, company, fit_mask, max_p)
+        ref_p, ref_mse = reference_pooled_fill_period(column, runs, fit_mask,
+                                                      max_p)
+        assert p == ref_p
+        assert (mse is None) == (ref_mse is None)
+        if mse is not None:
+            assert mse.tobytes() == ref_mse.tobytes()
+
+        filled, ref_filled = column.copy(), column.copy()
+        count = _fill_gaps(filled, company, p, horizon_cap)
+        ref_count = sum(reference_fill_column_runs(ref_filled[a:b], p,
+                                                   horizon_cap)
+                        for a, b in runs)
+        assert count == ref_count
+        assert filled.tobytes() == ref_filled.tobytes()
+
+    @pytest.mark.parametrize("max_p", [1, 2, 20])
+    def test_many_long_companies_same_residual_bytes(self, rng, max_p):
+        # enough companies and residuals per company that pairwise and
+        # sequential sums differ in the last bit
+        company = np.repeat(np.arange(40), 60)
+        column = rng.normal(size=len(company)) * np.repeat(
+            10.0 ** rng.uniform(-3, 3, 40), 60)
+        column[rng.random(len(company)) < 0.2] = np.nan
+        fit_mask = rng.random(len(company)) < 0.8
+        runs = [(60 * c, 60 * c + 60) for c in range(40)]
+        p, mse = _pooled_fill_period(column, company, fit_mask, max_p)
+        ref_p, ref_mse = reference_pooled_fill_period(column, runs, fit_mask,
+                                                      max_p)
+        assert p == ref_p
+        assert mse.tobytes() == ref_mse.tobytes()
 
 
 def panel_matrix(columns, specs, n=None):

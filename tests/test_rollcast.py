@@ -155,6 +155,12 @@ class TestConsensusClasses:
             build_consensus_vectors(table, consensus_panel(), "qoq", 3,
                                     "quantile_rank", estimate="mode")
 
+    def test_unknown_pairing_rejected(self):
+        table = consensus_table({})
+        with pytest.raises(ValueError, match="pairing 'splitt'"):
+            build_consensus_vectors(table, consensus_panel(), "qoq", 3,
+                                    "quantile_rank", pairing="splitt")
+
     def test_empty_overlap_all_missing(self):
         panel = consensus_panel()
         other_q = CalendarQuarter(1950, 1)
