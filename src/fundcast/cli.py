@@ -15,8 +15,8 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
 from .boostwood import HyperParams

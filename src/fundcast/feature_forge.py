@@ -355,7 +355,13 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
 
     fit_rows restricts the fitted statistics (deletion rates, fill periods)
     to the training window; deletions and fills still apply to all rows.
+    look_back and max_p must be at least 1 and horizon_cap at least 0.
     """
+    if look_back < 1 or max_p < 1:
+        raise ValueError(f"look_back and max_p must be >= 1, "
+                         f"got {look_back} and {max_p}")
+    if horizon_cap < 0:
+        raise ValueError(f"horizon_cap must be >= 0, got {horizon_cap}")
     report = FillReport()
     n = m.n_rows
     fit_mask = np.zeros(n, dtype=bool)

@@ -396,6 +396,14 @@ class TestImpute:
         out2, _ = impute(m, [], look_back=1, fit_rows=np.arange(8, 10))
         assert out2.n_cols == 1
 
+    @pytest.mark.parametrize("kwargs", [{"look_back": 0}, {"max_p": 0},
+                                        {"horizon_cap": -1}])
+    def test_out_of_range_settings_rejected(self, kwargs):
+        # look_back 0 would delete no row and horizon_cap -1 fill no cell
+        m = self._matrix([1.0, np.nan, 2.0])
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            impute(m, [], **{"look_back": 1, **kwargs})
+
 
 class TestCorrelationDedupe:
     def _matrix(self, cols):
