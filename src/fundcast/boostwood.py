@@ -252,10 +252,6 @@ class Tree:
         self.is_leaf.append(True)
         return len(self.feature) - 1
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(self.is_leaf)
-
     def predict(self, codes: np.ndarray, miss_code: int) -> np.ndarray:
         out = np.empty(codes.shape[0])
         stack = [(0, np.arange(codes.shape[0]))]
@@ -760,56 +756,3 @@ def to_text(model: GbdtModel) -> str:
                         f"{tree.right[i]} {repr(float(tree.gain[i]))}")
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> GbdtModel:
-    lines = text.strip().split("\n")
-    if lines[0] != "gbdt-model v1":
-        raise ValueError(f"unknown model format {lines[0]!r}")
-    kv = {}
-    pos = 1
-    for key in ("n_classes", "n_features", "miss_code", "base_score",
-                "best_round", "rounds"):
-        name, _, value = lines[pos].partition("=")
-        if name != key:
-            raise ValueError(f"expected {key}, got {name!r}")
-        kv[key] = value
-        pos += 1
-    model = GbdtModel(
-        n_classes=int(kv["n_classes"]),
-        n_features=int(kv["n_features"]),
-        miss_code=int(kv["miss_code"]),
-        base_score=np.array([float(v) for v in kv["base_score"].split(",")]),
-        trees=[],
-        params=HyperParams(),
-        best_round=int(kv["best_round"]) if kv["best_round"] else None,
-    )
-    rounds = int(kv["rounds"])
-    for _ in range(rounds):
-        model.trees.append([None] * model.n_classes)
-    while pos < len(lines) and lines[pos] != "end":
-        head = lines[pos].split()
-        if head[0] != "tree":
-            raise ValueError(f"expected tree header, got {lines[pos]!r}")
-        r, c = int(head[1]), int(head[2])
-        pos += 1
-        if head[3] == "none":
-            continue
-        n_nodes = int(head[3])
-        tree = Tree()
-        for _ in range(n_nodes):
-            parts = lines[pos].split()
-            node = tree.add_node()
-            if parts[0] == "leaf":
-                tree.value[node] = float(parts[2])
-            else:
-                tree.is_leaf[node] = False
-                tree.feature[node] = int(parts[2])
-                tree.threshold[node] = int(parts[3])
-                tree.default_left[node] = parts[4] == "1"
-                tree.left[node] = int(parts[5])
-                tree.right[node] = int(parts[6])
-                tree.gain[node] = float(parts[7])
-            pos += 1
-        model.trees[r][c] = tree
-    return model

@@ -12,84 +12,15 @@ for the documented key table.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
-from .boostwood import HyperParams
+from . import feature_forge, panel_ingest, rollcast, synthgen
 from .errors import ConfigError, FundcastError
 from .panel_ingest import FilterRules
+from .rollcast import ExperimentConfig
 from .tuner import ParamRange
-
-
-@dataclass
-class ExperimentConfig:
-    schema_path: str = ""
-    panel_path: str = ""
-    consensus_path: str = ""
-    output_dir: str = "."
-
-    horizon: str = "qoq"
-    n_classes: int = 3
-    scheme: str = "quantile_rank"
-    income_var: str = "niq"
-    assets_var: str = "atq"
-    revenue_var: str = "revtq"
-
-    filter_require_company_id: bool = True
-    filter_min_share_price: float | None = 1.0
-    filter_excluded_sectors: tuple = (40, 55)
-    filter_require_fiscal_alignment: bool = True
-    filter_exclude_reporting_gaps: bool = True
-
-    formula_variant: str = "standard"
-    clip_pct: float = 0.95
-    fill_max_p: int = 20
-    fill_horizon_cap: int = 8
-    look_back: int = 20
-    n_lags: int = 20
-    correlation_cutoff: float = 0.9
-    pca_threshold: float = 0.66
-    standardize: bool = False
-    train_len: int = 80
-    max_subsets: int = 0
-
-    validation_size: int = 8
-    validation_mode: str = "chronological_tail"
-
-    search_budget: int = 25
-    search_mode: str = "uniform"
-    search_space_overrides: dict = field(default_factory=dict)
-    gbdt_overrides: dict = field(default_factory=dict)
-    n_rounds: int = 200
-    early_stopping: int = 20
-
-    consensus_estimate: str = "mean"
-    consensus_pairing: str = "split"
-
-    seed: int = 7
-
-    synth_n_companies: int = 300
-    synth_n_quarters: int = 120
-    synth_noise_sd: float = 0.5
-    synth_missing_rate: float = 0.05
-    synth_seasonality: float = 0.6
-    synth_seed: int = 7
-    synth_consensus: bool = False
-
-    def to_echo(self) -> dict:
-        def canonical(value):
-            if isinstance(value, dict):
-                return {k: canonical(value[k]) for k in sorted(value)}
-            if isinstance(value, (list, tuple)):
-                return [canonical(v) for v in value]
-            return value
-
-        return {key: canonical(value)
-                for key, value in sorted(asdict(self).items())}
 
 
 def _parse_bool(text: str) -> bool:
@@ -140,18 +71,18 @@ _KEYS = {
     "pipeline.fill_horizon_cap": ("fill_horizon_cap",
                                   partial(_parse_count, least=0)),
     "pipeline.look_back": ("look_back", _parse_count),
-    "pipeline.n_lags": ("n_lags", int),
+    "pipeline.n_lags": ("n_lags", _parse_count),
     "pipeline.correlation_cutoff": ("correlation_cutoff", float),
     "pipeline.pca_threshold": ("pca_threshold", float),
     "pipeline.standardize": ("standardize", _parse_bool),
-    "pipeline.train_len": ("train_len", int),
-    "pipeline.max_subsets": ("max_subsets", int),
+    "pipeline.train_len": ("train_len", _parse_count),
+    "pipeline.max_subsets": ("max_subsets", partial(_parse_count, least=0)),
     "validation.size": ("validation_size", _parse_count),
     "validation.mode": ("validation_mode", str),
     "search.budget": ("search_budget", _parse_count),
     "search.mode": ("search_mode", str),
-    "gbdt.n_rounds": ("n_rounds", int),
-    "gbdt.early_stopping": ("early_stopping", int),
+    "gbdt.n_rounds": ("n_rounds", _parse_count),
+    "gbdt.early_stopping": ("early_stopping", partial(_parse_count, least=0)),
     "consensus.estimate": ("consensus_estimate", str),
     "consensus.pairing": ("consensus_pairing", str),
     "seed": ("seed", int),
@@ -231,40 +162,6 @@ def filter_rules(config: ExperimentConfig) -> FilterRules:
     )
 
 
-def build_subset_config(config: ExperimentConfig, schema,
-                        consensus_vectors=None) -> rollcast.SubsetConfig:
-    base = HyperParams(n_rounds=config.n_rounds, seed=config.seed,
-                       **config.gbdt_overrides)
-    space = tuner.default_space()
-    for name, rng in config.search_space_overrides.items():
-        space.ranges[name] = rng
-    for name in config.gbdt_overrides:
-        space.ranges.pop(name, None)
-    return rollcast.SubsetConfig(
-        schema=schema,
-        horizon=config.horizon,
-        n_classes=config.n_classes,
-        scheme=config.scheme,
-        clip_pct=config.clip_pct,
-        look_back=config.look_back,
-        fill_horizon_cap=config.fill_horizon_cap,
-        fill_max_p=config.fill_max_p,
-        n_lags=config.n_lags,
-        correlation_cutoff=config.correlation_cutoff,
-        pca_threshold=config.pca_threshold,
-        standardize=config.standardize,
-        validation_size=config.validation_size,
-        validation_mode=config.validation_mode,
-        search_space=space,
-        search_budget=config.search_budget,
-        search_mode=config.search_mode,
-        base_params=base,
-        early_stopping=config.early_stopping if config.early_stopping > 0 else None,
-        seed=config.seed,
-        consensus=consensus_vectors,
-    )
-
-
 def run_backtest(config: ExperimentConfig):
     """Full pipeline over all subsets; returns (records, results)."""
     schema = panel_ingest.load_schema(config.schema_path)
@@ -278,18 +175,16 @@ def run_backtest(config: ExperimentConfig):
         panel, config.horizon, config.n_classes, config.scheme,
         income_var=config.income_var, assets_var=config.assets_var)
 
-    consensus_vectors = None
+    consensus = None
     if config.consensus_path:
         table = rollcast.load_consensus(config.consensus_path)
-        consensus_vectors = rollcast.build_consensus_vectors(
-            table, panel, config.horizon, config.n_classes, config.scheme,
-            estimate=config.consensus_estimate, pairing=config.consensus_pairing)
+        consensus = rollcast.build_consensus_vectors(table, panel, config)
 
     splits = rollcast.enumerate_subsets(panel.quarters(), config.train_len)
     if config.max_subsets > 0:
         splits = splits[:config.max_subsets]
-    subset_config = build_subset_config(config, schema, consensus_vectors)
-    results = rollcast.run_all_subsets(splits, features, labels, subset_config)
+    results = rollcast.run_all_subsets(splits, features, labels, config,
+                                       schema, consensus)
     records = rollcast.build_records(results, config.to_echo())
     return records, results
 
@@ -341,16 +236,10 @@ def cmd_backtest(config: ExperimentConfig) -> int:
         with open(os.path.join(models_dir, f"subset_{idx:03d}.pca.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(result.pca_text)
-        with open(os.path.join(trials_dir, f"subset_{idx:03d}.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            for trial in result.trials:
-                fh.write(json.dumps(trial.to_record(), sort_keys=True))
-                fh.write("\n")
-        with open(os.path.join(fills_dir, f"subset_{idx:03d}.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            for record in result.fill_report.to_records():
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
+        rollcast.write_jsonl([trial.to_record() for trial in result.trials],
+                             os.path.join(trials_dir, f"subset_{idx:03d}.jsonl"))
+        rollcast.write_jsonl(result.fill_report.to_records(),
+                             os.path.join(fills_dir, f"subset_{idx:03d}.jsonl"))
     print(f"{len(results)} subsets -> {config.output_dir}/report.jsonl")
     return 0
 

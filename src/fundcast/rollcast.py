@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +43,91 @@ CONSENSUS_HEADER = ["company_id", "year", "quarter", "consensus_mean",
                     "consensus_median", "actual_nongaap"]
 
 LAG_BUCKET_WIDTH = 4
+
+
+@dataclass
+class ExperimentConfig:
+    """Every setting of an experiment, as parse_config fills it from the
+    config file; the backtest and each subset read their settings here."""
+
+    schema_path: str = ""
+    panel_path: str = ""
+    consensus_path: str = ""
+    output_dir: str = "."
+
+    horizon: str = "qoq"
+    n_classes: int = 3
+    scheme: str = "quantile_rank"
+    income_var: str = "niq"
+    assets_var: str = "atq"
+    revenue_var: str = "revtq"
+
+    filter_require_company_id: bool = True
+    filter_min_share_price: float | None = 1.0
+    filter_excluded_sectors: tuple = (40, 55)
+    filter_require_fiscal_alignment: bool = True
+    filter_exclude_reporting_gaps: bool = True
+
+    formula_variant: str = "standard"
+    clip_pct: float = 0.95
+    fill_max_p: int = 20
+    fill_horizon_cap: int = 8
+    look_back: int = 20
+    n_lags: int = 20
+    correlation_cutoff: float = 0.9
+    pca_threshold: float = 0.66
+    standardize: bool = False
+    train_len: int = 80
+    max_subsets: int = 0
+
+    validation_size: int = 8
+    validation_mode: str = "chronological_tail"
+
+    search_budget: int = 25
+    search_mode: str = "uniform"
+    search_space_overrides: dict = field(default_factory=dict)
+    gbdt_overrides: dict = field(default_factory=dict)
+    n_rounds: int = 200
+    early_stopping: int = 20
+
+    consensus_estimate: str = "mean"
+    consensus_pairing: str = "split"
+
+    seed: int = 7
+
+    synth_n_companies: int = 300
+    synth_n_quarters: int = 120
+    synth_noise_sd: float = 0.5
+    synth_missing_rate: float = 0.05
+    synth_seasonality: float = 0.6
+    synth_seed: int = 7
+    synth_consensus: bool = False
+
+    def search_box(self):
+        """The search space and the base HyperParams of every trial.
+
+        A search.space override replaces its default range in place, so
+        trials draw parameters in default_space()'s order; a gbdt override
+        pins its parameter in the base and takes it out of the space.
+        """
+        space = tuner.default_space()
+        space.ranges.update(self.search_space_overrides)
+        for name in self.gbdt_overrides:
+            space.ranges.pop(name, None)
+        base = HyperParams(n_rounds=self.n_rounds, seed=self.seed,
+                           **self.gbdt_overrides)
+        return space, base
+
+    def to_echo(self) -> dict:
+        def canonical(value):
+            if isinstance(value, dict):
+                return {k: canonical(value[k]) for k in sorted(value)}
+            if isinstance(value, (list, tuple)):
+                return [canonical(v) for v in value]
+            return value
+
+        return {key: canonical(value)
+                for key, value in sorted(asdict(self).items())}
 
 
 @dataclass(frozen=True)
@@ -196,10 +282,6 @@ class ImportanceDecomposition:
     format_labels: list
     tally: np.ndarray
 
-    @property
-    def total_entries(self) -> int:
-        return int(self.tally.sum())
-
     def to_record(self) -> dict:
         return {
             "components": [int(c) for c in self.components],
@@ -268,35 +350,6 @@ class ConsensusVectors:
     mean_cls: LabelVector
     median_cls: LabelVector
     actual_cls: LabelVector
-    estimate: str = "mean"
-    pairing: str = "split"
-
-
-@dataclass
-class SubsetConfig:
-    """Everything run_subset needs beyond the split and the data."""
-
-    schema: list
-    horizon: str = "qoq"
-    n_classes: int = 3
-    scheme: str = "quantile_rank"
-    clip_pct: float = 0.95
-    look_back: int = 20
-    fill_horizon_cap: int = 8
-    fill_max_p: int = 20
-    n_lags: int = 20
-    correlation_cutoff: float = 0.9
-    pca_threshold: float = 0.66
-    standardize: bool = False
-    validation_size: int = 8
-    validation_mode: str = "chronological_tail"
-    search_space: tuner.SearchSpace = field(default_factory=tuner.default_space)
-    search_budget: int = 25
-    search_mode: str = "uniform"
-    base_params: HyperParams = field(default_factory=HyperParams)
-    early_stopping: int | None = 20
-    seed: int = 0
-    consensus: ConsensusVectors | None = None
 
 
 @dataclass
@@ -380,8 +433,18 @@ def _subset_seeds(seed: int, index: int):
     return [int(c.generate_state(1)[0] & 0x7FFFFFFF) for c in children]
 
 
+@contextmanager
+def _stage(index: int, name: str):
+    """Re-raise any failure inside the block as the subset's SubsetError."""
+    try:
+        yield
+    except Exception as exc:
+        raise SubsetError(index, name, exc) from exc
+
+
 def run_subset(split: SubsetSplit, features: FeatureMatrix,
-               labels: LabelVector, config: SubsetConfig) -> SubsetResult:
+               labels: LabelVector, config: ExperimentConfig, schema,
+               consensus: ConsensusVectors | None = None) -> SubsetResult:
     """Run the full per-subset pipeline and score the test quarter.
 
     Stage order: outlier caps -> imputation -> lag expansion ->
@@ -389,36 +452,27 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     validation split -> hyperparameter search -> final fit on the whole
     training window -> test-quarter prediction. Fitted statistics use
     training rows only; look-backs may reach quarters before the window.
+    Every setting comes from config; schema drives imputation, and
+    consensus, when given, adds the consensus-conditional scores.
     """
     seed_valid, seed_search, seed_final = _subset_seeds(config.seed, split.index)
     train_quarters = [q.index for q in split.train_quarters]
     test_idx_q = split.test_quarter.index
 
-    def stage(name):
-        def wrap(exc):
-            return SubsetError(split.index, name, exc)
-        return wrap
-
-    try:
+    with _stage(split.index, "clip_outliers"):
         work = features.take_rows(features.index.quarter <= test_idx_q)
         train_rows = np.flatnonzero(np.isin(work.index.quarter, train_quarters))
         work = feature_forge.clip_outliers(work, config.clip_pct,
                                            fit_rows=train_rows)
-    except Exception as exc:
-        raise stage("clip_outliers")(exc) from exc
 
-    try:
+    with _stage(split.index, "impute"):
         work, fill_report = feature_forge.impute(
-            work, config.schema, look_back=config.look_back,
+            work, schema, look_back=config.look_back,
             horizon_cap=config.fill_horizon_cap, max_p=config.fill_max_p,
             fit_rows=train_rows)
-    except Exception as exc:
-        raise stage("impute")(exc) from exc
 
-    try:
+    with _stage(split.index, "build_lags"):
         lagged = feature_forge.build_lags(work, config.n_lags)
-    except Exception as exc:
-        raise stage("build_lags")(exc) from exc
 
     label_values = take_or_nan(labels.values, labels.index.find(lagged.index))
     q_arr = lagged.index.quarter
@@ -429,26 +483,22 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         raise SubsetError(split.index, "train_selection",
                           ValueError("no training rows survive preprocessing"))
 
-    try:
+    with _stage(split.index, "correlation_dedupe"):
         deduped = feature_forge.correlation_dedupe_inputs(
             lagged, config.correlation_cutoff, fit_rows=train_idx)
-    except Exception as exc:
-        raise stage("correlation_dedupe")(exc) from exc
 
-    try:
+    with _stage(split.index, "pca"):
         pca = spectral_reduce.fit_pca(deduped.values[train_idx],
                                       standardize=config.standardize)
         pca.kept = spectral_reduce.choose_components(pca, config.pca_threshold)
         comps_train = spectral_reduce.transform(pca, deduped.values[train_idx])
         comps_test = spectral_reduce.transform(pca, deduped.values[test_idx]) \
             if len(test_idx) else np.empty((0, pca.kept))
-    except Exception as exc:
-        raise stage("pca")(exc) from exc
 
     y_train = label_values[train_idx].astype(np.int64)
     y_test = label_values[test_idx].astype(np.int64)
 
-    try:
+    with _stage(split.index, "search"):
         tr_i, va_i = tuner.make_validation_split(
             q_arr[train_idx], config.validation_size, config.validation_mode,
             seed_valid)
@@ -456,6 +506,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         # every trial bins the same rows; only max_bin differs
         search_cols = boostwood.sort_columns(comps_train[tr_i])
         valid_cols = boostwood.sort_columns(comps_train[va_i])
+        patience = config.early_stopping if config.early_stopping > 0 else None
 
         def objective(params: HyperParams):
             binned = boostwood.bin_features(search_cols, params.max_bin)
@@ -463,7 +514,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             model = boostwood.fit(
                 binned, y_train[tr_i], params, n_classes=config.n_classes,
                 valid=(binned_va, y_train[va_i]),
-                early_stopping_rounds=config.early_stopping)
+                early_stopping_rounds=patience)
             # argmax of the fitted scores is what boostwood.predict returns
             val_pred = np.argmax(model.valid_scores, axis=1)
             train_pred = np.argmax(model.train_scores, axis=1)
@@ -476,42 +527,39 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
                      "best_valid_loss": model.best_valid_loss}
             return val_acc, train_acc, facts
 
+        space, base = config.search_box()
         best, trials = tuner.search(
-            config.search_space, config.search_budget, objective, seed_search,
-            base_params=config.base_params, mode=config.search_mode)
-    except Exception as exc:
-        raise stage("search")(exc) from exc
+            space, config.search_budget, objective, seed_search,
+            base_params=base, mode=config.search_mode)
 
-    try:
+    with _stage(split.index, "final_fit"):
         final_params = replace(best, seed=seed_final)
         binned_full = boostwood.bin_features(comps_train, final_params.max_bin)
         model = boostwood.fit(binned_full, y_train, final_params,
                               n_classes=config.n_classes)
         predictions = boostwood.predict(model, binned_full.map_new(comps_test)) \
             if len(test_idx) else np.empty(0, dtype=np.int64)
-    except Exception as exc:
-        raise stage("final_fit")(exc) from exc
 
     metrics = MetricsBundle(
         accuracy=_safe_rate(int((predictions == y_test).sum()), len(y_test)),
         n_scored=len(y_test),
         per_class=_per_class_accuracy(predictions, y_test, config.n_classes),
     )
-    if config.consensus is not None and len(test_idx):
+    if consensus is not None and len(test_idx):
         test_index = lagged.index.take(test_idx)
 
         def on_test_rows(vector: LabelVector) -> np.ndarray:
             return take_or_nan(vector.values, vector.index.find(test_index))
 
-        cons = on_test_rows(config.consensus.mean_cls
-                            if config.consensus.estimate == "mean"
-                            else config.consensus.median_cls)
-        actual_ng = on_test_rows(config.consensus.actual_cls)
+        split_pairing = config.consensus_pairing == "split"
+        cons = on_test_rows(consensus.mean_cls
+                            if config.consensus_estimate == "mean"
+                            else consensus.median_cls)
+        actual_ng = on_test_rows(consensus.actual_cls)
         scored = ~np.isnan(cons) & ~np.isnan(actual_ng)
         if scored.any():
             cons_actual = (actual_ng[scored].astype(np.int64)
-                           if config.consensus.pairing == "split"
-                           else y_test[scored])
+                           if split_pairing else y_test[scored])
             cond = conditional_accuracy(
                 predictions[scored], cons[scored].astype(np.int64),
                 y_test[scored], actual_consensus=cons_actual)
@@ -525,12 +573,9 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             metrics.diverge_consensus_acc = cond.diverge_consensus_acc
             for est_name, attr in (("mean_cls", "consensus_mean_accuracy"),
                                    ("median_cls", "consensus_median_accuracy")):
-                est = on_test_rows(getattr(config.consensus, est_name))
+                est = on_test_rows(getattr(consensus, est_name))
                 ok = ~np.isnan(est) & ~np.isnan(actual_ng)
-                if config.consensus.pairing == "split":
-                    ref = actual_ng[ok].astype(np.int64)
-                else:
-                    ref = y_test[ok]
+                ref = actual_ng[ok].astype(np.int64) if split_pairing else y_test[ok]
                 setattr(metrics, attr, _safe_rate(
                     int((est[ok].astype(np.int64) == ref).sum()), int(ok.sum())))
 
@@ -561,20 +606,19 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
 
 def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
-                            horizon: str, n_classes: int, scheme: str,
-                            estimate: str = "mean",
-                            pairing: str = "split") -> ConsensusVectors:
+                            config: ExperimentConfig) -> ConsensusVectors:
     """Consensus (mean and median estimate) and non-GAAP actual classes per
     panel row.
 
     Each is converted to relative-change targets (its future value against
     the past actual, scaled by current assets) and cut within each quarter
-    by the labels' criteria. Rows absent from the table are missing.
+    by the labels' criteria (config's horizon, n_classes and scheme). Rows
+    absent from the table are missing.
     """
-    if estimate not in ("mean", "median"):
-        raise ValueError(f"unknown estimate {estimate!r}")
-    if pairing not in ("split", "shared"):
-        raise ValueError(f"unknown pairing {pairing!r}")
+    if config.consensus_estimate not in ("mean", "median"):
+        raise ValueError(f"unknown estimate {config.consensus_estimate!r}")
+    if config.consensus_pairing not in ("split", "shared"):
+        raise ValueError(f"unknown pairing {config.consensus_pairing!r}")
     assets_var = feature_forge.DEFAULT_ASSETS_VAR
     if assets_var not in panel.columns:
         raise PanelError("consensus scoring needs the assets column")
@@ -582,24 +626,25 @@ def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
 
     def classes(future):
         targets = feature_forge.relative_change_targets(
-            panel.index, future, actual, panel.columns[assets_var], horizon)
-        return feature_forge.cut_classes(panel.index, targets, n_classes,
-                                         horizon, scheme)
+            panel.index, future, actual, panel.columns[assets_var],
+            config.horizon)
+        return feature_forge.cut_classes(panel.index, targets, config.n_classes,
+                                         config.horizon, config.scheme)
 
     return ConsensusVectors(
         mean_cls=classes(table.series(panel.index, 0)),
         median_cls=classes(table.series(panel.index, 1)),
         actual_cls=classes(actual),
-        estimate=estimate,
-        pairing=pairing,
     )
 
 
 def run_all_subsets(splits, features: FeatureMatrix, labels: LabelVector,
-                    config: SubsetConfig) -> list:
+                    config: ExperimentConfig, schema,
+                    consensus: ConsensusVectors | None = None) -> list:
     """Run every subset in order; per-subset seeding makes each result
     independent of the others."""
-    return [run_subset(split, features, labels, config) for split in splits]
+    return [run_subset(split, features, labels, config, schema, consensus)
+            for split in splits]
 
 
 def build_records(results, config_echo: dict) -> list:

@@ -195,29 +195,3 @@ def to_text(model: PcaModel) -> str:
         lines.append(_vector_line(f"loading{j}", model.loadings[:, j]))
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> PcaModel:
-    lines = text.strip().split("\n")
-    if lines[0] != "pca-model v1":
-        raise ValueError(f"unknown model format {lines[0]!r}")
-
-    def vector(line, name):
-        key, _, payload = line.partition("=")
-        if key != name:
-            raise ValueError(f"expected {name}, got {key!r}")
-        if payload == "":
-            return None
-        return np.array([float(v) for v in payload.split(",")])
-
-    d = int(lines[1].partition("=")[2])
-    kept = int(lines[2].partition("=")[2])
-    mean = vector(lines[3], "mean")
-    scale = vector(lines[4], "scale")
-    eigenvalues = vector(lines[5], "eigenvalues")
-    loadings = np.zeros((d, kept))
-    for j in range(kept):
-        loadings[:, j] = vector(lines[6 + j], f"loading{j}")
-    total = eigenvalues.sum()
-    ratio = eigenvalues / total if total > 0 else np.zeros(len(eigenvalues))
-    return PcaModel(mean, loadings, eigenvalues, ratio, kept=kept, scale=scale)

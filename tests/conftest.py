@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fundcast import boostwood
+from fundcast.boostwood import GbdtModel, HyperParams, Tree
 from fundcast.feature_forge import _pooled_fill_period
 from fundcast.panel_ingest import (
     CalendarQuarter,
@@ -17,6 +18,7 @@ from fundcast.panel_ingest import (
     VariableSpec,
 )
 from fundcast.rollcast import ConsensusTable
+from fundcast.spectral_reduce import PcaModel
 
 
 def quarter_range(start_year: int, start_q: int, n: int):
@@ -257,6 +259,98 @@ def level_wise_growth():
     oracle that leaf-wise growth is measured against."""
     with mock.patch.object(boostwood, "_grow_tree", _level_wise_tree):
         yield
+
+
+def n_leaves(tree: Tree) -> int:
+    return sum(tree.is_leaf)
+
+
+def total_entries(decomposition) -> int:
+    """Columns an ImportanceDecomposition's tally counts."""
+    return int(decomposition.tally.sum())
+
+
+def model_from_text(text: str) -> GbdtModel:
+    """Parse boostwood.to_text's format: the round-trip oracle of the
+    model text."""
+    lines = text.strip().split("\n")
+    if lines[0] != "gbdt-model v1":
+        raise ValueError(f"unknown model format {lines[0]!r}")
+    kv = {}
+    pos = 1
+    for key in ("n_classes", "n_features", "miss_code", "base_score",
+                "best_round", "rounds"):
+        name, _, value = lines[pos].partition("=")
+        if name != key:
+            raise ValueError(f"expected {key}, got {name!r}")
+        kv[key] = value
+        pos += 1
+    model = GbdtModel(
+        n_classes=int(kv["n_classes"]),
+        n_features=int(kv["n_features"]),
+        miss_code=int(kv["miss_code"]),
+        base_score=np.array([float(v) for v in kv["base_score"].split(",")]),
+        trees=[],
+        params=HyperParams(),
+        best_round=int(kv["best_round"]) if kv["best_round"] else None,
+    )
+    rounds = int(kv["rounds"])
+    for _ in range(rounds):
+        model.trees.append([None] * model.n_classes)
+    while pos < len(lines) and lines[pos] != "end":
+        head = lines[pos].split()
+        if head[0] != "tree":
+            raise ValueError(f"expected tree header, got {lines[pos]!r}")
+        r, c = int(head[1]), int(head[2])
+        pos += 1
+        if head[3] == "none":
+            continue
+        n_nodes = int(head[3])
+        tree = Tree()
+        for _ in range(n_nodes):
+            parts = lines[pos].split()
+            node = tree.add_node()
+            if parts[0] == "leaf":
+                tree.value[node] = float(parts[2])
+            else:
+                tree.is_leaf[node] = False
+                tree.feature[node] = int(parts[2])
+                tree.threshold[node] = int(parts[3])
+                tree.default_left[node] = parts[4] == "1"
+                tree.left[node] = int(parts[5])
+                tree.right[node] = int(parts[6])
+                tree.gain[node] = float(parts[7])
+            pos += 1
+        model.trees[r][c] = tree
+    return model
+
+
+def pca_from_text(text: str) -> PcaModel:
+    """Parse spectral_reduce.to_text's format: the round-trip oracle of the
+    PCA text."""
+    lines = text.strip().split("\n")
+    if lines[0] != "pca-model v1":
+        raise ValueError(f"unknown model format {lines[0]!r}")
+
+    def vector(line, name):
+        key, _, payload = line.partition("=")
+        if key != name:
+            raise ValueError(f"expected {name}, got {key!r}")
+        if payload == "":
+            return None
+        return np.array([float(v) for v in payload.split(",")])
+
+    d = int(lines[1].partition("=")[2])
+    kept = int(lines[2].partition("=")[2])
+    mean = vector(lines[3], "mean")
+    scale = vector(lines[4], "scale")
+    eigenvalues = vector(lines[5], "eigenvalues")
+    loadings = np.zeros((d, kept))
+    for j in range(kept):
+        loadings[:, j] = vector(lines[6 + j], f"loading{j}")
+    total = eigenvalues.sum()
+    ratio = eigenvalues / total if total > 0 else np.zeros(len(eigenvalues))
+    return PcaModel(mean, loadings, eigenvalues, ratio, kept=kept, scale=scale)
 
 
 @pytest.fixture

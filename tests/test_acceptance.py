@@ -323,22 +323,26 @@ def e2e_run():
     table = consensus_table({
         (row[0], panel_ingest.CalendarQuarter(row[1], row[2])): tuple(row[3:6])
         for row in synthgen.generate_consensus_rows(panel, seed=1)})
-    consensus = rollcast.build_consensus_vectors(
-        table, panel, "qoq", 3, "quantile_rank")
-    splits = rollcast.enumerate_subsets(panel.quarters(), 80)[:5]
-    config = rollcast.SubsetConfig(
-        schema=schema, n_lags=8, look_back=8,
-        pca_threshold=0.75, standardize=True,
+    config = rollcast.ExperimentConfig(
+        n_lags=8, look_back=8, pca_threshold=0.75, standardize=True,
         validation_size=8, search_budget=4,
-        search_space=tuner.SearchSpace({
+        search_space_overrides={
             "learning_rate": tuner.ParamRange(0.08, 0.3),
             "num_leaves": tuner.ParamRange(16, 63, "integer"),
             "min_data_in_leaf": tuner.ParamRange(50, 300, "integer"),
             "feature_fraction": tuner.ParamRange(0.7, 1.0),
-        }),
-        base_params=HyperParams(n_rounds=60, max_bin=63),
-        early_stopping=12, seed=17, consensus=consensus)
-    results = [rollcast.run_subset(s, features, labels, config) for s in splits]
+        },
+        # the parameters not searched, pinned at HyperParams' defaults
+        # except max_bin
+        gbdt_overrides={
+            "max_bin": 63, "bagging_fraction": 1.0, "bagging_freq": 0,
+            "min_gain_to_split": 0.0, "lambda_l1": 0.0, "lambda_l2": 0.0,
+        },
+        n_rounds=60, early_stopping=12, seed=17)
+    consensus = rollcast.build_consensus_vectors(table, panel, config)
+    splits = rollcast.enumerate_subsets(panel.quarters(), 80)[:5]
+    results = [rollcast.run_subset(s, features, labels, config, schema, consensus)
+               for s in splits]
     elapsed = time.perf_counter() - t0
     return results, elapsed
 

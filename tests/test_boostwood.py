@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import level_wise_growth, split_gain
+from conftest import level_wise_growth, model_from_text, n_leaves, split_gain
 from fundcast import boostwood
 from fundcast.boostwood import (
     BinnedMatrix,
@@ -13,7 +13,6 @@ from fundcast.boostwood import (
     bin_features,
     feature_importance,
     fit,
-    from_text,
     log_loss,
     predict,
     predict_raw,
@@ -194,7 +193,7 @@ class TestFit:
         for round_trees in model.trees:
             for tree in round_trees:
                 if tree is not None:
-                    assert tree.n_leaves == 2
+                    assert n_leaves(tree) == 2
                     assert sum(not l for l in tree.is_leaf) == 1
 
     def test_infinite_min_gain_no_trees_prior_prediction(self):
@@ -251,7 +250,7 @@ class TestFit:
         bm = bin_features(x, max_bin=16)
         model = fit(bm, y, HyperParams(num_leaves=5, min_data_in_leaf=2,
                                        n_rounds=8, seed=3))
-        back = from_text(to_text(model))
+        back = model_from_text(to_text(model))
         np.testing.assert_allclose(predict_raw(back, bm), predict_raw(model, bm),
                                    atol=0)
 
@@ -364,7 +363,7 @@ class TestSplitBound:
                              seed=0)
         model = fit(bin_features(x, max_bin=16), y, params)
         trees = model.trees[0]
-        assert all(tree is not None and tree.n_leaves == 2 for tree in trees)
+        assert all(tree is not None and n_leaves(tree) == 2 for tree in trees)
         assert calls["root_pass"] == [100]
         assert calls["grow_tree"] == len(trees)
         assert calls["histograms"] == []

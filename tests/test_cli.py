@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from fundcast.cli import main, parse_config
+from fundcast.cli import _KEYS, main, parse_config
 from fundcast.errors import ConfigError
+from fundcast.rollcast import ExperimentConfig
 
 BASE_CONFIG = """
 paths.output_dir = {out}
@@ -75,7 +77,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", ["validation.size", "search.budget",
                                      "pipeline.fill_max_p",
-                                     "pipeline.look_back"])
+                                     "pipeline.look_back", "pipeline.n_lags",
+                                     "pipeline.train_len", "gbdt.n_rounds"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_count_below_one_names_line(self, tmp_path, key, value):
         path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
@@ -92,10 +95,24 @@ class TestParseConfig:
                            match=f"line {line}: .*fill_horizon_cap.*>= 0"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["pipeline.max_subsets",
+                                     "gbdt.early_stopping"])
+    def test_negative_count_names_line(self, tmp_path, key):
+        path, _ = write_config(tmp_path, extra=f"\n{key} = -3\n")
+        line = path.read_text().splitlines().index(f"{key} = -3") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: .*{key}.*>= 0"):
+            parse_config(path)
+
     def test_zero_fill_horizon_cap_accepted(self, tmp_path):
         path, _ = write_config(tmp_path,
                                extra="\npipeline.fill_horizon_cap = 0\n")
         assert parse_config(path).fill_horizon_cap == 0
+
+    def test_every_config_field_has_a_key(self):
+        # the two dicts are filled by the search.space. and gbdt. prefixes
+        targets = {attr for attr, _ in _KEYS.values()}
+        targets |= {"search_space_overrides", "gbdt_overrides"}
+        assert {f.name for f in fields(ExperimentConfig)} == targets
 
 
 class TestSynthCommand:

@@ -1,16 +1,29 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import consensus_table, grid_panel, keys_of, quarter_range, simple_spec
-from fundcast import boostwood, feature_forge, synthgen, tuner
+from conftest import (
+    consensus_table,
+    grid_panel,
+    keys_of,
+    quarter_range,
+    simple_spec,
+    total_entries,
+)
+from fundcast import boostwood, feature_forge, synthgen
 from fundcast.boostwood import HyperParams
-from fundcast.errors import InsufficientHistoryError, ReportError
+from fundcast.errors import (
+    InsufficientHistoryError,
+    ReportError,
+    SubsetError,
+    WindowTooSmallError,
+)
 from fundcast.feature_forge import FeatureColumnMeta, LabelVector
 from fundcast.panel_ingest import CalendarQuarter, Format
 from fundcast.rollcast import (
-    SubsetConfig,
+    ExperimentConfig,
     build_consensus_vectors,
     build_records,
     conditional_accuracy,
@@ -22,6 +35,7 @@ from fundcast.rollcast import (
     write_jsonl,
 )
 from fundcast.spectral_reduce import PcaModel
+from fundcast.tuner import ParamRange
 
 
 class TestEnumerateSubsets:
@@ -116,7 +130,7 @@ def consensus_panel(n_companies=9, n_quarters=3):
 
 
 def mean_and_actual_classes(table, panel):
-    vectors = build_consensus_vectors(table, panel, "qoq", 3, "quantile_rank")
+    vectors = build_consensus_vectors(table, panel, ExperimentConfig())
     return vectors.mean_cls, vectors.actual_cls
 
 
@@ -152,14 +166,14 @@ class TestConsensusClasses:
     def test_unknown_estimate_rejected(self):
         table = consensus_table({})
         with pytest.raises(ValueError, match="estimate"):
-            build_consensus_vectors(table, consensus_panel(), "qoq", 3,
-                                    "quantile_rank", estimate="mode")
+            build_consensus_vectors(table, consensus_panel(),
+                                    ExperimentConfig(consensus_estimate="mode"))
 
     def test_unknown_pairing_rejected(self):
         table = consensus_table({})
         with pytest.raises(ValueError, match="pairing 'splitt'"):
-            build_consensus_vectors(table, consensus_panel(), "qoq", 3,
-                                    "quantile_rank", pairing="splitt")
+            build_consensus_vectors(table, consensus_panel(),
+                                    ExperimentConfig(consensus_pairing="splitt"))
 
     def test_empty_overlap_all_missing(self):
         panel = consensus_panel()
@@ -214,7 +228,7 @@ class TestDecomposeImportance:
         model = self._model(d, [(i, float(10 - i)) for i in range(5)])
         dec = decompose_importance(model, self._identity_pca(d), self._metas(d),
                                    top_c=5, top_v=10)
-        assert dec.total_entries == 50
+        assert total_entries(dec) == 50
         assert dec.tally.sum() == 50
 
     def test_bucket_layout_from_lags(self):
@@ -242,39 +256,44 @@ def small_pipeline(seed=5, n_companies=20, n_quarters=34):
     feats = feature_forge.convert_formats(panel, schema)
     labels = feature_forge.build_labels(panel, "qoq", 3, "quantile_rank")
     splits = enumerate_subsets(panel.quarters(), 26)
-    cfg = SubsetConfig(
-        schema=schema, n_lags=4, look_back=4, validation_size=4,
-        search_budget=2,
-        search_space=tuner.SearchSpace({
-            "learning_rate": tuner.ParamRange(0.1, 0.4),
-            "num_leaves": tuner.ParamRange(4, 12, "integer"),
-        }),
-        base_params=HyperParams(n_rounds=10, max_bin=16, min_data_in_leaf=5),
-        early_stopping=4, seed=19)
-    return splits, feats, labels, cfg
+    cfg = ExperimentConfig(
+        n_lags=4, look_back=4, validation_size=4, search_budget=2,
+        search_space_overrides={
+            "learning_rate": ParamRange(0.1, 0.4),
+            "num_leaves": ParamRange(4, 12, "integer"),
+        },
+        # the parameters not searched, pinned at HyperParams' defaults
+        # except max_bin and min_data_in_leaf
+        gbdt_overrides={
+            "max_bin": 16, "min_data_in_leaf": 5, "feature_fraction": 1.0,
+            "bagging_fraction": 1.0, "bagging_freq": 0,
+            "min_gain_to_split": 0.0, "lambda_l1": 0.0, "lambda_l2": 0.0,
+        },
+        n_rounds=10, early_stopping=4, seed=19)
+    return splits, feats, labels, cfg, schema
 
 
 class TestRunSubset:
     def test_deterministic_under_same_seed(self):
-        splits, feats, labels, cfg = small_pipeline()
-        a = run_subset(splits[0], feats, labels, cfg)
-        b = run_subset(splits[0], feats, labels, cfg)
+        splits, feats, labels, cfg, schema = small_pipeline()
+        a = run_subset(splits[0], feats, labels, cfg, schema)
+        b = run_subset(splits[0], feats, labels, cfg, schema)
         assert a.model_text == b.model_text
         np.testing.assert_array_equal(a.predictions, b.predictions)
         assert a.to_record() == b.to_record()
 
     def test_removing_test_rows_leaves_model_byte_identical(self):
-        splits, feats, labels, cfg = small_pipeline()
+        splits, feats, labels, cfg, schema = small_pipeline()
         split = splits[0]
-        full = run_subset(split, feats, labels, cfg)
+        full = run_subset(split, feats, labels, cfg, schema)
         mask = np.array([q != split.test_quarter for _, q in keys_of(feats.index)])
-        cut = run_subset(split, feats.take_rows(mask), labels, cfg)
+        cut = run_subset(split, feats.take_rows(mask), labels, cfg, schema)
         assert cut.model_text == full.model_text
         assert cut.n_test == 0
         assert np.isnan(cut.metrics.accuracy)
 
     def test_single_class_training_labels_degenerate(self):
-        splits, feats, labels, cfg = small_pipeline()
+        splits, feats, labels, cfg, schema = small_pipeline()
         split = splits[0]
         train_set = {q.index for q in split.train_quarters}
         values = labels.values.copy()
@@ -283,13 +302,24 @@ class TestRunSubset:
                 values[i] = 1.0
         forced = LabelVector(labels.index, values, 3, "qoq", "quantile_rank")
         with pytest.warns(UserWarning, match="single class"):
-            res = run_subset(split, feats, forced, cfg)
+            res = run_subset(split, feats, forced, cfg, schema)
         share = (res.actuals == 1).mean()
         assert res.metrics.accuracy == pytest.approx(share)
 
+    @pytest.mark.parametrize("setting, stage, cause", [
+        ({"pca_threshold": 0.0}, "pca", ValueError),
+        ({"validation_size": 30}, "search", WindowTooSmallError)])
+    def test_stage_failure_names_subset_and_stage(self, setting, stage, cause):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        with pytest.raises(SubsetError, match=f"^subset 2, stage {stage}: ") as info:
+            run_subset(splits[1], feats, labels, replace(cfg, **setting), schema)
+        assert info.value.stage == stage
+        assert isinstance(info.value.__cause__, cause)
+        assert info.value.cause is info.value.__cause__
+
     def test_prediction_count_matches_surviving_test_rows(self):
-        splits, feats, labels, cfg = small_pipeline()
-        res = run_subset(splits[0], feats, labels, cfg)
+        splits, feats, labels, cfg, schema = small_pipeline()
+        res = run_subset(splits[0], feats, labels, cfg, schema)
         assert len(res.predictions) == res.n_test
         assert len(res.test_companies) == res.n_test
         assert res.n_test > 0
@@ -350,9 +380,9 @@ class TestReportRendering:
             read_jsonl(path)
 
     def test_build_records_sorted_by_subset(self):
-        splits, feats, labels, cfg = small_pipeline()
-        r1 = run_subset(splits[0], feats, labels, cfg)
-        r2 = run_subset(splits[1], feats, labels, cfg)
+        splits, feats, labels, cfg, schema = small_pipeline()
+        r1 = run_subset(splits[0], feats, labels, cfg, schema)
+        r2 = run_subset(splits[1], feats, labels, cfg, schema)
         records = build_records([r2, r1], {"seed": 19})
         assert records[0]["record_type"] == "config"
         assert [r["subset"] for r in records[1:]] == [1, 2]
@@ -365,8 +395,8 @@ class TestAggregateReport:
     then render_text."""
 
     def test_single_subset_report_matches_its_metrics(self):
-        splits, feats, labels, cfg = small_pipeline()
-        result = run_subset(splits[0], feats, labels, cfg)
+        splits, feats, labels, cfg, schema = small_pipeline()
+        result = run_subset(splits[0], feats, labels, cfg, schema)
         records = build_records([result], {"seed": 19})
         assert len(records) == 2
         assert records[1]["metrics"]["accuracy"] == pytest.approx(

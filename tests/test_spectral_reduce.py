@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import reference_jacobi_eigh
+from conftest import pca_from_text, reference_jacobi_eigh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +9,6 @@ from fundcast.spectral_reduce import (
     PcaModel,
     choose_components,
     fit_pca,
-    from_text,
     jacobi_eigh,
     to_text,
     transform,
@@ -98,7 +97,7 @@ class TestFitPcaProperties:
             col = model.loadings[:, j]
             assert col[np.argmax(np.abs(col))] > 0
         text = to_text(model)
-        back = from_text(text)
+        back = pca_from_text(text)
         assert to_text(back) == text
         np.testing.assert_array_equal(back.loadings, model.loadings)
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
@@ -336,7 +335,7 @@ class TestSerialization:
         x = rng.normal(size=(40, 6))
         model = fit_pca(x)
         model.kept = choose_components(model, 0.75)
-        back = from_text(to_text(model))
+        back = pca_from_text(to_text(model))
         assert back.kept == model.kept
         np.testing.assert_array_equal(transform(back, x), transform(model, x))
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
@@ -344,5 +343,5 @@ class TestSerialization:
     def test_standardized_model_roundtrip(self, rng):
         x = rng.normal(size=(30, 4)) * np.array([1, 10, 0.1, 5.0])
         model = fit_pca(x, standardize=True)
-        back = from_text(to_text(model))
+        back = pca_from_text(to_text(model))
         np.testing.assert_array_equal(transform(back, x), transform(model, x))
