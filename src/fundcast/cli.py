@@ -16,7 +16,7 @@ import os
 import sys
 from functools import partial
 
-from . import feature_forge, panel_ingest, rollcast, synthgen
+from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
 from .errors import ConfigError, FundcastError
 from .panel_ingest import FilterRules
 from .rollcast import ExperimentConfig
@@ -41,6 +41,12 @@ def _parse_count(text: str, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"must be >= {least}, got {value}")
     return value
+
+
+def _parse_choice(text: str, allowed: tuple) -> str:
+    if text not in allowed:
+        raise ValueError(f"must be one of {', '.join(allowed)}, got {text!r}")
+    return text
 
 
 def _parse_sectors(text: str) -> tuple:
@@ -78,13 +84,19 @@ _KEYS = {
     "pipeline.train_len": ("train_len", _parse_count),
     "pipeline.max_subsets": ("max_subsets", partial(_parse_count, least=0)),
     "validation.size": ("validation_size", _parse_count),
-    "validation.mode": ("validation_mode", str),
+    "validation.mode": ("validation_mode",
+                        partial(_parse_choice, allowed=tuner.VALIDATION_MODES)),
     "search.budget": ("search_budget", _parse_count),
-    "search.mode": ("search_mode", str),
+    "search.mode": ("search_mode",
+                    partial(_parse_choice, allowed=tuner.SEARCH_MODES)),
     "gbdt.n_rounds": ("n_rounds", _parse_count),
     "gbdt.early_stopping": ("early_stopping", partial(_parse_count, least=0)),
-    "consensus.estimate": ("consensus_estimate", str),
-    "consensus.pairing": ("consensus_pairing", str),
+    "consensus.estimate": ("consensus_estimate",
+                           partial(_parse_choice,
+                                   allowed=rollcast.CONSENSUS_ESTIMATES)),
+    "consensus.pairing": ("consensus_pairing",
+                          partial(_parse_choice,
+                                  allowed=rollcast.CONSENSUS_PAIRINGS)),
     "seed": ("seed", int),
     "synth.n_companies": ("synth_n_companies", int),
     "synth.n_quarters": ("synth_n_quarters", int),

@@ -117,9 +117,6 @@ class LabelVector:
         if self.scheme not in ("quantile_rank", "sign"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    def present(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
 
 @dataclass
 class FillReport:

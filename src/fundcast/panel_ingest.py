@@ -32,6 +32,9 @@ SCHEMA_HEADER = [
 
 PANEL_HEADER = ["company_id", "year", "quarter", "variable", "value"]
 
+CONSENSUS_HEADER = ["company_id", "year", "quarter", "consensus_mean",
+                    "consensus_median", "actual_nongaap"]
+
 # Reserved per-company attribute rows inside the panel CSV.
 META_PREFIX = "meta_"
 META_FIELDS = (
@@ -66,6 +69,8 @@ class Format(str, Enum):
     RAW = "raw"
 
 
+# The formats of the schema's four flag columns, in column order.
+FLAG_FORMATS = (Format.YOY, Format.QOQ, Format.PCT_ASSETS, Format.PCT_REVENUE)
 GROWTH_FORMATS = frozenset({Format.YOY, Format.QOQ})
 RATIO_FORMATS = frozenset({Format.PCT_ASSETS, Format.PCT_REVENUE})
 CONVERTED_FORMATS = GROWTH_FORMATS | RATIO_FORMATS
@@ -272,13 +277,25 @@ def _parse_flag(text: str, row_num: int, what: str) -> bool:
     raise SchemaError(f"row {row_num}: {what} must be 0 or 1, got {text!r}")
 
 
-def load_schema(path, scale_vars=DEFAULT_SCALE_VARS) -> list:
-    """Load the variable schema CSV.
+def schema_spec(row) -> VariableSpec:
+    """The VariableSpec of a schema row whose fields are already parsed:
+    (name, group, the four format flags, crucial, next_quarter_aligned).
 
-    Variables named in scale_vars keep their raw level in addition to any
-    converted formats; variables with no format flags at all are raw
+    Variables named in DEFAULT_SCALE_VARS keep their raw level in addition
+    to any converted formats; variables with no format flags at all are raw
     pass-throughs (macro rates, market returns).
     """
+    name, group, *flags, crucial, aligned = row
+    formats = {fmt for flag, fmt in zip(flags, FLAG_FORMATS) if flag}
+    if name in DEFAULT_SCALE_VARS or not formats:
+        formats.add(Format.RAW)
+    return VariableSpec(name, StatementGroup(group), frozenset(formats),
+                        bool(crucial), bool(aligned))
+
+
+def load_schema(path) -> list:
+    """Load the variable schema CSV; schema_spec turns each row into a
+    VariableSpec."""
     specs = []
     names = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -310,20 +327,15 @@ def load_schema(path, scale_vars=DEFAULT_SCALE_VARS) -> list:
                 raise SchemaError(
                     f"row {row_num}: unknown statement_group {row[1]!r}"
                 ) from None
-            formats = set()
-            for flag, fmt in zip(row[2:6], (Format.YOY, Format.QOQ,
-                                            Format.PCT_ASSETS, Format.PCT_REVENUE)):
-                if _parse_flag(flag.strip(), row_num, "format flag"):
-                    formats.add(fmt)
-            if name in scale_vars or not formats:
-                formats.add(Format.RAW)
+            flags = [_parse_flag(flag.strip(), row_num, "format flag")
+                     for flag in row[2:6]]
             crucial = _parse_flag(row[6].strip(), row_num, "crucial")
             aligned = _parse_flag(row[7].strip(), row_num, "next_quarter_aligned")
             if aligned and group in FINANCIAL_GROUPS:
                 raise SchemaError(
                     f"row {row_num}: next_quarter_aligned requires macro/market group"
                 )
-            specs.append(VariableSpec(name, group, frozenset(formats), crucial, aligned))
+            specs.append(schema_spec((name, group, *flags, crucial, aligned)))
     return specs
 
 

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .feature_forge import FeatureMatrix, LabelVector
 from .panel_ingest import (
+    CONSENSUS_HEADER,
     CalendarQuarter,
     Format,
     PanelIndex,
@@ -38,9 +39,6 @@ from .panel_ingest import (
     _RowCodes,
     take_or_nan,
 )
-
-CONSENSUS_HEADER = ["company_id", "year", "quarter", "consensus_mean",
-                    "consensus_median", "actual_nongaap"]
 
 LAG_BUCKET_WIDTH = 4
 
@@ -157,25 +155,11 @@ def enumerate_subsets(quarters, train_len: int = 80) -> list:
     return splits
 
 
-@dataclass
-class ConsensusTable:
-    """Analyst estimates and non-GAAP actuals, one row per index row.
-
-    values holds the consensus_mean, consensus_median and actual_nongaap
-    columns, NaN where the CSV cell is blank.
-    """
-
-    index: PanelIndex
-    values: np.ndarray
-
-    def series(self, index: PanelIndex, field_index: int) -> np.ndarray:
-        """One column on the rows of index, NaN where the table has no row."""
-        return take_or_nan(self.values[:, field_index], self.index.find(index))
-
-
-def load_consensus(path) -> ConsensusTable:
-    """Load the consensus CSV in one streaming pass; rows may come in any
-    order, and errors name the CSV row as load_panel's do."""
+def load_consensus(path) -> RawPanel:
+    """Load the consensus CSV in one streaming pass, as a RawPanel with the
+    consensus_mean, consensus_median and actual_nongaap columns, NaN where a
+    cell is blank. Rows may come in any order, and errors name the CSV row
+    as load_panel's do."""
     coded = _RowCodes()
     companies = coded.companies
     values = array("d")
@@ -204,7 +188,9 @@ def load_consensus(path) -> ConsensusTable:
     order = np.argsort(check_repeats(names, company), kind="stable")
     index = PanelIndex(names, company[order],
                        np.frombuffer(coded.quarter, dtype=np.int64)[order])
-    return ConsensusTable(index, np.frombuffer(values).reshape(-1, 3)[order])
+    grid = np.frombuffer(values).reshape(-1, 3)[order]
+    return RawPanel(index, {name: grid[:, j]
+                            for j, name in enumerate(CONSENSUS_HEADER[3:])})
 
 
 @dataclass
@@ -261,14 +247,6 @@ def conditional_accuracy(model_pred, consensus_pred, actual,
         diverge_consensus_acc=_safe_rate(int(cons_hits[~converge].sum()), n_div),
     )
     return bundle
-
-
-def _per_class_accuracy(pred, actual, n_classes: int) -> dict:
-    out = {}
-    for c in range(n_classes):
-        mask = actual == c
-        out[c] = _safe_rate(int((pred[mask] == c).sum()), int(mask.sum()))
-    return out
 
 
 @dataclass
@@ -345,7 +323,7 @@ def decompose_importance(model, pca, metas, top_c: int = 5,
 @dataclass
 class ConsensusVectors:
     """Consensus (mean and median estimate) and non-GAAP actual classes on
-    the panel's rows, derived from a ConsensusTable."""
+    the panel's rows, derived from the table load_consensus reads."""
 
     mean_cls: LabelVector
     median_cls: LabelVector
@@ -376,10 +354,11 @@ class SubsetResult:
     dedupe_dropped: int
 
     def to_record(self) -> dict:
-        m = self.metrics
-
-        def num(x):
-            return None if x is None or (isinstance(x, float) and np.isnan(x)) else float(x)
+        def plain(value):
+            """value as JSON holds it: NaN as null, dict keys as str."""
+            if isinstance(value, dict):
+                return {str(k): plain(v) for k, v in value.items()}
+            return None if isinstance(value, float) and np.isnan(value) else value
 
         return {
             "record_type": "subset",
@@ -400,21 +379,7 @@ class SubsetResult:
                 for c, p, a in zip(self.test_companies, self.predictions,
                                    self.actuals)
             ],
-            "metrics": {
-                "accuracy": num(m.accuracy),
-                "n_scored": m.n_scored,
-                "per_class": {str(k): num(v) for k, v in m.per_class.items()},
-                "consensus_available": m.consensus_available,
-                "consensus_accuracy": num(m.consensus_accuracy),
-                "consensus_mean_accuracy": num(m.consensus_mean_accuracy),
-                "consensus_median_accuracy": num(m.consensus_median_accuracy),
-                "n_converge": m.n_converge,
-                "n_diverge": m.n_diverge,
-                "converge_model_acc": num(m.converge_model_acc),
-                "converge_consensus_acc": num(m.converge_consensus_acc),
-                "diverge_model_acc": num(m.diverge_model_acc),
-                "diverge_consensus_acc": num(m.diverge_consensus_acc),
-            },
+            "metrics": plain(asdict(self.metrics)),
             "importance": None if self.importance is None
                 else self.importance.to_record(),
             "dedupe_dropped": self.dedupe_dropped,
@@ -431,6 +396,54 @@ def _subset_seeds(seed: int, index: int):
     seq = np.random.SeedSequence([seed, index])
     children = seq.spawn(3)
     return [int(c.generate_state(1)[0] & 0x7FFFFFFF) for c in children]
+
+
+# The consensus.estimate and consensus.pairing values _score_test_quarter
+# knows.
+CONSENSUS_ESTIMATES = ("mean", "median")
+CONSENSUS_PAIRINGS = ("split", "shared")
+
+
+def _score_test_quarter(predictions, y_test, test_index: PanelIndex,
+                        consensus: ConsensusVectors | None,
+                        config: ExperimentConfig) -> MetricsBundle:
+    """Accuracy overall and per class and, where the chosen consensus
+    estimate scores a test row, the consensus-conditional scores.
+
+    An estimate scores the rows where it and the non-GAAP actual class are
+    both known. The split pairing scores it against that actual, the shared
+    pairing against the model's labels.
+    """
+    per_class = {c: _safe_rate(int((predictions[y_test == c] == c).sum()),
+                               int((y_test == c).sum()))
+                 for c in range(config.n_classes)}
+    overall = MetricsBundle(
+        accuracy=_safe_rate(int((predictions == y_test).sum()), len(y_test)),
+        n_scored=len(y_test), per_class=per_class)
+    if consensus is None or not len(y_test):
+        return overall
+
+    def on_test_rows(vector: LabelVector) -> np.ndarray:
+        return take_or_nan(vector.values, vector.index.find(test_index))
+
+    actual_ng = on_test_rows(consensus.actual_cls)
+    scores = {}
+    for name, vector in zip(CONSENSUS_ESTIMATES,
+                            (consensus.mean_cls, consensus.median_cls)):
+        estimate = on_test_rows(vector)
+        rows = ~np.isnan(estimate) & ~np.isnan(actual_ng)
+        truth = actual_ng[rows].astype(np.int64) \
+            if config.consensus_pairing == "split" else y_test[rows]
+        scores[name] = conditional_accuracy(
+            predictions[rows], estimate[rows].astype(np.int64), y_test[rows],
+            actual_consensus=truth)
+    chosen = scores[config.consensus_estimate]
+    if not chosen.n_scored:
+        return overall
+    return replace(chosen, accuracy=overall.accuracy,
+                   n_scored=overall.n_scored, per_class=per_class,
+                   consensus_mean_accuracy=scores["mean"].consensus_accuracy,
+                   consensus_median_accuracy=scores["median"].consensus_accuracy)
 
 
 @contextmanager
@@ -540,44 +553,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         predictions = boostwood.predict(model, binned_full.map_new(comps_test)) \
             if len(test_idx) else np.empty(0, dtype=np.int64)
 
-    metrics = MetricsBundle(
-        accuracy=_safe_rate(int((predictions == y_test).sum()), len(y_test)),
-        n_scored=len(y_test),
-        per_class=_per_class_accuracy(predictions, y_test, config.n_classes),
-    )
-    if consensus is not None and len(test_idx):
-        test_index = lagged.index.take(test_idx)
-
-        def on_test_rows(vector: LabelVector) -> np.ndarray:
-            return take_or_nan(vector.values, vector.index.find(test_index))
-
-        split_pairing = config.consensus_pairing == "split"
-        cons = on_test_rows(consensus.mean_cls
-                            if config.consensus_estimate == "mean"
-                            else consensus.median_cls)
-        actual_ng = on_test_rows(consensus.actual_cls)
-        scored = ~np.isnan(cons) & ~np.isnan(actual_ng)
-        if scored.any():
-            cons_actual = (actual_ng[scored].astype(np.int64)
-                           if split_pairing else y_test[scored])
-            cond = conditional_accuracy(
-                predictions[scored], cons[scored].astype(np.int64),
-                y_test[scored], actual_consensus=cons_actual)
-            metrics.consensus_available = True
-            metrics.consensus_accuracy = cond.consensus_accuracy
-            metrics.n_converge = cond.n_converge
-            metrics.n_diverge = cond.n_diverge
-            metrics.converge_model_acc = cond.converge_model_acc
-            metrics.converge_consensus_acc = cond.converge_consensus_acc
-            metrics.diverge_model_acc = cond.diverge_model_acc
-            metrics.diverge_consensus_acc = cond.diverge_consensus_acc
-            for est_name, attr in (("mean_cls", "consensus_mean_accuracy"),
-                                   ("median_cls", "consensus_median_accuracy")):
-                est = on_test_rows(getattr(consensus, est_name))
-                ok = ~np.isnan(est) & ~np.isnan(actual_ng)
-                ref = actual_ng[ok].astype(np.int64) if split_pairing else y_test[ok]
-                setattr(metrics, attr, _safe_rate(
-                    int((est[ok].astype(np.int64) == ref).sum()), int(ok.sum())))
+    metrics = _score_test_quarter(predictions, y_test,
+                                  lagged.index.take(test_idx), consensus, config)
 
     importance = None
     if pca.kept >= 1 and model.trees:
@@ -605,37 +582,36 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     )
 
 
-def build_consensus_vectors(table: ConsensusTable, panel: RawPanel,
+def build_consensus_vectors(table: RawPanel, panel: RawPanel,
                             config: ExperimentConfig) -> ConsensusVectors:
     """Consensus (mean and median estimate) and non-GAAP actual classes per
-    panel row.
+    panel row, from the table load_consensus reads.
 
     Each is converted to relative-change targets (its future value against
-    the past actual, scaled by current assets) and cut within each quarter
-    by the labels' criteria (config's horizon, n_classes and scheme). Rows
-    absent from the table are missing.
+    the past actual, scaled by the panel's config.assets_var column) and cut
+    within each quarter by the labels' criteria (config's horizon, n_classes
+    and scheme). Rows absent from the table are missing.
     """
-    if config.consensus_estimate not in ("mean", "median"):
+    if config.consensus_estimate not in CONSENSUS_ESTIMATES:
         raise ValueError(f"unknown estimate {config.consensus_estimate!r}")
-    if config.consensus_pairing not in ("split", "shared"):
+    if config.consensus_pairing not in CONSENSUS_PAIRINGS:
         raise ValueError(f"unknown pairing {config.consensus_pairing!r}")
-    assets_var = feature_forge.DEFAULT_ASSETS_VAR
-    if assets_var not in panel.columns:
-        raise PanelError("consensus scoring needs the assets column")
-    actual = table.series(panel.index, 2)
+    if config.assets_var not in panel.columns:
+        raise PanelError(
+            f"consensus scoring needs the assets column {config.assets_var!r}")
+    rows = table.index.find(panel.index)
+    mean, median, actual = (take_or_nan(table.columns[name], rows)
+                            for name in CONSENSUS_HEADER[3:])
 
     def classes(future):
         targets = feature_forge.relative_change_targets(
-            panel.index, future, actual, panel.columns[assets_var],
+            panel.index, future, actual, panel.columns[config.assets_var],
             config.horizon)
         return feature_forge.cut_classes(panel.index, targets, config.n_classes,
                                          config.horizon, config.scheme)
 
-    return ConsensusVectors(
-        mean_cls=classes(table.series(panel.index, 0)),
-        median_cls=classes(table.series(panel.index, 1)),
-        actual_cls=classes(actual),
-    )
+    return ConsensusVectors(mean_cls=classes(mean), median_cls=classes(median),
+                            actual_cls=classes(actual))
 
 
 def run_all_subsets(splits, features: FeatureMatrix, labels: LabelVector,

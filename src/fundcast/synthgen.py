@@ -18,15 +18,13 @@ import numpy as np
 
 from .errors import InvalidSpecError
 from .panel_ingest import (
+    CONSENSUS_HEADER,
+    SCHEMA_HEADER,
     CalendarQuarter,
     CompanyMeta,
-    Format,
     PanelIndex,
     RawPanel,
-    StatementGroup,
-    VariableSpec,
-    DEFAULT_SCALE_VARS,
-    SCHEMA_HEADER,
+    schema_spec,
 )
 
 SEASON_PATTERN = (0.0, 1.0, 0.0, -1.0)
@@ -91,22 +89,7 @@ def schema_rows(spec: SignalSpec) -> list:
 
 def default_schema(spec: SignalSpec) -> list:
     """VariableSpec list matching what load_schema reads from write_schema_csv."""
-    specs = []
-    for name, group, yoy, qoq, pa, pr, crucial, aligned in schema_rows(spec):
-        formats = set()
-        if yoy:
-            formats.add(Format.YOY)
-        if qoq:
-            formats.add(Format.QOQ)
-        if pa:
-            formats.add(Format.PCT_ASSETS)
-        if pr:
-            formats.add(Format.PCT_REVENUE)
-        if name in DEFAULT_SCALE_VARS or not formats:
-            formats.add(Format.RAW)
-        specs.append(VariableSpec(name, StatementGroup(group), frozenset(formats),
-                                  bool(crucial), bool(aligned)))
-    return specs
+    return [schema_spec(row) for row in schema_rows(spec)]
 
 
 def write_schema_csv(spec: SignalSpec, path) -> None:
@@ -240,8 +223,7 @@ def generate_consensus_rows(panel: RawPanel, *, income_var: str = "niq",
 def write_consensus_csv(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["company_id", "year", "quarter", "consensus_mean",
-                         "consensus_median", "actual_nongaap"])
+        writer.writerow(CONSENSUS_HEADER)
         for company, year, quarter, mean_est, median_est, actual in rows:
             writer.writerow([company, year, quarter, repr(mean_est),
                              repr(median_est), repr(actual)])

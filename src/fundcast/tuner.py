@@ -40,9 +40,6 @@ class ParamRange:
             return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
         return float(rng.uniform(self.lo, self.hi))
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
 
 @dataclass
 class SearchSpace:
@@ -108,6 +105,10 @@ class TrialRecord:
         return out
 
 
+VALIDATION_MODES = ("chronological_tail", "random_quarters")
+SEARCH_MODES = ("uniform", "adaptive")
+
+
 def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
     """Partition training rows into (train_idx, validation_idx) by quarter.
 
@@ -116,7 +117,7 @@ def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
     random_quarters reserves size_quarters distinct quarters drawn
     uniformly. size_quarters must be >= 1. No row lands on both sides.
     """
-    if mode not in ("chronological_tail", "random_quarters"):
+    if mode not in VALIDATION_MODES:
         raise ValueError(f"unknown validation mode {mode!r}")
     if size_quarters < 1:
         raise ValueError(f"validation size must be >= 1, got {size_quarters}")
@@ -148,7 +149,7 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
     """
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")
-    if mode not in ("uniform", "adaptive"):
+    if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     base = base_params if base_params is not None else HyperParams()
 

@@ -12,12 +12,12 @@ from fundcast.panel_ingest import (
     CalendarQuarter,
     CompanyMeta,
     Format,
+    CONSENSUS_HEADER,
     PanelIndex,
     RawPanel,
     StatementGroup,
     VariableSpec,
 )
-from fundcast.rollcast import ConsensusTable
 from fundcast.spectral_reduce import PcaModel
 
 
@@ -50,12 +50,14 @@ def grid_panel(companies, quarters, columns, meta=None) -> RawPanel:
     return RawPanel(index_from_keys(keys), cols, meta)
 
 
-def consensus_table(rows: dict) -> ConsensusTable:
-    """ConsensusTable from {(company_id, CalendarQuarter): (mean, median,
-    actual)}."""
+def consensus_table(rows: dict) -> RawPanel:
+    """The table load_consensus reads, from {(company_id, CalendarQuarter):
+    (mean, median, actual)}."""
     keys = sorted(rows, key=lambda k: (k[0], k[1].index))
     values = np.array([rows[k] for k in keys], dtype=np.float64).reshape(-1, 3)
-    return ConsensusTable(index_from_keys(keys), values)
+    return RawPanel(index_from_keys(keys),
+                    {name: values[:, j]
+                     for j, name in enumerate(CONSENSUS_HEADER[3:])})
 
 
 def simple_spec(name, group="income", formats=(Format.RAW,), crucial=False,

@@ -103,6 +103,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line {line}: .*{key}.*>= 0"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("search.mode", "adaptiv"), ("validation.mode", "chronological"),
+        ("consensus.estimate", "mode"), ("consensus.pairing", "splitt")])
+    def test_unknown_choice_names_line(self, tmp_path, key, value):
+        # BASE_CONFIG sets no paths.consensus, so nothing else would read
+        # the consensus keys
+        path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
+        line = path.read_text().splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigError,
+                           match=f"line {line}: .*{key}.*{value!r}"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("search.mode", "adaptive"), ("validation.mode", "random_quarters"),
+        ("consensus.estimate", "median"), ("consensus.pairing", "shared")])
+    def test_known_choice_accepted(self, tmp_path, key, value):
+        path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
+        attr = _KEYS[key][0]
+        assert getattr(parse_config(path), attr) == value
+
     def test_zero_fill_horizon_cap_accepted(self, tmp_path):
         path, _ = write_config(tmp_path,
                                extra="\npipeline.fill_horizon_cap = 0\n")

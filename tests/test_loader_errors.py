@@ -9,8 +9,8 @@ import pytest
 
 from conftest import simple_spec
 from fundcast.errors import PanelError
-from fundcast.panel_ingest import PANEL_HEADER, load_panel
-from fundcast.rollcast import CONSENSUS_HEADER, load_consensus
+from fundcast.panel_ingest import CONSENSUS_HEADER, PANEL_HEADER, load_panel
+from fundcast.rollcast import load_consensus
 
 SCHEMA = [simple_spec("niq"), simple_spec("atq", "balance")]
 GOOD_PANEL_ROW = "A,1990,1,niq,1.5"

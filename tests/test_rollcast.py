@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     consensus_table,
     grid_panel,
+    index_from_keys,
     keys_of,
     quarter_range,
     simple_spec,
@@ -23,6 +24,7 @@ from fundcast.errors import (
 from fundcast.feature_forge import FeatureColumnMeta, LabelVector
 from fundcast.panel_ingest import CalendarQuarter, Format
 from fundcast.rollcast import (
+    ConsensusVectors,
     ExperimentConfig,
     build_consensus_vectors,
     build_records,
@@ -175,6 +177,50 @@ class TestConsensusClasses:
             build_consensus_vectors(table, consensus_panel(),
                                     ExperimentConfig(consensus_pairing="splitt"))
 
+    def assets_panel(self, **assets):
+        """Nine companies over two quarters whose assets columns are given
+        by name as one value per company."""
+        companies = [f"C{i}" for i in range(1, 10)]
+        columns = {"niq": [[1.0, 1.0]] * 9}
+        columns.update({name: [[a, a] for a in values]
+                        for name, values in assets.items()})
+        return grid_panel(companies, quarter_range(2000, 1, 2), columns)
+
+    def assets_table(self):
+        # the k-th company's change is k, so its target is k over its assets
+        q1, q2 = quarter_range(2000, 1, 2)
+        rows = {}
+        for k in range(1, 10):
+            rows[(f"C{k}", q1)] = (0.0, 0.0, 0.0)
+            rows[(f"C{k}", q2)] = (float(k), float(k), float(k))
+        return consensus_table(rows)
+
+    def test_assets_var_read_from_config(self):
+        # assets rising faster than the change reverse the ranks
+        rising = [float(k * k) for k in range(1, 10)]
+        table = self.assets_table()
+        expected = build_consensus_vectors(
+            table, self.assets_panel(atq=rising), ExperimentConfig())
+        renamed = build_consensus_vectors(
+            table, self.assets_panel(at=rising), ExperimentConfig(assets_var="at"))
+        for name in ("mean_cls", "median_cls", "actual_cls"):
+            np.testing.assert_array_equal(getattr(renamed, name).values,
+                                          getattr(expected, name).values)
+
+    def test_consensus_classes_follow_configured_assets(self):
+        flat = [1.0] * 9
+        rising = [float(k * k) for k in range(1, 10)]
+        table = self.assets_table()
+        on_at = build_consensus_vectors(
+            table, self.assets_panel(atq=rising, at=flat),
+            ExperimentConfig(assets_var="at")).mean_cls.values
+        on_atq = build_consensus_vectors(
+            table, self.assets_panel(atq=rising, at=flat),
+            ExperimentConfig()).mean_cls.values
+        # quantile ranks of k / 1 and of k / k**2 over the first quarter
+        np.testing.assert_array_equal(on_at[0::2], [0, 0, 0, 1, 1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(on_atq[0::2], [2, 2, 2, 1, 1, 1, 0, 0, 0])
+
     def test_empty_overlap_all_missing(self):
         panel = consensus_panel()
         other_q = CalendarQuarter(1950, 1)
@@ -323,6 +369,85 @@ class TestRunSubset:
         assert len(res.predictions) == res.n_test
         assert len(res.test_companies) == res.n_test
         assert res.n_test > 0
+
+
+def random_consensus(labels, seed):
+    """ConsensusVectors of random classes on the labels' rows, a fifth of
+    them missing."""
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for _ in range(3):
+        values = rng.integers(0, 3, len(labels.values)).astype(np.float64)
+        values[rng.random(len(values)) < 0.2] = np.nan
+        vectors.append(LabelVector(labels.index, values, 3, "qoq",
+                                   "quantile_rank"))
+    return ConsensusVectors(*vectors)
+
+
+def hand_rate(hits):
+    return float(hits.mean()) if len(hits) else float("nan")
+
+
+class TestConsensusScoring:
+    """Every consensus metric of run_subset against a recount from the
+    consensus vectors, the predictions and the test labels."""
+
+    @pytest.mark.parametrize("pairing", ["split", "shared"])
+    @pytest.mark.parametrize("estimate", ["mean", "median"])
+    def test_metrics_match_hand_count(self, estimate, pairing):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        consensus = random_consensus(labels, seed=3)
+        cfg = replace(cfg, consensus_estimate=estimate,
+                      consensus_pairing=pairing)
+        res = run_subset(splits[0], feats, labels, cfg, schema, consensus)
+        test_keys = [(c, splits[0].test_quarter) for c in res.test_companies]
+        rows = labels.index.find(index_from_keys(test_keys))
+        assert (rows >= 0).all()
+        pred, y = res.predictions, res.actuals
+        actual_ng = consensus.actual_cls.values[rows]
+
+        def scored(vector):
+            est = vector.values[rows]
+            ok = ~np.isnan(est) & ~np.isnan(actual_ng)
+            truth = actual_ng[ok] if pairing == "split" else y[ok]
+            return ok, est[ok], truth
+
+        ok, cons, truth = scored(getattr(consensus, f"{estimate}_cls"))
+        converge = pred[ok] == cons
+        model_hits = pred[ok] == y[ok]
+        cons_hits = cons == truth
+        m = res.metrics
+        assert 0 < converge.sum() < ok.sum() < len(y)
+        assert m.consensus_available
+        assert m.accuracy == hand_rate(pred == y)
+        assert m.n_scored == len(y)
+        assert m.consensus_accuracy == hand_rate(cons_hits)
+        assert m.n_converge == converge.sum()
+        assert m.n_diverge == (~converge).sum()
+        assert m.converge_model_acc == hand_rate(model_hits[converge])
+        assert m.converge_consensus_acc == hand_rate(cons_hits[converge])
+        assert m.diverge_model_acc == hand_rate(model_hits[~converge])
+        assert m.diverge_consensus_acc == hand_rate(cons_hits[~converge])
+        for name in ("mean", "median"):
+            _, est, ref = scored(getattr(consensus, f"{name}_cls"))
+            assert getattr(m, f"consensus_{name}_accuracy") == \
+                hand_rate(est == ref)
+
+    @pytest.mark.parametrize("estimate", ["mean", "median"])
+    def test_estimate_without_test_rows_leaves_consensus_unscored(self, estimate):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        consensus = random_consensus(labels, seed=3)
+        chosen = getattr(consensus, f"{estimate}_cls")
+        chosen.values[chosen.index.quarter == splits[0].test_quarter.index] = np.nan
+        res = run_subset(splits[0], feats, labels,
+                         replace(cfg, consensus_estimate=estimate),
+                         schema, consensus)
+        metrics = res.to_record()["metrics"]
+        assert res.n_test > 0
+        assert metrics["consensus_available"] is False
+        assert metrics["consensus_mean_accuracy"] is None
+        assert metrics["consensus_median_accuracy"] is None
+        assert metrics["n_converge"] == metrics["n_diverge"] == 0
 
 
 def fake_record(idx, acc, quarter="2001Q1"):

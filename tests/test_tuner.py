@@ -134,7 +134,7 @@ class TestSearch:
         for params in seen:
             for name, rng_ in space.ranges.items():
                 value = getattr(params, name)
-                assert rng_.contains(value), (name, value)
+                assert rng_.lo <= value <= rng_.hi, (name, value)
                 if rng_.scale == "integer":
                     assert float(value).is_integer()
 
