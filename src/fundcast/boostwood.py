@@ -558,16 +558,11 @@ def log_loss(scores: np.ndarray, y: np.ndarray) -> float:
 
 
 def _extract_labels(labels, n_classes):
-    values = getattr(labels, "values", labels)
-    values = np.asarray(values)
-    if values.dtype.kind == "f":
-        if np.isnan(values).any():
-            raise ValueError("labels contain missing values; filter them first")
-        values = values.astype(np.int64)
-    else:
-        values = values.astype(np.int64)
-    declared = getattr(labels, "n_classes", None)
-    k = n_classes or declared or int(values.max()) + 1
+    values = np.asarray(labels)
+    if values.dtype.kind == "f" and np.isnan(values).any():
+        raise ValueError("labels contain missing values; filter them first")
+    values = values.astype(np.int64)
+    k = n_classes or int(values.max()) + 1
     if values.min() < 0 or values.max() >= k:
         raise ValueError(f"labels outside 0..{k - 1}")
     return values, k

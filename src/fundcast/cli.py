@@ -43,10 +43,18 @@ def _parse_count(text: str, least: int = 1) -> int:
     return value
 
 
-def _parse_choice(text: str, allowed: tuple) -> str:
+def _parse_choice(text, allowed: tuple):
     if text not in allowed:
-        raise ValueError(f"must be one of {', '.join(allowed)}, got {text!r}")
+        raise ValueError(
+            f"must be one of {', '.join(map(str, allowed))}, got {text!r}")
     return text
+
+
+def _parse_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise ValueError(f"must lie in (0, 1], got {value}")
+    return value
 
 
 def _parse_sectors(text: str) -> tuple:
@@ -60,9 +68,12 @@ _KEYS = {
     "paths.panel": ("panel_path", str),
     "paths.consensus": ("consensus_path", str),
     "paths.output_dir": ("output_dir", str),
-    "label.horizon": ("horizon", str),
-    "label.n_classes": ("n_classes", int),
-    "label.scheme": ("scheme", str),
+    "label.horizon": ("horizon",
+                      partial(_parse_choice, allowed=feature_forge.HORIZONS)),
+    "label.n_classes": ("n_classes", lambda text: _parse_choice(
+        int(text), feature_forge.N_CLASSES)),
+    "label.scheme": ("scheme",
+                     partial(_parse_choice, allowed=feature_forge.SCHEMES)),
     "label.income_var": ("income_var", str),
     "label.assets_var": ("assets_var", str),
     "label.revenue_var": ("revenue_var", str),
@@ -71,15 +82,17 @@ _KEYS = {
     "filters.excluded_sectors": ("filter_excluded_sectors", _parse_sectors),
     "filters.require_fiscal_alignment": ("filter_require_fiscal_alignment", _parse_bool),
     "filters.exclude_reporting_gaps": ("filter_exclude_reporting_gaps", _parse_bool),
-    "pipeline.formula_variant": ("formula_variant", str),
-    "pipeline.clip_pct": ("clip_pct", float),
+    "pipeline.formula_variant": ("formula_variant",
+                                 partial(_parse_choice,
+                                         allowed=feature_forge.FORMULA_VARIANTS)),
+    "pipeline.clip_pct": ("clip_pct", _parse_fraction),
     "pipeline.fill_max_p": ("fill_max_p", _parse_count),
     "pipeline.fill_horizon_cap": ("fill_horizon_cap",
                                   partial(_parse_count, least=0)),
     "pipeline.look_back": ("look_back", _parse_count),
     "pipeline.n_lags": ("n_lags", _parse_count),
-    "pipeline.correlation_cutoff": ("correlation_cutoff", float),
-    "pipeline.pca_threshold": ("pca_threshold", float),
+    "pipeline.correlation_cutoff": ("correlation_cutoff", _parse_fraction),
+    "pipeline.pca_threshold": ("pca_threshold", _parse_fraction),
     "pipeline.standardize": ("standardize", _parse_bool),
     "pipeline.train_len": ("train_len", _parse_count),
     "pipeline.max_subsets": ("max_subsets", partial(_parse_count, least=0)),

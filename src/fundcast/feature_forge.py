@@ -30,6 +30,12 @@ CONSTANT_FILL = -1.0
 
 FORMAT_ORDER = (Format.YOY, Format.QOQ, Format.PCT_ASSETS, Format.PCT_REVENUE, Format.RAW)
 
+# The values convert_formats, relative_change_targets and cut_classes know.
+FORMULA_VARIANTS = ("standard", "minus_one")
+HORIZONS = ("qoq", "yoy")
+N_CLASSES = (2, 3, 6, 9)
+SCHEMES = ("quantile_rank", "sign")
+
 
 @dataclass(frozen=True)
 class FeatureColumnMeta:
@@ -100,25 +106,6 @@ class FeatureMatrix:
 
 
 @dataclass
-class LabelVector:
-    """Per-row class labels; NaN marks rows without a computable target."""
-
-    index: PanelIndex
-    values: np.ndarray
-    n_classes: int
-    horizon: str
-    scheme: str
-
-    def __post_init__(self):
-        if self.n_classes not in (2, 3, 6, 9):
-            raise ValueError(f"n_classes must be one of 2,3,6,9, got {self.n_classes}")
-        if self.horizon not in ("qoq", "yoy"):
-            raise ValueError(f"horizon must be qoq or yoy, got {self.horizon!r}")
-        if self.scheme not in ("quantile_rank", "sign"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-@dataclass
 class FillReport:
     """Audit record of the missing-value policy."""
 
@@ -157,7 +144,7 @@ def convert_formats(panel: RawPanel, schema, *,
 
     formula_variant="minus_one" subtracts an extra 1 from the growth rates.
     """
-    if formula_variant not in ("standard", "minus_one"):
+    if formula_variant not in FORMULA_VARIANTS:
         raise ValueError(f"unknown formula_variant {formula_variant!r}")
     wants_assets = any(Format.PCT_ASSETS in s.formats for s in schema)
     wants_revenue = any(Format.PCT_REVENUE in s.formats for s in schema)
@@ -326,12 +313,14 @@ def _fill_gaps(column: np.ndarray, company: np.ndarray, p: int,
     for start, stop, first in zip(starts.tolist(), stops.tolist(),
                                   head[starts].tolist()):
         before = column[first:start]
-        window = before[~np.isnan(before)][-p:].tolist()
-        for k in range(start, min(start + horizon_cap, stop)):
-            value = float(np.mean(window[-p:]))
-            column[k] = value
-            window.append(value)
-            filled += 1
+        past = before[~np.isnan(before)][-p:]
+        n_fill = min(horizon_cap, stop - start)
+        # the run's window: its last p earlier values, then each fill
+        window = np.concatenate((past, np.empty(n_fill)))
+        for k in range(len(past), len(window)):
+            window[k] = window[max(0, k - p):k].mean()
+        column[start:start + n_fill] = window[len(past):]
+        filled += n_fill
     return filled
 
 
@@ -516,6 +505,9 @@ def relative_change_targets(index: PanelIndex, future_income: np.ndarray,
 
     Every term must be present and assets strictly positive, else NaN.
     """
+    if horizon not in HORIZONS:
+        raise ValueError(f"horizon must be one of {', '.join(HORIZONS)}, "
+                         f"got {horizon!r}")
     if horizon == "qoq":
         num = index.shifted(future_income, -1) - past_income
     else:
@@ -557,29 +549,35 @@ def quantile_rank_classes(index: PanelIndex, targets: np.ndarray,
 
 
 def cut_classes(index: PanelIndex, targets: np.ndarray, n_classes: int,
-                horizon: str, scheme: str) -> LabelVector:
-    """Class labels of relative-change targets on the index rows.
+                scheme: str) -> np.ndarray:
+    """Class of each index row's relative-change target, NaN where the
+    target is missing.
 
     quantile_rank cuts the targets within each calendar quarter into
     n_classes equal-count bins; sign yields 1 for a strict increase and 0
-    otherwise. A missing target gets a missing label.
+    otherwise, and needs n_classes 2.
     """
-    if scheme == "sign":
-        if n_classes != 2:
-            raise ValueError("sign scheme requires n_classes=2")
-        values = np.where(targets > 0, 1.0, 0.0)
-        values[np.isnan(targets)] = np.nan
-    else:
-        values = quantile_rank_classes(index, targets, n_classes)
-    return LabelVector(index, values, n_classes, horizon, scheme)
+    if n_classes not in N_CLASSES:
+        raise ValueError(f"n_classes must be one of "
+                         f"{', '.join(map(str, N_CLASSES))}, got {n_classes}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, "
+                         f"got {scheme!r}")
+    if scheme == "quantile_rank":
+        return quantile_rank_classes(index, targets, n_classes)
+    if n_classes != 2:
+        raise ValueError("sign scheme requires n_classes=2")
+    values = np.where(targets > 0, 1.0, 0.0)
+    values[np.isnan(targets)] = np.nan
+    return values
 
 
 def build_labels(panel: RawPanel, horizon: str = "qoq", n_classes: int = 3,
                  scheme: str = "quantile_rank", *,
                  income_var: str = "niq",
-                 assets_var: str = DEFAULT_ASSETS_VAR) -> LabelVector:
-    """Construct classification labels from relative earnings changes,
-    cut by cut_classes. Rows with missing future income get a missing label.
+                 assets_var: str = DEFAULT_ASSETS_VAR) -> np.ndarray:
+    """Class labels from relative earnings changes, one per panel row, cut
+    by cut_classes. Rows with missing future income get a NaN label.
     """
     if income_var not in panel.columns or assets_var not in panel.columns:
         raise PanelError(
@@ -587,4 +585,4 @@ def build_labels(panel: RawPanel, horizon: str = "qoq", n_classes: int = 3,
     income = panel.columns[income_var]
     assets = panel.columns[assets_var]
     targets = relative_change_targets(panel.index, income, income, assets, horizon)
-    return cut_classes(panel.index, targets, n_classes, horizon, scheme)
+    return cut_classes(panel.index, targets, n_classes, scheme)

@@ -22,12 +22,13 @@ import numpy as np
 from . import boostwood, feature_forge, spectral_reduce, tuner
 from .boostwood import HyperParams
 from .errors import (
+    DimensionMismatchError,
     InsufficientHistoryError,
     PanelError,
     ReportError,
     SubsetError,
 )
-from .feature_forge import FeatureMatrix, LabelVector
+from .feature_forge import FeatureMatrix
 from .panel_ingest import (
     CONSENSUS_HEADER,
     CalendarQuarter,
@@ -109,9 +110,9 @@ class ExperimentConfig:
         pins its parameter in the base and takes it out of the space.
         """
         space = tuner.default_space()
-        space.ranges.update(self.search_space_overrides)
+        space.update(self.search_space_overrides)
         for name in self.gbdt_overrides:
-            space.ranges.pop(name, None)
+            space.pop(name, None)
         base = HyperParams(n_rounds=self.n_rounds, seed=self.seed,
                            **self.gbdt_overrides)
         return space, base
@@ -321,16 +322,6 @@ def decompose_importance(model, pca, metas, top_c: int = 5,
 
 
 @dataclass
-class ConsensusVectors:
-    """Consensus (mean and median estimate) and non-GAAP actual classes on
-    the panel's rows, derived from the table load_consensus reads."""
-
-    mean_cls: LabelVector
-    median_cls: LabelVector
-    actual_cls: LabelVector
-
-
-@dataclass
 class SubsetResult:
     """Outcome of one rolling subset."""
 
@@ -404,11 +395,12 @@ CONSENSUS_ESTIMATES = ("mean", "median")
 CONSENSUS_PAIRINGS = ("split", "shared")
 
 
-def _score_test_quarter(predictions, y_test, test_index: PanelIndex,
-                        consensus: ConsensusVectors | None,
+def _score_test_quarter(predictions, y_test, test_rows: np.ndarray,
+                        consensus: dict | None,
                         config: ExperimentConfig) -> MetricsBundle:
     """Accuracy overall and per class and, where the chosen consensus
     estimate scores a test row, the consensus-conditional scores.
+    test_rows holds each test row's position in the consensus arrays.
 
     An estimate scores the rows where it and the non-GAAP actual class are
     both known. The split pairing scores it against that actual, the shared
@@ -423,14 +415,10 @@ def _score_test_quarter(predictions, y_test, test_index: PanelIndex,
     if consensus is None or not len(y_test):
         return overall
 
-    def on_test_rows(vector: LabelVector) -> np.ndarray:
-        return take_or_nan(vector.values, vector.index.find(test_index))
-
-    actual_ng = on_test_rows(consensus.actual_cls)
+    actual_ng = consensus["actual"][test_rows]
     scores = {}
-    for name, vector in zip(CONSENSUS_ESTIMATES,
-                            (consensus.mean_cls, consensus.median_cls)):
-        estimate = on_test_rows(vector)
+    for name in CONSENSUS_ESTIMATES:
+        estimate = consensus[name][test_rows]
         rows = ~np.isnan(estimate) & ~np.isnan(actual_ng)
         truth = actual_ng[rows].astype(np.int64) \
             if config.consensus_pairing == "split" else y_test[rows]
@@ -456,8 +444,8 @@ def _stage(index: int, name: str):
 
 
 def run_subset(split: SubsetSplit, features: FeatureMatrix,
-               labels: LabelVector, config: ExperimentConfig, schema,
-               consensus: ConsensusVectors | None = None) -> SubsetResult:
+               labels: np.ndarray, config: ExperimentConfig, schema,
+               consensus: dict | None = None) -> SubsetResult:
     """Run the full per-subset pipeline and score the test quarter.
 
     Stage order: outlier caps -> imputation -> lag expansion ->
@@ -465,9 +453,18 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     validation split -> hyperparameter search -> final fit on the whole
     training window -> test-quarter prediction. Fitted statistics use
     training rows only; look-backs may reach quarters before the window.
-    Every setting comes from config; schema drives imputation, and
-    consensus, when given, adds the consensus-conditional scores.
+    labels[i] is the class of features row i, NaN where it is missing;
+    consensus, when given, holds build_consensus_vectors' classes, one per
+    features row, and adds the consensus-conditional scores. Every setting
+    comes from config; schema drives imputation.
     """
+    n = features.n_rows
+    for name, values in [("labels", labels),
+                         *((f"consensus {key}", values)
+                           for key, values in (consensus or {}).items())]:
+        if len(values) != n:
+            raise DimensionMismatchError(
+                f"{name}: {len(values)} values for {n} features rows")
     seed_valid, seed_search, seed_final = _subset_seeds(config.seed, split.index)
     train_quarters = [q.index for q in split.train_quarters]
     test_idx_q = split.test_quarter.index
@@ -487,7 +484,9 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     with _stage(split.index, "build_lags"):
         lagged = feature_forge.build_lags(work, config.n_lags)
 
-    label_values = take_or_nan(labels.values, labels.index.find(lagged.index))
+    # lagged's rows are features rows, each found by its key
+    rows = features.index.locate(lagged.index.key)
+    label_values = labels[rows]
     q_arr = lagged.index.quarter
     has_label = ~np.isnan(label_values)
     train_idx = np.flatnonzero(np.isin(q_arr, train_quarters) & has_label)
@@ -553,8 +552,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         predictions = boostwood.predict(model, binned_full.map_new(comps_test)) \
             if len(test_idx) else np.empty(0, dtype=np.int64)
 
-    metrics = _score_test_quarter(predictions, y_test,
-                                  lagged.index.take(test_idx), consensus, config)
+    metrics = _score_test_quarter(predictions, y_test, rows[test_idx],
+                                  consensus, config)
 
     importance = None
     if pca.kept >= 1 and model.trees:
@@ -583,9 +582,10 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
 
 def build_consensus_vectors(table: RawPanel, panel: RawPanel,
-                            config: ExperimentConfig) -> ConsensusVectors:
+                            config: ExperimentConfig) -> dict:
     """Consensus (mean and median estimate) and non-GAAP actual classes per
-    panel row, from the table load_consensus reads.
+    panel row, from the table load_consensus reads: a float array each,
+    keyed mean, median and actual.
 
     Each is converted to relative-change targets (its future value against
     the past actual, scaled by the panel's config.assets_var column) and cut
@@ -608,15 +608,15 @@ def build_consensus_vectors(table: RawPanel, panel: RawPanel,
             panel.index, future, actual, panel.columns[config.assets_var],
             config.horizon)
         return feature_forge.cut_classes(panel.index, targets, config.n_classes,
-                                         config.horizon, config.scheme)
+                                         config.scheme)
 
-    return ConsensusVectors(mean_cls=classes(mean), median_cls=classes(median),
-                            actual_cls=classes(actual))
+    return {"mean": classes(mean), "median": classes(median),
+            "actual": classes(actual)}
 
 
-def run_all_subsets(splits, features: FeatureMatrix, labels: LabelVector,
+def run_all_subsets(splits, features: FeatureMatrix, labels: np.ndarray,
                     config: ExperimentConfig, schema,
-                    consensus: ConsensusVectors | None = None) -> list:
+                    consensus: dict | None = None) -> list:
     """Run every subset in order; per-subset seeding makes each result
     independent of the others."""
     return [run_subset(split, features, labels, config, schema, consensus)

@@ -9,7 +9,7 @@ trials are reproducible and order-independent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,20 +41,10 @@ class ParamRange:
         return float(rng.uniform(self.lo, self.hi))
 
 
-@dataclass
-class SearchSpace:
-    """Per-hyperparameter sampling ranges."""
-
-    ranges: dict = field(default_factory=dict)
-
-    def sample(self, rng: np.random.Generator, base: HyperParams) -> HyperParams:
-        draws = {name: rng_.sample(rng) for name, rng_ in self.ranges.items()}
-        return replace(base, **draws)
-
-
-def default_space() -> SearchSpace:
-    """Default search box for the nine tuned parameters."""
-    return SearchSpace({
+def default_space() -> dict:
+    """Default search box: a ParamRange per tuned parameter, ten of them, in
+    the order every trial draws them."""
+    return {
         "learning_rate": ParamRange(0.6, 1.0),
         "max_bin": ParamRange(127, 255, "integer"),
         "num_leaves": ParamRange(50, 200, "integer"),
@@ -65,7 +55,7 @@ def default_space() -> SearchSpace:
         "min_gain_to_split": ParamRange(0.5, 0.72),
         "lambda_l1": ParamRange(1.0, 20.0),
         "lambda_l2": ParamRange(350.0, 450.0),
-    })
+    }
 
 
 @dataclass
@@ -137,10 +127,12 @@ def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
     return idx[~in_valid], idx[in_valid]
 
 
-def search(space: SearchSpace, budget: int, objective, seed: int, *,
+def search(space: dict, budget: int, objective, seed: int, *,
            base_params: HyperParams | None = None, mode: str = "uniform"):
     """Sample budget parameter vectors and keep the best validation metric.
 
+    space maps each searched HyperParams field to its ParamRange; a trial
+    draws them in the dict's order.
     objective(params) returns (validation_metric, train_metric), optionally
     followed by a dict of training facts (TrialRecord's best_round,
     rounds_fitted, null_trees, best_valid_loss); a trial exception is
@@ -156,10 +148,11 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
     trials = []
     last_error = None
 
-    def run_trial(index: int, box: SearchSpace) -> TrialRecord:
+    def run_trial(index: int, box: dict) -> TrialRecord:
         nonlocal last_error
         rng = np.random.default_rng([seed, index])
-        params = box.sample(rng, base)
+        params = replace(base, **{name: range_.sample(rng)
+                                  for name, range_ in box.items()})
         params = replace(params, seed=int(np.random.default_rng(
             [seed, index, 1]).integers(0, 2 ** 31)))
         t0 = time.perf_counter()
@@ -197,7 +190,7 @@ def search(space: SearchSpace, budget: int, objective, seed: int, *,
     return best.params, trials
 
 
-def _refit_box(space: SearchSpace, trials) -> SearchSpace:
+def _refit_box(space: dict, trials) -> dict:
     """Shrink each range to the top-quartile trials' parameter envelope."""
     ok = sorted((t for t in trials if t.ok),
                 key=lambda t: -t.validation_metric)
@@ -205,7 +198,7 @@ def _refit_box(space: SearchSpace, trials) -> SearchSpace:
         return space
     top = ok[:max(1, len(ok) // 4)]
     ranges = {}
-    for name, rng_ in space.ranges.items():
+    for name, range_ in space.items():
         values = [getattr(t.params, name) for t in top]
-        ranges[name] = ParamRange(min(values), max(values), rng_.scale)
-    return SearchSpace(ranges)
+        ranges[name] = ParamRange(min(values), max(values), range_.scale)
+    return ranges

@@ -105,7 +105,9 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("search.mode", "adaptiv"), ("validation.mode", "chronological"),
-        ("consensus.estimate", "mode"), ("consensus.pairing", "splitt")])
+        ("consensus.estimate", "mode"), ("consensus.pairing", "splitt"),
+        ("label.horizon", "qoy"), ("label.n_classes", 4),
+        ("label.scheme", "signs"), ("pipeline.formula_variant", "minus_two")])
     def test_unknown_choice_names_line(self, tmp_path, key, value):
         # BASE_CONFIG sets no paths.consensus, so nothing else would read
         # the consensus keys
@@ -117,11 +119,44 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("search.mode", "adaptive"), ("validation.mode", "random_quarters"),
-        ("consensus.estimate", "median"), ("consensus.pairing", "shared")])
+        ("consensus.estimate", "median"), ("consensus.pairing", "shared"),
+        ("label.horizon", "yoy"), ("label.n_classes", 6),
+        ("label.scheme", "sign"), ("pipeline.formula_variant", "minus_one")])
     def test_known_choice_accepted(self, tmp_path, key, value):
         path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
         attr = _KEYS[key][0]
         assert getattr(parse_config(path), attr) == value
+
+    @pytest.mark.parametrize("key", ["pipeline.correlation_cutoff",
+                                     "pipeline.pca_threshold",
+                                     "pipeline.clip_pct"])
+    @pytest.mark.parametrize("value", ["-0.5", "0", "1.5", "nan"])
+    def test_fraction_out_of_range_names_line(self, tmp_path, key, value):
+        path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
+        line = path.read_text().splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigError,
+                           match=rf"line {line}: .*{key}.*\(0, 1\]"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", ["pipeline.correlation_cutoff",
+                                     "pipeline.pca_threshold",
+                                     "pipeline.clip_pct"])
+    @pytest.mark.parametrize("value", [1.0, 0.25])
+    def test_fraction_in_range_accepted(self, tmp_path, key, value):
+        path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
+        assert getattr(parse_config(path), _KEYS[key][0]) == value
+
+    def test_out_of_range_fraction_stops_backtest_before_ingest(
+            self, tmp_path, capsys):
+        # the panel files do not exist: the config is refused first
+        path, out = write_config(
+            tmp_path, extra="\npipeline.correlation_cutoff = -0.5\n")
+        assert main(["backtest", "--config", str(path)]) == 1
+        line = path.read_text().splitlines().index(
+            "pipeline.correlation_cutoff = -0.5") + 1
+        assert f"line {line}: bad value for pipeline.correlation_cutoff" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_fill_horizon_cap_accepted(self, tmp_path):
         path, _ = write_config(tmp_path,

@@ -25,8 +25,10 @@ from fundcast.feature_forge import (
     clip_outliers,
     convert_formats,
     correlation_dedupe_inputs,
+    cut_classes,
     impute,
     quantile_rank_classes,
+    relative_change_targets,
 )
 from fundcast.panel_ingest import Format
 
@@ -520,25 +522,25 @@ class TestBuildLabels:
         # targets for Q1 across three companies: -5, 0, 9 (assets 10)
         panel = self._panel([[0.0, -50.0], [0.0, 0.0], [0.0, 90.0]])
         labels = build_labels(panel, "qoq", 3)
-        q1 = [labels.values[i] for i, (_, q) in enumerate(keys_of(labels.index))
+        q1 = [labels[i] for i, (_, q) in enumerate(keys_of(panel.index))
               if q.quarter == 1]
         assert q1 == [0.0, 1.0, 2.0]
 
     def test_sign_scheme_zero_is_class_zero(self):
         panel = self._panel([[5.0, 5.0]])
         labels = build_labels(panel, "qoq", 2, "sign")
-        assert labels.values[0] == 0.0
+        assert labels[0] == 0.0
 
     def test_sign_scheme_increase_is_one(self):
         panel = self._panel([[5.0, 6.0]])
         labels = build_labels(panel, "qoq", 2, "sign")
-        assert labels.values[0] == 1.0
+        assert labels[0] == 1.0
 
     def test_nine_samples_three_per_class(self, rng):
         ni = np.column_stack([np.zeros(9), rng.permutation(9.0 * np.arange(1, 10))])
         panel = self._panel(ni.tolist())
         labels = build_labels(panel, "qoq", 3)
-        first = [labels.values[i] for i, (_, q) in enumerate(keys_of(labels.index))
+        first = [labels[i] for i, (_, q) in enumerate(keys_of(panel.index))
                  if q.quarter == 1]
         assert sorted(first).count(0.0) == 3
         assert sorted(first).count(1.0) == 3
@@ -547,18 +549,18 @@ class TestBuildLabels:
     def test_missing_future_income_missing_label(self):
         panel = self._panel([[1.0, 2.0]])
         labels = build_labels(panel, "qoq", 3)
-        assert np.isnan(labels.values[1])
+        assert np.isnan(labels[1])
 
     def test_qoq_target_formula(self):
         # (NI(T+1) - NI(T)) / assets(T) = (30 - 10) / 50
         panel = self._panel([[10.0, 30.0]], atq_grid=[[50.0, 999.0]])
         labels = build_labels(panel, "qoq", 2, "sign")
-        assert labels.values[0] == 1.0
+        assert labels[0] == 1.0
         # verify the target value itself through a rank cut of two companies
         panel2 = self._panel([[10.0, 30.0], [10.0, 20.0]],
                              atq_grid=[[50.0, 1.0], [50.0, 1.0]])
         labels2 = build_labels(panel2, "qoq", 3)
-        q1 = [labels2.values[i] for i, (_, q) in enumerate(keys_of(labels2.index))
+        q1 = [labels2[i] for i, (_, q) in enumerate(keys_of(panel2.index))
               if q.quarter == 1]
         assert q1[0] > q1[1]
 
@@ -568,11 +570,11 @@ class TestBuildLabels:
         panel = self._panel(ni)
         labels = build_labels(panel, "yoy", 2, "sign")
         # at index 3 (T0 = Q4): future sum 8, past sum 4 -> increase
-        assert labels.values[3] == 1.0
+        assert labels[3] == 1.0
         # at index 4: future = 2+2+2+5=11 vs past 1+1+1+2=5 -> increase
-        assert labels.values[4] == 1.0
+        assert labels[4] == 1.0
         # final four quarters lack the full future window
-        assert np.isnan(labels.values[5])
+        assert np.isnan(labels[5])
 
     def test_quantile_monotone_and_balanced(self, rng):
         for _ in range(10):
@@ -591,10 +593,34 @@ class TestBuildLabels:
         classes = quantile_rank_classes(index_from_keys(keys), np.zeros(3), 3)
         np.testing.assert_array_equal(classes, [0.0, 1.0, 2.0])
 
+    def test_unknown_horizon_rejected(self):
+        panel = self._panel([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        income, assets = panel.columns["niq"], panel.columns["atq"]
+        with pytest.raises(ValueError, match="horizon .*'qoy'"):
+            relative_change_targets(panel.index, income, income, assets, "qoy")
+
+    @pytest.mark.parametrize("n_classes, scheme, message", [
+        (4, "quantile_rank", "n_classes .*got 4"),
+        (3, "signs", "scheme .*got 'signs'"),
+        (3, "sign", "sign scheme requires n_classes=2")])
+    def test_cut_classes_rejects_unknown_settings(self, n_classes, scheme,
+                                                  message):
+        keys = [("A", q) for q in quarter_range(2001, 1, 2)]
+        with pytest.raises(ValueError, match=message):
+            cut_classes(index_from_keys(keys), np.array([1.0, -1.0]),
+                        n_classes, scheme)
+
+    def test_labels_are_one_float_per_panel_row(self):
+        panel = self._panel([[0.0, 5.0, 1.0], [0.0, -5.0, 2.0]])
+        labels = build_labels(panel, "qoq", 2, "sign")
+        assert labels.dtype == np.float64
+        np.testing.assert_array_equal(labels, [1.0, 0.0, np.nan,
+                                               0.0, 1.0, np.nan])
+
     def test_zero_assets_gives_missing(self):
         panel = self._panel([[1.0, 5.0]], atq_grid=[[0.0, 1.0]])
         labels = build_labels(panel, "qoq", 2, "sign")
-        assert np.isnan(labels.values[0])
+        assert np.isnan(labels[0])
 
     def test_uniform_random_predictor_base_rate(self, rng):
         # quantile labels are balanced per quarter, so a random predictor

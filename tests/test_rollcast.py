@@ -13,18 +13,18 @@ from conftest import (
     simple_spec,
     total_entries,
 )
-from fundcast import boostwood, feature_forge, synthgen
+from fundcast import boostwood, feature_forge, synthgen, tuner
 from fundcast.boostwood import HyperParams
 from fundcast.errors import (
+    DimensionMismatchError,
     InsufficientHistoryError,
     ReportError,
     SubsetError,
     WindowTooSmallError,
 )
-from fundcast.feature_forge import FeatureColumnMeta, LabelVector
+from fundcast.feature_forge import FeatureColumnMeta
 from fundcast.panel_ingest import CalendarQuarter, Format
 from fundcast.rollcast import (
-    ConsensusVectors,
     ExperimentConfig,
     build_consensus_vectors,
     build_records,
@@ -65,6 +65,19 @@ class TestEnumerateSubsets:
         del quarters[40]
         with pytest.raises(InsufficientHistoryError, match="consecutive"):
             enumerate_subsets(quarters, 80)
+
+
+class TestSearchBox:
+    def test_overrides_keep_the_default_draw_order(self):
+        lr = ParamRange(0.1, 0.4)
+        space, base = ExperimentConfig(
+            search_space_overrides={"learning_rate": lr},
+            gbdt_overrides={"max_bin": 16, "lambda_l1": 0.0}).search_box()
+        expected = [name for name in tuner.default_space()
+                    if name not in ("max_bin", "lambda_l1")]
+        assert list(space) == expected
+        assert space["learning_rate"] is lr
+        assert (base.max_bin, base.lambda_l1) == (16, 0.0)
 
 
 class TestConditionalAccuracy:
@@ -132,8 +145,8 @@ def consensus_panel(n_companies=9, n_quarters=3):
 
 
 def mean_and_actual_classes(table, panel):
-    vectors = build_consensus_vectors(table, panel, ExperimentConfig())
-    return vectors.mean_cls, vectors.actual_cls
+    classes = build_consensus_vectors(table, panel, ExperimentConfig())
+    return classes["mean"], classes["actual"]
 
 
 class TestConsensusClasses:
@@ -145,9 +158,9 @@ class TestConsensusClasses:
             rows[(company, q)] = (actual, actual, actual)
         table = consensus_table(rows)
         cons, actual = mean_and_actual_classes(table, panel)
-        ok = ~np.isnan(cons.values)
+        ok = ~np.isnan(cons)
         assert ok.any()
-        assert (cons.values[ok] == actual.values[ok]).all()
+        assert (cons[ok] == actual[ok]).all()
 
     def test_rank_reversal_middle_bin_survives(self):
         panel = consensus_panel(n_companies=9, n_quarters=2)
@@ -160,8 +173,8 @@ class TestConsensusClasses:
         table = consensus_table(rows)
         cons, actual = mean_and_actual_classes(table, panel)
         at_q1 = [i for i, (_, q) in enumerate(keys_of(panel.index)) if q == q1]
-        cons_q1 = cons.values[at_q1]
-        act_q1 = actual.values[at_q1]
+        cons_q1 = cons[at_q1]
+        act_q1 = actual[at_q1]
         assert not np.isnan(cons_q1).any()
         assert (cons_q1 == act_q1).mean() == pytest.approx(1 / 3)
 
@@ -203,9 +216,9 @@ class TestConsensusClasses:
             table, self.assets_panel(atq=rising), ExperimentConfig())
         renamed = build_consensus_vectors(
             table, self.assets_panel(at=rising), ExperimentConfig(assets_var="at"))
-        for name in ("mean_cls", "median_cls", "actual_cls"):
-            np.testing.assert_array_equal(getattr(renamed, name).values,
-                                          getattr(expected, name).values)
+        assert list(renamed) == ["mean", "median", "actual"]
+        for name in renamed:
+            np.testing.assert_array_equal(renamed[name], expected[name])
 
     def test_consensus_classes_follow_configured_assets(self):
         flat = [1.0] * 9
@@ -213,10 +226,10 @@ class TestConsensusClasses:
         table = self.assets_table()
         on_at = build_consensus_vectors(
             table, self.assets_panel(atq=rising, at=flat),
-            ExperimentConfig(assets_var="at")).mean_cls.values
+            ExperimentConfig(assets_var="at"))["mean"]
         on_atq = build_consensus_vectors(
             table, self.assets_panel(atq=rising, at=flat),
-            ExperimentConfig()).mean_cls.values
+            ExperimentConfig())["mean"]
         # quantile ranks of k / 1 and of k / k**2 over the first quarter
         np.testing.assert_array_equal(on_at[0::2], [0, 0, 0, 1, 1, 1, 2, 2, 2])
         np.testing.assert_array_equal(on_atq[0::2], [2, 2, 2, 1, 1, 1, 0, 0, 0])
@@ -226,8 +239,8 @@ class TestConsensusClasses:
         other_q = CalendarQuarter(1950, 1)
         table = consensus_table({("ZZ", other_q): (1.0, 1.0, 1.0)})
         cons, actual = mean_and_actual_classes(table, panel)
-        assert np.isnan(cons.values).all()
-        assert np.isnan(actual.values).all()
+        assert np.isnan(cons).all()
+        assert np.isnan(actual).all()
 
 
 def make_stump_tree(feature, gain):
@@ -333,7 +346,8 @@ class TestRunSubset:
         split = splits[0]
         full = run_subset(split, feats, labels, cfg, schema)
         mask = np.array([q != split.test_quarter for _, q in keys_of(feats.index)])
-        cut = run_subset(split, feats.take_rows(mask), labels, cfg, schema)
+        cut = run_subset(split, feats.take_rows(mask), labels[mask], cfg,
+                         schema)
         assert cut.model_text == full.model_text
         assert cut.n_test == 0
         assert np.isnan(cut.metrics.accuracy)
@@ -342,11 +356,10 @@ class TestRunSubset:
         splits, feats, labels, cfg, schema = small_pipeline()
         split = splits[0]
         train_set = {q.index for q in split.train_quarters}
-        values = labels.values.copy()
-        for i, (_, q) in enumerate(keys_of(labels.index)):
-            if q.index in train_set and not np.isnan(values[i]):
-                values[i] = 1.0
-        forced = LabelVector(labels.index, values, 3, "qoq", "quantile_rank")
+        forced = labels.copy()
+        for i, (_, q) in enumerate(keys_of(feats.index)):
+            if q.index in train_set and not np.isnan(forced[i]):
+                forced[i] = 1.0
         with pytest.warns(UserWarning, match="single class"):
             res = run_subset(split, feats, forced, cfg, schema)
         share = (res.actuals == 1).mean()
@@ -370,18 +383,33 @@ class TestRunSubset:
         assert len(res.test_companies) == res.n_test
         assert res.n_test > 0
 
+    def test_label_count_must_match_features_rows(self):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^labels: {feats.n_rows - 1} values for "
+                                 f"{feats.n_rows} features rows$"):
+            run_subset(splits[0], feats, labels[1:], cfg, schema)
+
+    def test_consensus_count_must_match_features_rows(self):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        consensus = random_consensus(labels, seed=3)
+        consensus["median"] = consensus["median"][:-2]
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^consensus median: {feats.n_rows - 2} "
+                                 f"values for {feats.n_rows} features rows$"):
+            run_subset(splits[0], feats, labels, cfg, schema, consensus)
+
 
 def random_consensus(labels, seed):
-    """ConsensusVectors of random classes on the labels' rows, a fifth of
-    them missing."""
+    """Consensus classes as build_consensus_vectors returns them: random
+    classes on the labels' rows, a fifth of them missing."""
     rng = np.random.default_rng(seed)
-    vectors = []
-    for _ in range(3):
-        values = rng.integers(0, 3, len(labels.values)).astype(np.float64)
+    consensus = {}
+    for name in ("mean", "median", "actual"):
+        values = rng.integers(0, 3, len(labels)).astype(np.float64)
         values[rng.random(len(values)) < 0.2] = np.nan
-        vectors.append(LabelVector(labels.index, values, 3, "qoq",
-                                   "quantile_rank"))
-    return ConsensusVectors(*vectors)
+        consensus[name] = values
+    return consensus
 
 
 def hand_rate(hits):
@@ -401,18 +429,18 @@ class TestConsensusScoring:
                       consensus_pairing=pairing)
         res = run_subset(splits[0], feats, labels, cfg, schema, consensus)
         test_keys = [(c, splits[0].test_quarter) for c in res.test_companies]
-        rows = labels.index.find(index_from_keys(test_keys))
+        rows = feats.index.find(index_from_keys(test_keys))
         assert (rows >= 0).all()
         pred, y = res.predictions, res.actuals
-        actual_ng = consensus.actual_cls.values[rows]
+        actual_ng = consensus["actual"][rows]
 
-        def scored(vector):
-            est = vector.values[rows]
+        def scored(classes):
+            est = classes[rows]
             ok = ~np.isnan(est) & ~np.isnan(actual_ng)
             truth = actual_ng[ok] if pairing == "split" else y[ok]
             return ok, est[ok], truth
 
-        ok, cons, truth = scored(getattr(consensus, f"{estimate}_cls"))
+        ok, cons, truth = scored(consensus[estimate])
         converge = pred[ok] == cons
         model_hits = pred[ok] == y[ok]
         cons_hits = cons == truth
@@ -429,7 +457,7 @@ class TestConsensusScoring:
         assert m.diverge_model_acc == hand_rate(model_hits[~converge])
         assert m.diverge_consensus_acc == hand_rate(cons_hits[~converge])
         for name in ("mean", "median"):
-            _, est, ref = scored(getattr(consensus, f"{name}_cls"))
+            _, est, ref = scored(consensus[name])
             assert getattr(m, f"consensus_{name}_accuracy") == \
                 hand_rate(est == ref)
 
@@ -437,8 +465,8 @@ class TestConsensusScoring:
     def test_estimate_without_test_rows_leaves_consensus_unscored(self, estimate):
         splits, feats, labels, cfg, schema = small_pipeline()
         consensus = random_consensus(labels, seed=3)
-        chosen = getattr(consensus, f"{estimate}_cls")
-        chosen.values[chosen.index.quarter == splits[0].test_quarter.index] = np.nan
+        consensus[estimate][feats.index.quarter ==
+                            splits[0].test_quarter.index] = np.nan
         res = run_subset(splits[0], feats, labels,
                          replace(cfg, consensus_estimate=estimate),
                          schema, consensus)

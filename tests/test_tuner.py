@@ -6,7 +6,6 @@ from fundcast.boostwood import HyperParams
 from fundcast.errors import SearchError, WindowTooSmallError
 from fundcast.tuner import (
     ParamRange,
-    SearchSpace,
     default_space,
     make_validation_split,
     search,
@@ -98,7 +97,7 @@ class TestParamRange:
 
 class TestSearch:
     def _lr_space(self):
-        return SearchSpace({"learning_rate": ParamRange(0.01, 1.0)})
+        return {"learning_rate": ParamRange(0.01, 1.0)}
 
     def test_budget_one_returns_single_trial(self):
         best, trials = search(self._lr_space(), 1,
@@ -132,7 +131,7 @@ class TestSearch:
 
         search(space, 30, objective, seed=11)
         for params in seen:
-            for name, rng_ in space.ranges.items():
+            for name, rng_ in space.items():
                 value = getattr(params, name)
                 assert rng_.lo <= value <= rng_.hi, (name, value)
                 if rng_.scale == "integer":
@@ -194,12 +193,12 @@ class TestSearch:
         val_a = 1.0 - abs(best_a.learning_rate - target)
         assert val_a >= val_u - 0.05
 
-    def test_default_space_covers_the_nine_parameters(self):
+    def test_default_space_covers_the_ten_parameters(self):
         space = default_space()
-        assert set(space.ranges) == {
+        assert set(space) == {
             "learning_rate", "max_bin", "num_leaves", "min_data_in_leaf",
             "feature_fraction", "bagging_fraction", "bagging_freq",
             "min_gain_to_split", "lambda_l1", "lambda_l2"}
-        assert space.ranges["min_gain_to_split"].lo == 0.5
-        assert space.ranges["min_gain_to_split"].hi == 0.72
-        assert space.ranges["lambda_l2"].lo == 350.0
+        assert space["min_gain_to_split"].lo == 0.5
+        assert space["min_gain_to_split"].hi == 0.72
+        assert space["lambda_l2"].lo == 350.0
