@@ -29,7 +29,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected boolean, got {text!r}")
+    raise ValueError(f"expected boolean, got {text!r}")
 
 
 def _parse_optional_float(text: str):
@@ -136,7 +136,10 @@ _GBDT_FIELD_TYPES = {
 
 
 def parse_config(path) -> ExperimentConfig:
+    """Read a config file; every error names the line it comes from."""
     config = ExperimentConfig()
+    searchable = tuner.default_space()
+    set_on = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -157,9 +160,13 @@ def parse_config(path) -> ExperimentConfig:
                 setattr(config, attr, coerce(value))
             elif key.startswith("search.space."):
                 name = key[len("search.space."):]
+                if name not in searchable:
+                    raise ConfigError(
+                        f"unknown search parameter {name!r}, expected one of "
+                        f"{', '.join(searchable)}")
                 parts = [p.strip() for p in value.split(",")]
                 if len(parts) not in (2, 3):
-                    raise ConfigError("expected min,max[,scale]")
+                    raise ValueError("expected min,max[,scale]")
                 scale = parts[2] if len(parts) == 3 else "linear"
                 config.search_space_overrides[name] = ParamRange(
                     float(parts[0]), float(parts[1]), scale)
@@ -170,10 +177,15 @@ def parse_config(path) -> ExperimentConfig:
                 config.gbdt_overrides[name] = _GBDT_FIELD_TYPES[name](value)
             else:
                 raise ConfigError(f"unknown key {key!r}")
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_num}: {exc}") from None
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {line_num}: bad value for {key}: {exc}") from exc
+        set_on[key] = line_num
+    if config.scheme == "sign" and config.n_classes != 2:
+        raise ConfigError(
+            f"line {set_on['label.scheme']}: label.scheme = sign requires "
+            f"label.n_classes = 2, got {config.n_classes}")
     return config
 
 

@@ -422,35 +422,39 @@ def correlation_dedupe_inputs(m: FeatureMatrix, cutoff: float = 0.9,
                               fit_rows: np.ndarray | None = None) -> FeatureMatrix:
     """Greedy scan in meta order dropping columns correlated above cutoff.
 
-    Pearson correlation is measured on fit_rows (default: all). Dropped
-    (kept-partner, r) pairs are recorded on the returned matrix. Constant
-    columns correlate with nothing and are kept.
+    Pearson correlation is measured on fit_rows (default: all): the fit rows
+    are standardised in one copy and every r comes from its Gram matrix. A
+    column is dropped when its largest |r| against the columns kept so far
+    (the first such partner on ties) exceeds cutoff; the (dropped,
+    kept-partner, r) triples are recorded on the returned matrix. Columns
+    with a zero std on the fit rows correlate with nothing and are kept.
     """
     rows = np.arange(m.n_rows) if fit_rows is None else np.asarray(fit_rows)
-    x = m.values[rows]
-    n = x.shape[0]
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    z = np.zeros_like(x)
-    nz = sd > 0
-    z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
+    z = m.values[rows]
+    n = z.shape[0]
+    sd = z.std(axis=0)
+    z -= z.mean(axis=0)
+    constant = ~(sd > 0)
+    z /= np.where(constant, 1.0, sd)
+    z[:, constant] = 0.0
+    corr = z.T @ z
+    corr /= n
+    del z
 
     kept = []
     pairs = []
-    kept_z = np.empty((n, m.n_cols))
     for j in range(m.n_cols):
         if kept:
-            r = kept_z[:, :len(kept)].T @ z[:, j] / n
+            r = corr[kept, j]
             worst = int(np.argmax(np.abs(r)))
             if abs(r[worst]) > cutoff:
                 pairs.append((m.metas[j].name, m.metas[kept[worst]].name,
                               float(r[worst])))
                 continue
-        kept_z[:, len(kept)] = z[:, j]
         kept.append(j)
 
     kept_idx = np.array(kept, dtype=np.int64)
-    return FeatureMatrix(m.index, m.values[:, kept_idx].copy(),
+    return FeatureMatrix(m.index, np.take(m.values, kept_idx, axis=1),
                          [m.metas[j] for j in kept],
                          dedupe_pairs=pairs)
 

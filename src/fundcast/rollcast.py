@@ -500,10 +500,11 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             lagged, config.correlation_cutoff, fit_rows=train_idx)
 
     with _stage(split.index, "pca"):
-        pca = spectral_reduce.fit_pca(deduped.values[train_idx],
-                                      standardize=config.standardize)
+        x_train = deduped.values[train_idx]
+        pca = spectral_reduce.fit_pca(x_train, standardize=config.standardize)
         pca.kept = spectral_reduce.choose_components(pca, config.pca_threshold)
-        comps_train = spectral_reduce.transform(pca, deduped.values[train_idx])
+        comps_train = spectral_reduce.transform(pca, x_train)
+        del x_train  # not held through the search and the final fit
         comps_test = spectral_reduce.transform(pca, deduped.values[test_idx]) \
             if len(test_idx) else np.empty((0, pca.kept))
 

@@ -140,7 +140,7 @@ def fit_pca(x: np.ndarray, standardize: bool = False) -> PcaModel:
     if standardize:
         scale = xc.std(axis=0)
         scale = np.where(scale > 0, scale, 1.0)
-        xc = xc / scale
+        xc /= scale
     cov = xc.T @ xc / n
     eigenvalues, loadings = jacobi_eigh(cov)
     eigenvalues = np.maximum(eigenvalues, 0.0)
@@ -175,7 +175,7 @@ def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} columns, got {x.shape}")
     xc = x - model.mean
     if model.scale is not None:
-        xc = xc / model.scale
+        xc /= model.scale
     return xc @ model.loadings[:, :model.kept]
 
 

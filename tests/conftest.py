@@ -7,7 +7,7 @@ import pytest
 
 from fundcast import boostwood
 from fundcast.boostwood import GbdtModel, HyperParams, Tree
-from fundcast.feature_forge import _pooled_fill_period
+from fundcast.feature_forge import FeatureMatrix, _pooled_fill_period
 from fundcast.panel_ingest import (
     CalendarQuarter,
     CompanyMeta,
@@ -139,6 +139,42 @@ def reference_fill_column_runs(seg, p, horizon_cap):
             window.append(value)
             filled += 1
     return filled
+
+
+def reference_correlation_dedupe(m: FeatureMatrix, cutoff: float = 0.9,
+                                 fit_rows=None) -> FeatureMatrix:
+    """Column-by-column scan: the plain form of
+    feature_forge.correlation_dedupe_inputs, which must keep the same columns
+    and record the same (dropped, partner) names. Each column's r against the
+    kept columns is one matrix-vector product over a growing buffer of their
+    standardised fit rows."""
+    rows = np.arange(m.n_rows) if fit_rows is None else np.asarray(fit_rows)
+    x = m.values[rows]
+    n = x.shape[0]
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    z = np.zeros_like(x)
+    nz = sd > 0
+    z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
+
+    kept = []
+    pairs = []
+    kept_z = np.empty((n, m.n_cols))
+    for j in range(m.n_cols):
+        if kept:
+            r = kept_z[:, :len(kept)].T @ z[:, j] / n
+            worst = int(np.argmax(np.abs(r)))
+            if abs(r[worst]) > cutoff:
+                pairs.append((m.metas[j].name, m.metas[kept[worst]].name,
+                              float(r[worst])))
+                continue
+        kept_z[:, len(kept)] = z[:, j]
+        kept.append(j)
+
+    kept_idx = np.array(kept, dtype=np.int64)
+    return FeatureMatrix(m.index, m.values[:, kept_idx].copy(),
+                         [m.metas[j] for j in kept],
+                         dedupe_pairs=pairs)
 
 
 def split_gain(parent_stats, left_stats, params) -> float:

@@ -123,7 +123,11 @@ class TestParseConfig:
         ("label.horizon", "yoy"), ("label.n_classes", 6),
         ("label.scheme", "sign"), ("pipeline.formula_variant", "minus_one")])
     def test_known_choice_accepted(self, tmp_path, key, value):
-        path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
+        extra = f"\n{key} = {value}\n"
+        if value == "sign":
+            # BASE_CONFIG's 3 classes cannot be cut by sign
+            extra += "label.n_classes = 2\n"
+        path, _ = write_config(tmp_path, extra=extra)
         attr = _KEYS[key][0]
         assert getattr(parse_config(path), attr) == value
 
@@ -155,6 +159,41 @@ class TestParseConfig:
         line = path.read_text().splitlines().index(
             "pipeline.correlation_cutoff = -0.5") + 1
         assert f"line {line}: bad value for pipeline.correlation_cutoff" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ("foo.bar = 1", "unknown key 'foo.bar'"),
+        ("gbdt.magic = 3", "unknown gbdt parameter 'magic'"),
+        ("search.space.max_bin = 5",
+         r"bad value for search.space.max_bin: expected min,max\[,scale\]"),
+        ("search.space.magic = 1, 2", "unknown search parameter 'magic'"),
+        ("search.space.seed = 1, 2, integer",
+         "unknown search parameter 'seed', expected one of learning_rate, "),
+        ("pipeline.standardize = maybe",
+         "bad value for pipeline.standardize: expected boolean, got 'maybe'")])
+    def test_every_error_names_its_line(self, tmp_path, entry, message):
+        path, _ = write_config(tmp_path, extra=f"\n{entry}\n")
+        line = path.read_text().splitlines().index(entry) + 1
+        with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
+            parse_config(path)
+
+    def test_sign_scheme_needs_two_classes_names_scheme_line(self, tmp_path):
+        # BASE_CONFIG sets label.n_classes = 3 above the scheme line
+        path, _ = write_config(tmp_path, extra="\nlabel.scheme = sign\n")
+        line = path.read_text().splitlines().index("label.scheme = sign") + 1
+        with pytest.raises(ConfigError,
+                           match=f"^line {line}: label.scheme = sign requires "
+                                 "label.n_classes = 2, got 3"):
+            parse_config(path)
+
+    def test_sign_scheme_with_three_classes_stops_backtest_before_ingest(
+            self, tmp_path, capsys):
+        # the panel files do not exist: the config is refused first
+        path, out = write_config(tmp_path, extra="\nlabel.scheme = sign\n")
+        assert main(["backtest", "--config", str(path)]) == 1
+        line = path.read_text().splitlines().index("label.scheme = sign") + 1
+        assert f"error: line {line}: label.scheme = sign" \
             in capsys.readouterr().err
         assert not out.exists()
 

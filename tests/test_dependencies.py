@@ -1,0 +1,32 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fundcast
+
+# Imports every fundcast module in a fresh interpreter and prints the
+# modules it imported and the scipy modules among everything loaded.
+PROBE = """
+import importlib, json, pkgutil, sys
+import fundcast
+names = [m.name for m in pkgutil.iter_modules(fundcast.__path__, "fundcast.")]
+for name in names:
+    importlib.import_module(name)
+print(json.dumps([names, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_no_fundcast_module_imports_scipy():
+    # numpy is the one numeric runtime dependency
+    src = str(Path(fundcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    names, scipy_modules = json.loads(out.stdout)
+    files = sorted(p.stem for p in Path(fundcast.__file__).parent.glob("*.py"))
+    assert sorted(n.split(".")[1] for n in names) == \
+        [f for f in files if f != "__init__"]
+    assert scipy_modules == []

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -8,6 +10,7 @@ from conftest import (
     index_from_keys,
     keys_of,
     quarter_range,
+    reference_correlation_dedupe,
     reference_fill_column_runs,
     reference_pooled_fill_period,
     simple_spec,
@@ -407,6 +410,77 @@ class TestImpute:
             impute(m, [], **{"look_back": 1, **kwargs})
 
 
+def scan_margin(x, cutoff):
+    """Smallest distance, over the greedy scan of x's columns, between a
+    column's largest |r| against the kept columns and the cutoff, or
+    between a dropped column's two largest |r|. Within a few ulps of either,
+    the last bits of r decide, and those depend on the order of the sums."""
+    sd = x.std(axis=0)
+    z = np.where(sd > 0, (x - x.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
+    corr = np.abs(z.T @ z / len(x))
+    margin = np.inf
+    kept = []
+    for j in range(x.shape[1]):
+        if kept:
+            r = np.sort(corr[kept, j])[::-1]
+            margin = min(margin, abs(r[0] - cutoff))
+            if r[0] > cutoff:
+                if len(r) > 1:
+                    margin = min(margin, r[0] - r[1])
+                continue
+        kept.append(j)
+    return margin
+
+
+@st.composite
+def dedupe_cases(draw):
+    """Columns built from earlier ones (duplicated, negated, scaled, or at
+    r = cutoff +- delta on the fit rows), fresh normal and constant (also
+    all-NaN) columns, random fit rows and a cutoff in (0, 1]."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fit = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=3,
+                                             max_size=n, unique=True)))
+    rows = np.arange(n) if fit is None else np.sort(np.array(fit))
+    cutoff = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    kinds = draw(st.lists(st.sampled_from(
+        ("normal", "constant", "duplicate", "negated", "scaled", "near")),
+        min_size=1, max_size=12))
+    cols = []
+    for kind in kinds:
+        if kind == "normal" or (kind != "constant" and not cols):
+            cols.append(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3))
+            continue
+        if kind == "constant":
+            # NaN has no std either: such a column is constant too
+            cols.append(np.full(n, draw(st.sampled_from((0.0, 0.1, np.nan)))))
+            continue
+        base = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "duplicate":
+            cols.append(base.copy())
+        elif kind == "negated":
+            cols.append(-base)
+        elif kind == "scaled":
+            cols.append(base * rng.uniform(0.01, 100) + rng.normal())
+        else:
+            # base's fit-row direction mixed with an orthogonal one at the
+            # angle whose cosine is cutoff +- delta
+            e = base[rows] - base[rows].mean()
+            u = rng.normal(size=n)
+            u_fit = u[rows] - u[rows].mean()
+            if not (e @ e > 0):
+                cols.append(u)
+                continue
+            u_fit -= (u_fit @ e) / (e @ e) * e
+            delta = draw(st.floats(1e-7, 1e-3)) * draw(st.sampled_from((-1, 1)))
+            r = cutoff + delta if cutoff + delta < 1 else cutoff - abs(delta)
+            col = rng.normal(size=n)
+            col[rows] = (r * e / np.linalg.norm(e)
+                         + np.sqrt(1 - r * r) * u_fit / np.linalg.norm(u_fit))
+            cols.append(col)
+    return np.column_stack(cols), fit, cutoff
+
+
 class TestCorrelationDedupe:
     def _matrix(self, cols):
         values = np.column_stack(cols)
@@ -450,6 +524,46 @@ class TestCorrelationDedupe:
         x = rng.normal(size=30)
         out = correlation_dedupe_inputs(self._matrix([x, np.full(30, 2.0)]))
         assert out.n_cols == 2
+
+    def test_first_kept_partner_wins_a_tie(self):
+        # a and b are uncorrelated, and a + b has the same r with each, to
+        # the bit: every product and sum is the same
+        a = np.array([1.0, 1.0, -1.0, -1.0])
+        b = np.array([1.0, -1.0, 1.0, -1.0])
+        out = correlation_dedupe_inputs(self._matrix([a, b, a + b]), 0.5)
+        assert [p[:2] for p in out.dedupe_pairs] == [("v2_raw", "v0_raw")]
+        assert out.dedupe_pairs[0][2] == pytest.approx(np.sqrt(0.5))
+
+    def test_peak_memory_below_two_and_a_half_fit_blocks(self, rng):
+        # one standardised copy of the fit rows plus np.std's temporary;
+        # the d x d correlations are small beside them
+        m = self._matrix(list(rng.normal(size=(200, 4000))))
+        tracemalloc.start()
+        try:
+            out = correlation_dedupe_inputs(m, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n_cols == 200
+        assert peak < 2.5 * m.values.nbytes
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dedupe_cases())
+    def test_matches_column_by_column_reference(self, case):
+        values, fit, cutoff = case
+        rows = np.arange(len(values)) if fit is None else np.array(fit)
+        assume(scan_margin(values[rows], cutoff) > 1e-9)
+        m = self._matrix(list(values.T))
+
+        out = correlation_dedupe_inputs(m, cutoff, fit_rows=fit)
+        ref = reference_correlation_dedupe(m, cutoff, fit_rows=fit)
+        assert out.metas == ref.metas
+        assert out.values.shape == ref.values.shape
+        assert out.values.tobytes() == ref.values.tobytes()
+        assert [p[:2] for p in out.dedupe_pairs] == \
+            [p[:2] for p in ref.dedupe_pairs]
+        for (_, _, r), (_, _, ref_r) in zip(out.dedupe_pairs, ref.dedupe_pairs):
+            assert abs(r - ref_r) <= 1e-12
 
 
 class TestBuildLags:
