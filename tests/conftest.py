@@ -220,52 +220,6 @@ def edge_codes(x, edges, miss_code):
     return codes
 
 
-def reference_jacobi_eigh(a, tol=1e-12, max_sweeps=60):
-    """Cyclic Jacobi with one copy per row and column and a fresh array per
-    product: the plain form of spectral_reduce.jacobi_eigh, which must give
-    the same output bytes on every input this one converges on."""
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    a = (a + a.T) / 2.0
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * norm / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
 def _level_wise_tree(index, width, n_bins_f, g, h, root_leaf, params):
     """boostwood._grow_tree's tree grown breadth-first: each leaf in queue
     order splits while the tree has fewer than num_leaves leaves."""

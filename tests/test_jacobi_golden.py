@@ -1,17 +1,26 @@
-"""Golden eigendecompositions: the SHA-256 of jacobi_eigh's output bytes on a
-small grid of matrices.
+"""Golden eigendecompositions: the SHA-256 of eigh_descending's output bytes
+on a small grid of matrices.
 
-Any speedup of the rotation loop must leave these bytes unchanged. Each
-case also asserts the property that makes it worth pinning, so a case
-cannot silently stop exercising its code path.
+The cases were chosen for the cyclic Jacobi solver that eigh_descending
+replaced: near-null spaces, a tied diagonal, repeated eigenvalues and
+off-diagonals below a rounding-level threshold. Each case also asserts the
+property that makes it worth pinning, so a case cannot silently stop
+exercising it. LAPACK's bytes hold for a fixed numpy/BLAS build and BLAS
+thread count (cov_d127 moves between 1 and 2 threads), so the digests are
+computed in a child process with BLAS on 1 thread, as perfbench runs it.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fundcast.spectral_reduce import jacobi_eigh
+import fundcast
+from fundcast.spectral_reduce import eigh_descending
 
 TOL = 1e-12
 
@@ -34,7 +43,8 @@ def repeated_block():
 
 
 def below_skip():
-    """One rotation's worth of coupling plus off-diagonals the solver skips."""
+    """One rotation's worth of coupling plus rounding-level off-diagonals
+    that the Jacobi solver skipped."""
     a = np.diag([4.0, 3.0, 2.0, 1.0])
     a[0, 1] = a[1, 0] = 0.5
     a[2, 3] = a[3, 2] = 1e-17
@@ -78,13 +88,13 @@ CASES = {
 }
 
 GOLDEN_SHA256 = {
-    "below_skip_threshold": "abc5ed61a00d417f805e029df5764953000400c694e215e2383acfe5d96279e1",
-    "cov_d127": "80ed4bb029b147f436094d6302138e0fd1262e072fb334f7f98c6afb0566eb8b",
-    "cov_d40": "096b9c11223a2476d2bdb3836c47e7b776f5a7e320472fa51c49834f078c615f",
+    "below_skip_threshold": "16a4bcee634d51f43cb2b79a5d6220f1270002ee7cb2bd22fcea156cdd2383a9",
+    "cov_d127": "984d45f1fd7239fc37f56d5405331fa12dbdcdbd13c04d3a026add2280ef3b7f",
+    "cov_d40": "aa4c72b4cb2babb16721d59c676b26ff16808d870c741ba8ea8b1f7ad7a69949",
     "eye4": "52c1c336fca87dee117d4d7407a7cbc86769397da01a951398d9142d200631a4",
     "one_by_one": "52ed143a027f18ebe0bdbb90aeae01292ab5f1951851be1c29dcc8dbb419d74d",
-    "repeated_eigenvalues": "709df4d585f1a72086a1fe4b8f9eb0070dc65a70bad0859c33cc2fc50b74d4fd",
-    "theta_zero_2x2": "25108d0870be45c7e5400f2747570a9e6f26a7016fc098518cb340e57ce0efa1",
+    "repeated_eigenvalues": "c4ddf6b7ad417fdc7f460313c3d2f507e0fe012a5b504af8f9451231c00dde04",
+    "theta_zero_2x2": "b99806d9a9d1a71ed9ecff7fe8de81bc0d2e69cf598aa66996c5c341aa109d3f",
     "zeros3": "4165a5be53209fff5ace98d58c3de63f2de6ef10a25df234d95a52b06bca362f",
 }
 
@@ -95,8 +105,28 @@ def test_case_exercises_its_path(name):
     assert check(make())
 
 
+def digests():
+    """SHA-256 of eigh_descending's eigenvalue and eigenvector bytes per case."""
+    out = {}
+    for name in sorted(CASES):
+        w, v = eigh_descending(CASES[name][0]())
+        out[name] = hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def single_thread_digests():
+    paths = [str(Path(fundcast.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import test_jacobi_golden as g\n"
+         "for k, v in g.digests().items(): print(k, v)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return dict(line.split() for line in run.stdout.splitlines())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_match_golden(name):
-    w, v = jacobi_eigh(CASES[name][0]())
-    digest = hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest()
-    assert digest == GOLDEN_SHA256[name]
+def test_output_bytes_match_golden(name, single_thread_digests):
+    assert single_thread_digests[name] == GOLDEN_SHA256[name]

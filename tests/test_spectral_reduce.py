@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import pca_from_text, reference_jacobi_eigh
+from conftest import pca_from_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +8,8 @@ from fundcast.errors import DegenerateInputError, DimensionMismatchError
 from fundcast.spectral_reduce import (
     PcaModel,
     choose_components,
+    eigh_descending,
     fit_pca,
-    jacobi_eigh,
     to_text,
     transform,
 )
@@ -64,22 +64,21 @@ def awkward_matrices(draw):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Covariances with duplicated columns, or plain symmetric matrices with
-    negative eigenvalues, at scales 1, 1e-3 and 1e3."""
-    d = draw(st.integers(1, 24))
+def planted_spectra(draw):
+    """Centred rows U diag(s) Q^T of known covariance spectrum s^2 / n_rows,
+    d from 1 to 40, with repeated singular values, zeros (rank-deficient)
+    and fewer rows than columns, at scales 1, 1e-3 and 1e3."""
+    d = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        x = rng.normal(size=(draw(st.integers(2, 40)), d))
-        duplicated = rng.random(d) < draw(st.sampled_from((0.0, 0.25, 0.5)))
-        for j in np.flatnonzero(duplicated[1:]) + 1:
-            x[:, j] = x[:, rng.integers(j)]
-        xc = x - x.mean(axis=0)
-        a = xc.T @ xc / len(x)
-    else:
-        a = rng.normal(size=(d, d))
-        a = a + a.T
-    return a * draw(st.sampled_from((1.0, 1e-3, 1e3)))
+    r = min(d, n - 1)
+    # r orthonormal columns orthogonal to the ones vector: centred scores
+    u, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, r))]))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    values = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+                           min_size=r, max_size=r))
+    x = (u[:, 1:] * values) @ q[:, :r].T
+    return x * draw(st.sampled_from((1.0, 1e-3, 1e3)))
 
 
 class TestFitPcaProperties:
@@ -104,61 +103,158 @@ class TestFitPcaProperties:
         assert to_text(fit_pca(x, standardize=standardize)) == text
 
 
+class TestFitPcaEigensolver:
+    @settings(max_examples=200, deadline=None)
+    @given(x=planted_spectra())
+    def test_matches_svd_of_centred_matrix(self, x):
+        n, d = x.shape
+        model = fit_pca(x)
+        w_ref = np.zeros(d)
+        _, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        w_ref[:len(s)] = s ** 2 / n
+        scale = max(w_ref[0], np.finfo(float).tiny)
+        w, v = model.eigenvalues, model.loadings
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9 * scale)
+        assert (w >= 0).all()
+        assert (np.diff(w) <= 0).all()
+        np.testing.assert_allclose(v.T @ v, np.eye(d), atol=1e-10)
+        xc = x - model.mean
+        np.testing.assert_allclose(xc.T @ (xc @ v) / n, v * w, rtol=0,
+                                   atol=1e-9 * scale)
+        peaks = np.argmax(np.abs(v), axis=0)
+        assert (v[peaks, np.arange(d)] > 0).all()
+
+    def test_identity_covariance(self):
+        # Sylvester-Hadamard columns: centred, orthogonal, covariance I_4
+        h = np.array([[1.0]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+        model = fit_pca(h[:, 1:5])
+        np.testing.assert_allclose(model.eigenvalues, np.ones(4))
+        np.testing.assert_allclose(model.explained_ratio, np.full(4, 0.25))
+        np.testing.assert_allclose(model.loadings.T @ model.loadings,
+                                   np.eye(4), atol=1e-12)
+
+    def test_zero_covariance_identity_loadings(self):
+        model = fit_pca(np.tile([1.0, -2.0, 0.0], (5, 1)))
+        np.testing.assert_array_equal(model.eigenvalues, np.zeros(3))
+        np.testing.assert_array_equal(model.explained_ratio, np.zeros(3))
+        np.testing.assert_array_equal(model.loadings, np.eye(3))
+
+    def test_single_column(self, rng):
+        x = rng.normal(size=(20, 1))
+        model = fit_pca(x)
+        np.testing.assert_array_equal(model.loadings, np.ones((1, 1)))
+        assert model.eigenvalues[0] == pytest.approx(np.var(x))
+        np.testing.assert_array_equal(model.explained_ratio, [1.0])
+
+    def test_constant_columns_span_the_null_space(self, rng):
+        x = rng.normal(size=(40, 4))
+        x[:, 1] = 7.0
+        x[:, 3] = -1.5
+        model = fit_pca(x)
+        np.testing.assert_array_equal(model.eigenvalues[2:], [0.0, 0.0])
+        # the constant columns span the null space and no other component
+        np.testing.assert_allclose(model.loadings[[1, 3], :2], 0.0, atol=1e-12)
+        np.testing.assert_allclose(model.loadings[[0, 2], 2:], 0.0, atol=1e-12)
+
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(DegenerateInputError, match="2-D"):
+            fit_pca(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_rejects_non_finite_entries(self, rng, n, bad):
+        x = rng.normal(size=(n + 5, n))
+        x[n // 2, 0] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            fit_pca(x)
+
+    def test_rejects_overflowing_covariance(self):
+        x = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateInputError, match="overflow"):
+            fit_pca(x)
+
+    def test_lapack_failure_is_degenerate_input(self, rng, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(DegenerateInputError,
+                           match="did not converge") as caught:
+            fit_pca(rng.normal(size=(10, 3)))
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+    def test_refit_gives_same_bytes(self, rng):
+        x = rng.normal(size=(300, 125)) @ rng.normal(size=(125, 125))
+        a, b = fit_pca(x, standardize=True), fit_pca(x, standardize=True)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.loadings.tobytes() == b.loadings.tobytes()
+        assert to_text(a) == to_text(b)
+
+
 class TestJacobi:
+    """eigh_descending, the covariance-level step of fit_pca. The cases were
+    written for the cyclic Jacobi solver it replaced and keep their names."""
+
     def test_matches_oracle_on_seeded_matrices(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 30))
             x = rng.normal(size=(d + 10, d))
             cov = x.T @ x / len(x)
-            w, v = jacobi_eigh(cov)
+            w, v = eigh_descending(cov)
             wo, vo = oracle_eigh(cov)
             np.testing.assert_allclose(w, wo, atol=1e-9)
             np.testing.assert_allclose(v, align_signs(v, vo), atol=1e-8)
 
     def test_identity(self):
-        w, v = jacobi_eigh(np.eye(4))
+        w, v = eigh_descending(np.eye(4))
         np.testing.assert_allclose(w, np.ones(4))
         np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
 
     def test_zero_matrix(self):
-        w, v = jacobi_eigh(np.zeros((3, 3)))
+        w, v = eigh_descending(np.zeros((3, 3)))
         np.testing.assert_array_equal(w, np.zeros(3))
+        np.testing.assert_array_equal(v, np.eye(3))
 
     def test_rejects_non_square(self):
-        with pytest.raises(DegenerateInputError):
-            jacobi_eigh(np.zeros((2, 3)))
+        with pytest.raises(DegenerateInputError, match="square"):
+            eigh_descending(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 20])
-    def test_rejects_non_finite_before_any_sweep(self, rng, n, bad):
+    def test_rejects_non_finite_before_any_sweep(self, rng, n, bad,
+                                                 monkeypatch):
+        def unreachable_eigh(a):
+            raise AssertionError("eigh called on a non-finite matrix")
+
         x = rng.normal(size=(n + 5, n))
         cov = x.T @ x
         cov[n // 2, 0] = bad
+        monkeypatch.setattr(np.linalg, "eigh", unreachable_eigh)
         with pytest.raises(DegenerateInputError, match="non-finite"):
-            jacobi_eigh(cov)
+            eigh_descending(cov)
 
     def test_rejects_overflowing_norm(self):
         with np.errstate(over="ignore"), \
                 pytest.raises(DegenerateInputError, match="overflow"):
-            jacobi_eigh(np.full((3, 3), 1e300))
+            eigh_descending(np.full((3, 3), 1e300))
 
-    def test_unconverged_decomposition_raises(self, rng):
+    def test_unconverged_decomposition_raises(self, rng, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
         x = rng.normal(size=(30, 12))
         cov = x.T @ x / len(x)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(DegenerateInputError,
-                           match=r"1 sweeps.*off-diagonal norm \d"):
-            jacobi_eigh(cov, max_sweeps=1)
-        w, _ = jacobi_eigh(cov)
+                           match="did not converge") as caught:
+            eigh_descending(cov)
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+        monkeypatch.undo()
+        w, _ = eigh_descending(cov)
         np.testing.assert_allclose(w, oracle_eigh(cov)[0], atol=1e-9)
-
-    @settings(max_examples=400, deadline=None)
-    @given(a=symmetric_matrices())
-    def test_bytes_equal_reference_loop(self, a):
-        w, v = jacobi_eigh(a)
-        w_ref, v_ref = reference_jacobi_eigh(a)
-        assert w.tobytes() == w_ref.tobytes()
-        assert v.tobytes() == v_ref.tobytes()
-        assert (w.strides, v.strides) == (w_ref.strides, v_ref.strides)
 
 
 class TestFitPca:
