@@ -12,12 +12,14 @@ for the documented key table.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
 
 from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
-from .errors import ConfigError, FundcastError
+from .boostwood import HyperParams
+from .errors import ConfigError, FundcastError, InvalidParamsError
 from .panel_ingest import FilterRules
 from .rollcast import ExperimentConfig
 from .tuner import ParamRange
@@ -30,6 +32,13 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise ValueError(f"expected boolean, got {text!r}")
+
+
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
 
 
 def _parse_optional_float(text: str):
@@ -97,11 +106,7 @@ _KEYS = {
     "pipeline.train_len": ("train_len", _parse_count),
     "pipeline.max_subsets": ("max_subsets", partial(_parse_count, least=0)),
     "validation.size": ("validation_size", _parse_count),
-    "validation.mode": ("validation_mode",
-                        partial(_parse_choice, allowed=tuner.VALIDATION_MODES)),
     "search.budget": ("search_budget", _parse_count),
-    "search.mode": ("search_mode",
-                    partial(_parse_choice, allowed=tuner.SEARCH_MODES)),
     "gbdt.n_rounds": ("n_rounds", _parse_count),
     "gbdt.early_stopping": ("early_stopping", partial(_parse_count, least=0)),
     "consensus.estimate": ("consensus_estimate",
@@ -121,16 +126,16 @@ _KEYS = {
 }
 
 _GBDT_FIELD_TYPES = {
-    "learning_rate": float,
+    "learning_rate": _parse_finite,
     "max_bin": int,
     "num_leaves": int,
     "min_data_in_leaf": int,
-    "feature_fraction": float,
-    "bagging_fraction": float,
+    "feature_fraction": _parse_finite,
+    "bagging_fraction": _parse_finite,
     "bagging_freq": int,
-    "min_gain_to_split": float,
-    "lambda_l1": float,
-    "lambda_l2": float,
+    "min_gain_to_split": _parse_finite,
+    "lambda_l1": _parse_finite,
+    "lambda_l2": _parse_finite,
     "max_depth": int,
 }
 
@@ -168,18 +173,23 @@ def parse_config(path) -> ExperimentConfig:
                 if len(parts) not in (2, 3):
                     raise ValueError("expected min,max[,scale]")
                 scale = parts[2] if len(parts) == 3 else "linear"
-                config.search_space_overrides[name] = ParamRange(
-                    float(parts[0]), float(parts[1]), scale)
+                range_ = ParamRange(_parse_finite(parts[0]),
+                                    _parse_finite(parts[1]), scale)
+                for end in (range_.lo, range_.hi):
+                    HyperParams(**{name: end}).validate()
+                config.search_space_overrides[name] = range_
             elif key.startswith("gbdt."):
                 name = key[len("gbdt."):]
                 if name not in _GBDT_FIELD_TYPES:
                     raise ConfigError(f"unknown gbdt parameter {name!r}")
-                config.gbdt_overrides[name] = _GBDT_FIELD_TYPES[name](value)
+                pinned = _GBDT_FIELD_TYPES[name](value)
+                HyperParams(**{name: pinned}).validate()
+                config.gbdt_overrides[name] = pinned
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
             raise ConfigError(f"line {line_num}: {exc}") from None
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, InvalidParamsError) as exc:
             raise ConfigError(f"line {line_num}: bad value for {key}: {exc}") from exc
         set_on[key] = line_num
     if config.scheme == "sign" and config.n_classes != 2:

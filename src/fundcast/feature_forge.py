@@ -427,14 +427,16 @@ def correlation_dedupe_inputs(m: FeatureMatrix, cutoff: float = 0.9,
     column is dropped when its largest |r| against the columns kept so far
     (the first such partner on ties) exceeds cutoff; the (dropped,
     kept-partner, r) triples are recorded on the returned matrix. Columns
-    with a zero std on the fit rows correlate with nothing and are kept.
+    that repeat one value on the fit rows (or have no std there, as NaN
+    columns) correlate with nothing and are kept.
     """
     rows = np.arange(m.n_rows) if fit_rows is None else np.asarray(fit_rows)
     z = m.values[rows]
     n = z.shape[0]
     sd = z.std(axis=0)
+    # a repeated value can leave rounding in its std, so test it exactly
+    constant = ~(sd > 0) | (z == z[:1]).all(axis=0)
     z -= z.mean(axis=0)
-    constant = ~(sd > 0)
     z /= np.where(constant, 1.0, sd)
     z[:, constant] = 0.0
     corr = z.T @ z

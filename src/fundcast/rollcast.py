@@ -80,10 +80,8 @@ class ExperimentConfig:
     max_subsets: int = 0
 
     validation_size: int = 8
-    validation_mode: str = "chronological_tail"
 
     search_budget: int = 25
-    search_mode: str = "uniform"
     search_space_overrides: dict = field(default_factory=dict)
     gbdt_overrides: dict = field(default_factory=dict)
     n_rounds: int = 200
@@ -465,7 +463,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         if len(values) != n:
             raise DimensionMismatchError(
                 f"{name}: {len(values)} values for {n} features rows")
-    seed_valid, seed_search, seed_final = _subset_seeds(config.seed, split.index)
+    # child 0 seeded a removed random split; skipping it keeps the other seeds
+    _, seed_search, seed_final = _subset_seeds(config.seed, split.index)
     train_quarters = [q.index for q in split.train_quarters]
     test_idx_q = split.test_quarter.index
 
@@ -512,9 +511,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     y_test = label_values[test_idx].astype(np.int64)
 
     with _stage(split.index, "search"):
-        tr_i, va_i = tuner.make_validation_split(
-            q_arr[train_idx], config.validation_size, config.validation_mode,
-            seed_valid)
+        tr_i, va_i = tuner.make_validation_split(q_arr[train_idx],
+                                                 config.validation_size)
 
         # every trial bins the same rows; only max_bin differs
         search_cols = boostwood.sort_columns(comps_train[tr_i])
@@ -543,7 +541,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         space, base = config.search_box()
         best, trials = tuner.search(
             space, config.search_budget, objective, seed_search,
-            base_params=base, mode=config.search_mode)
+            base_params=base)
 
     with _stage(split.index, "final_fit"):
         final_params = replace(best, seed=seed_final)

@@ -1,9 +1,8 @@
 """Hold-out validation splits and hyperparameter search.
 
-Uniform random search over a box of per-parameter ranges, with an optional
-two-phase adaptive mode that refits the sampling ranges to the top quartile
-of the first phase. Every trial is seeded from (seed, trial_index) so
-trials are reproducible and order-independent.
+Uniform random search over a box of per-parameter ranges, validated on the
+last quarters of the training window. Every trial is seeded from
+(seed, trial_index) so trials are reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -95,20 +94,13 @@ class TrialRecord:
         return out
 
 
-VALIDATION_MODES = ("chronological_tail", "random_quarters")
-SEARCH_MODES = ("uniform", "adaptive")
-
-
-def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
+def make_validation_split(quarters, size_quarters: int):
     """Partition training rows into (train_idx, validation_idx) by quarter.
 
-    quarters holds each row's CalendarQuarter.index. chronological_tail
-    reserves the last size_quarters calendar quarters wholesale;
-    random_quarters reserves size_quarters distinct quarters drawn
-    uniformly. size_quarters must be >= 1. No row lands on both sides.
+    quarters holds each row's CalendarQuarter.index. The last size_quarters
+    calendar quarters are held out wholesale; size_quarters must be >= 1.
+    No row lands on both sides.
     """
-    if mode not in VALIDATION_MODES:
-        raise ValueError(f"unknown validation mode {mode!r}")
     if size_quarters < 1:
         raise ValueError(f"validation size must be >= 1, got {size_quarters}")
     quarters = np.asarray(quarters)
@@ -117,18 +109,13 @@ def make_validation_split(quarters, size_quarters: int, mode: str, seed: int):
         raise WindowTooSmallError(
             f"window spans {len(distinct)} quarters; "
             f"need >= {size_quarters + 1} for a {size_quarters}-quarter split")
-    if mode == "chronological_tail":
-        held = distinct[-size_quarters:]
-    else:
-        rng = np.random.default_rng(seed)
-        held = distinct[rng.choice(len(distinct), size=size_quarters, replace=False)]
-    in_valid = np.isin(quarters, held)
+    in_valid = np.isin(quarters, distinct[-size_quarters:])
     idx = np.arange(len(quarters))
     return idx[~in_valid], idx[in_valid]
 
 
 def search(space: dict, budget: int, objective, seed: int, *,
-           base_params: HyperParams | None = None, mode: str = "uniform"):
+           base_params: HyperParams | None = None):
     """Sample budget parameter vectors and keep the best validation metric.
 
     space maps each searched HyperParams field to its ParamRange; a trial
@@ -136,23 +123,20 @@ def search(space: dict, budget: int, objective, seed: int, *,
     objective(params) returns (validation_metric, train_metric), optionally
     followed by a dict of training facts (TrialRecord's best_round,
     rounds_fitted, null_trees, best_valid_loss); a trial exception is
-    recorded, not fatal, unless every trial fails. Ties on the metric go to
-    the earliest trial.
+    recorded, not fatal, unless every trial fails, and then the last
+    trial's error names the cause. Ties on the metric go to the earliest
+    trial.
     """
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown search mode {mode!r}")
     base = base_params if base_params is not None else HyperParams()
 
     trials = []
     last_error = None
-
-    def run_trial(index: int, box: dict) -> TrialRecord:
-        nonlocal last_error
+    for index in range(budget):
         rng = np.random.default_rng([seed, index])
         params = replace(base, **{name: range_.sample(rng)
-                                  for name, range_ in box.items()})
+                                  for name, range_ in space.items()})
         params = replace(params, seed=int(np.random.default_rng(
             [seed, index, 1]).integers(0, 2 ** 31)))
         t0 = time.perf_counter()
@@ -166,39 +150,11 @@ def search(space: dict, budget: int, objective, seed: int, *,
             record = TrialRecord(index, params, float("nan"), float("nan"),
                                  time.perf_counter() - t0, error=str(exc))
         trials.append(record)
-        return record
 
-    if mode == "uniform":
-        for i in range(budget):
-            run_trial(i, space)
-    else:
-        phase1 = max(1, budget // 2)
-        for i in range(phase1):
-            run_trial(i, space)
-        box = _refit_box(space, trials)
-        for i in range(phase1, budget):
-            run_trial(i, box)
-
-    best = None
-    for record in trials:
-        if not record.ok:
-            continue
-        if best is None or record.validation_metric > best.validation_metric:
-            best = record
-    if best is None:
-        raise SearchError(f"all {budget} trials failed") from last_error
-    return best.params, trials
-
-
-def _refit_box(space: dict, trials) -> dict:
-    """Shrink each range to the top-quartile trials' parameter envelope."""
-    ok = sorted((t for t in trials if t.ok),
-                key=lambda t: -t.validation_metric)
+    ok = [record for record in trials if record.ok]
     if not ok:
-        return space
-    top = ok[:max(1, len(ok) // 4)]
-    ranges = {}
-    for name, range_ in space.items():
-        values = [getattr(t.params, name) for t in top]
-        ranges[name] = ParamRange(min(values), max(values), range_.scale)
-    return ranges
+        raise SearchError(
+            f"all {budget} trials failed; last error: {last_error}") from last_error
+    # max keeps the earliest of equal metrics
+    best = max(ok, key=lambda record: record.validation_metric)
+    return best.params, trials

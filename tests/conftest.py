@@ -154,7 +154,7 @@ def reference_correlation_dedupe(m: FeatureMatrix, cutoff: float = 0.9,
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     z = np.zeros_like(x)
-    nz = sd > 0
+    nz = (sd > 0) & ~(x == x[:1]).all(axis=0)
     z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
 
     kept = []

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -104,7 +105,6 @@ class TestParseConfig:
             parse_config(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("search.mode", "adaptiv"), ("validation.mode", "chronological"),
         ("consensus.estimate", "mode"), ("consensus.pairing", "splitt"),
         ("label.horizon", "qoy"), ("label.n_classes", 4),
         ("label.scheme", "signs"), ("pipeline.formula_variant", "minus_two")])
@@ -118,7 +118,6 @@ class TestParseConfig:
             parse_config(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("search.mode", "adaptive"), ("validation.mode", "random_quarters"),
         ("consensus.estimate", "median"), ("consensus.pairing", "shared"),
         ("label.horizon", "yoy"), ("label.n_classes", 6),
         ("label.scheme", "sign"), ("pipeline.formula_variant", "minus_one")])
@@ -171,7 +170,25 @@ class TestParseConfig:
         ("search.space.seed = 1, 2, integer",
          "unknown search parameter 'seed', expected one of learning_rate, "),
         ("pipeline.standardize = maybe",
-         "bad value for pipeline.standardize: expected boolean, got 'maybe'")])
+         "bad value for pipeline.standardize: expected boolean, got 'maybe'"),
+        ("search.mode = uniform", "unknown key 'search.mode'"),
+        ("validation.mode = chronological_tail",
+         "unknown key 'validation.mode'"),
+        ("gbdt.num_leaves = 1",
+         "bad value for gbdt.num_leaves: num_leaves must be >= 2: 1"),
+        ("gbdt.bagging_fraction = 1.5",
+         r"bad value for gbdt.bagging_fraction: bagging_fraction must be in "
+         r"\(0, 1\]: 1.5"),
+        ("search.space.learning_rate = -1, 0.5",
+         "bad value for search.space.learning_rate: learning_rate must be "
+         "> 0: -1.0"),
+        ("gbdt.lambda_l2 = nan",
+         "bad value for gbdt.lambda_l2: must be finite, got nan"),
+        ("search.space.lambda_l1 = 1, inf",
+         "bad value for search.space.lambda_l1: must be finite, got inf"),
+        ("search.space.feature_fraction = 0.5, 1.2",
+         r"bad value for search.space.feature_fraction: feature_fraction "
+         r"must be in \(0, 1\]: 1.2")])
     def test_every_error_names_its_line(self, tmp_path, entry, message):
         path, _ = write_config(tmp_path, extra=f"\n{entry}\n")
         line = path.read_text().splitlines().index(entry) + 1
@@ -201,6 +218,24 @@ class TestParseConfig:
         path, _ = write_config(tmp_path,
                                extra="\npipeline.fill_horizon_cap = 0\n")
         assert parse_config(path).fill_horizon_cap == 0
+
+    def test_readme_table_lists_every_key(self):
+        # first cells of the README's config table: "a / b" cells hold
+        # several keys, synth.* lists its names in its meaning, and
+        # the search.space.NAME and gbdt.NAME patterns are not keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Config reference", 1)[1].split("\n\n")[1]
+        documented = set()
+        for row in table.splitlines()[2:]:
+            cell, _, rest = row.strip("|").partition("|")
+            for key in (part.strip() for part in cell.split(" / ")):
+                if key == "synth.*":
+                    names = rest.split("(", 1)[1].split(")", 1)[0]
+                    documented |= {f"synth.{name.strip()}"
+                                   for name in names.split(",")}
+                elif "NAME" not in key:
+                    documented.add(key)
+        assert documented == set(_KEYS)
 
     def test_every_config_field_has_a_key(self):
         # the two dicts are filled by the search.space. and gbdt. prefixes

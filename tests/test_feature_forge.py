@@ -416,7 +416,8 @@ def scan_margin(x, cutoff):
     between a dropped column's two largest |r|. Within a few ulps of either,
     the last bits of r decide, and those depend on the order of the sums."""
     sd = x.std(axis=0)
-    z = np.where(sd > 0, (x - x.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
+    varies = (sd > 0) & ~(x == x[:1]).all(axis=0)
+    z = np.where(varies, (x - x.mean(axis=0)) / np.where(varies, sd, 1.0), 0.0)
     corr = np.abs(z.T @ z / len(x))
     margin = np.inf
     kept = []
@@ -436,7 +437,8 @@ def scan_margin(x, cutoff):
 def dedupe_cases(draw):
     """Columns built from earlier ones (duplicated, negated, scaled, or at
     r = cutoff +- delta on the fit rows), fresh normal and constant (also
-    all-NaN) columns, random fit rows and a cutoff in (0, 1]."""
+    all-NaN, and constant on the fit rows only) columns, random fit rows and
+    a cutoff in (0, 1]."""
     n = draw(st.integers(4, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fit = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=3,
@@ -452,8 +454,14 @@ def dedupe_cases(draw):
             cols.append(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3))
             continue
         if kind == "constant":
-            # NaN has no std either: such a column is constant too
-            cols.append(np.full(n, draw(st.sampled_from((0.0, 0.1, np.nan)))))
+            # NaN has no std either: such a column is constant too. 0.1,
+            # 0.7 and 1/3 repeated can leave rounding in the std.
+            col = np.full(n, draw(st.sampled_from(
+                (0.0, 0.1, 0.7, 1 / 3, -2.6, np.nan))))
+            if draw(st.booleans()):
+                rest = np.setdiff1d(np.arange(n), rows)
+                col[rest] = rng.normal(size=len(rest))
+            cols.append(col)
             continue
         base = cols[draw(st.integers(0, len(cols) - 1))]
         if kind == "duplicate":
@@ -468,7 +476,7 @@ def dedupe_cases(draw):
             e = base[rows] - base[rows].mean()
             u = rng.normal(size=n)
             u_fit = u[rows] - u[rows].mean()
-            if not (e @ e > 0):
+            if not (e @ e > 0) or (e == e[0]).all():
                 cols.append(u)
                 continue
             u_fit -= (u_fit @ e) / (e @ e) * e
@@ -524,6 +532,20 @@ class TestCorrelationDedupe:
         x = rng.normal(size=30)
         out = correlation_dedupe_inputs(self._matrix([x, np.full(30, 2.0)]))
         assert out.n_cols == 2
+
+    @pytest.mark.parametrize("n_fit", [30, 20])
+    def test_repeated_inexact_value_counts_as_constant(self, rng, n_fit):
+        # 0.1 repeated on the fit rows has a std of a few 1e-17, not 0:
+        # standardised, the column would read -1 on every fit row and pair
+        # with the 0.7 one. Rows outside the fit rows do not count.
+        x, y = rng.normal(size=(2, 30))
+        a, b = np.full(30, 0.1), np.full(30, 0.7)
+        a[n_fit:], b[n_fit:] = rng.normal(size=(2, 30 - n_fit))
+        assert a[:n_fit].std() > 0
+        out = correlation_dedupe_inputs(self._matrix([x, y, a, b]),
+                                        fit_rows=np.arange(n_fit))
+        assert out.n_cols == 4
+        assert out.dedupe_pairs == []
 
     def test_first_kept_partner_wins_a_tie(self):
         # a and b are uncorrelated, and a + b has the same r with each, to

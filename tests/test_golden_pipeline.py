@@ -49,7 +49,7 @@ GOLDEN = {
     "fills/subset_001.jsonl":
         "15a355d3e02e7b37c6e9c5984eb5bcfb47439f89004b82f726304868641451b4",
     "report.jsonl":
-        "346d0044e27337da09d27e8294fdc45b496d1b6ac2c9511a66b9683447466858",
+        "bcde69c4415a0543078d1d96385bacd994cacde23fccde97dad00067b53b0f60",
     "models/subset_001.txt":
         "c5da22cfb8e0fe929a78fa3a95e9a24eb9b225e12ad45df4774ebe89cf977044",
 }

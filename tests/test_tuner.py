@@ -16,17 +16,16 @@ def keys_over(quarters, n_companies=3):
     return [(f"C{i}", q) for i in range(n_companies) for q in quarters]
 
 
-def split_keys(keys, size, mode, seed):
+def split_keys(keys, size):
     """make_validation_split over the keys' quarter indexes."""
-    return make_validation_split([q.index for _, q in keys], size, mode, seed)
+    return make_validation_split([q.index for _, q in keys], size)
 
 
 class TestValidationSplit:
     def test_chronological_tail_takes_last_quarters(self):
         quarters = quarter_range(1988, 1, 80)
         keys = keys_over(quarters)
-        train_idx, valid_idx = split_keys(keys, 4,
-                                                     "chronological_tail", 0)
+        train_idx, valid_idx = split_keys(keys, 4)
         held = {keys[i][1] for i in valid_idx}
         assert held == set(quarters[-4:])
         kept = {keys[i][1] for i in train_idx}
@@ -35,47 +34,28 @@ class TestValidationSplit:
     def test_boundary_single_training_quarter(self):
         quarters = quarter_range(1990, 1, 6)
         keys = keys_over(quarters)
-        train_idx, valid_idx = split_keys(keys, 5,
-                                                     "chronological_tail", 0)
+        train_idx, valid_idx = split_keys(keys, 5)
         assert {keys[i][1] for i in train_idx} == {quarters[0]}
 
-    def test_same_seed_identical_random_split(self):
-        keys = keys_over(quarter_range(1990, 1, 12))
-        a = split_keys(keys, 3, "random_quarters", 7)
-        b = split_keys(keys, 3, "random_quarters", 7)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
     def test_partition_disjoint_exhaustive(self):
-        keys = keys_over(quarter_range(1990, 1, 10))
-        train_idx, valid_idx = split_keys(keys, 3,
-                                                     "random_quarters", 3)
+        # rows in no particular quarter order
+        keys = keys_over(quarter_range(1990, 1, 10))[::-1]
+        train_idx, valid_idx = split_keys(keys, 3)
         merged = np.sort(np.concatenate([train_idx, valid_idx]))
         np.testing.assert_array_equal(merged, np.arange(len(keys)))
-
-    def test_random_mode_holds_requested_quarter_count(self):
-        keys = keys_over(quarter_range(1990, 1, 15))
-        _, valid_idx = split_keys(keys, 6, "random_quarters", 1)
-        assert len({keys[i][1] for i in valid_idx}) == 6
 
     def test_window_too_small(self):
         keys = keys_over(quarter_range(1990, 1, 4))
         with pytest.raises(WindowTooSmallError):
-            split_keys(keys, 4, "chronological_tail", 0)
+            split_keys(keys, 4)
 
-    @pytest.mark.parametrize("mode", ["chronological_tail", "random_quarters"])
     @pytest.mark.parametrize("size", [0, -2])
-    def test_size_below_one_rejected(self, size, mode):
+    def test_size_below_one_rejected(self, size):
         # 30 rows over 10 quarters: size 0 used to hold out all 30 rows,
         # size -2 the last 8 quarters
         keys = keys_over(quarter_range(1990, 1, 10))
         with pytest.raises(ValueError, match="size must be >= 1"):
-            split_keys(keys, size, mode, 0)
-
-    def test_unknown_mode(self):
-        keys = keys_over(quarter_range(1990, 1, 4))
-        with pytest.raises(ValueError):
-            split_keys(keys, 2, "sideways", 0)
+            split_keys(keys, size)
 
 
 class TestParamRange:
@@ -158,6 +138,17 @@ class TestSearch:
         with pytest.raises(SearchError):
             search(self._lr_space(), 3, objective, seed=0)
 
+    def test_all_failures_name_the_last_error(self):
+        def objective(params):
+            raise RuntimeError(f"no tree at learning_rate {params.learning_rate}")
+
+        with pytest.raises(SearchError) as info:
+            search(self._lr_space(), 3, objective, seed=0)
+        _, trials = search(self._lr_space(), 3, lambda p: (0.5, 0.5), seed=0)
+        last_rate = trials[-1].params.learning_rate
+        assert str(info.value) == (f"all 3 trials failed; last error: no tree "
+                                   f"at learning_rate {last_rate}")
+
     def test_zero_budget_rejected(self):
         with pytest.raises(SearchError):
             search(self._lr_space(), 0, lambda p: (0, 0), seed=0)
@@ -177,21 +168,6 @@ class TestSearch:
                          seed=0, base_params=base)
         assert best.n_rounds == 37
         assert best.max_bin == 64
-
-    def test_adaptive_mode_improves_or_matches(self):
-        target = 0.61
-
-        def objective(params):
-            val = 1.0 - abs(params.learning_rate - target)
-            return val, val
-
-        best_u, _ = search(self._lr_space(), 20, objective, seed=5)
-        best_a, trials = search(self._lr_space(), 20, objective, seed=5,
-                                mode="adaptive")
-        assert len(trials) == 20
-        val_u = 1.0 - abs(best_u.learning_rate - target)
-        val_a = 1.0 - abs(best_a.learning_rate - target)
-        assert val_a >= val_u - 0.05
 
     def test_default_space_covers_the_ten_parameters(self):
         space = default_space()
