@@ -65,6 +65,11 @@ class HyperParams:
         if self.max_depth is not None and self.max_depth < 1:
             raise InvalidParamsError(f"max_depth must be >= 1: {self.max_depth}")
 
+    def to_record(self) -> dict:
+        """Every field as JSON holds it, floats as plain float."""
+        return {k: float(v) if isinstance(v, float) else v
+                for k, v in vars(self).items()}
+
 
 @dataclass
 class BinnedMatrix:

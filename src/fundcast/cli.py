@@ -41,8 +41,8 @@ def _parse_finite(text: str) -> float:
     return value
 
 
-def _parse_optional_float(text: str):
-    return None if text.lower() == "none" else float(text)
+def _parse_optional_finite(text: str):
+    return None if text.lower() == "none" else _parse_finite(text)
 
 
 def _parse_count(text: str, least: int = 1) -> int:
@@ -87,7 +87,8 @@ _KEYS = {
     "label.assets_var": ("assets_var", str),
     "label.revenue_var": ("revenue_var", str),
     "filters.require_company_id": ("filter_require_company_id", _parse_bool),
-    "filters.min_share_price": ("filter_min_share_price", _parse_optional_float),
+    "filters.min_share_price": ("filter_min_share_price",
+                                _parse_optional_finite),
     "filters.excluded_sectors": ("filter_excluded_sectors", _parse_sectors),
     "filters.require_fiscal_alignment": ("filter_require_fiscal_alignment", _parse_bool),
     "filters.exclude_reporting_gaps": ("filter_exclude_reporting_gaps", _parse_bool),
@@ -118,9 +119,9 @@ _KEYS = {
     "seed": ("seed", int),
     "synth.n_companies": ("synth_n_companies", int),
     "synth.n_quarters": ("synth_n_quarters", int),
-    "synth.noise_sd": ("synth_noise_sd", float),
-    "synth.missing_rate": ("synth_missing_rate", float),
-    "synth.seasonality_amplitude": ("synth_seasonality", float),
+    "synth.noise_sd": ("synth_noise_sd", _parse_finite),
+    "synth.missing_rate": ("synth_missing_rate", _parse_finite),
+    "synth.seasonality_amplitude": ("synth_seasonality", _parse_finite),
     "synth.seed": ("synth_seed", int),
     "synth.consensus": ("synth_consensus", _parse_bool),
 }
@@ -276,7 +277,7 @@ def cmd_backtest(config: ExperimentConfig) -> int:
     for d in (models_dir, trials_dir, fills_dir):
         os.makedirs(d, exist_ok=True)
     for result in results:
-        idx = result.split.index
+        idx = result.record["subset"]
         with open(os.path.join(models_dir, f"subset_{idx:03d}.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(result.model_text)

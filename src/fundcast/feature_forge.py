@@ -232,10 +232,8 @@ def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
         values[:, j] = np.minimum(values[:, j], cap)
         metas[j] = replace(meta, cap=cap)
     return FeatureMatrix(m.index, values, metas,
-                         origin_positive=None if m.origin_positive is None
-                         else m.origin_positive.copy(),
-                         raw_missing=m.raw_missing,
-                         dedupe_pairs=list(m.dedupe_pairs))
+                         origin_positive=m.origin_positive,
+                         raw_missing=m.raw_missing)
 
 
 def _pooled_fill_period(column: np.ndarray, company: np.ndarray,

@@ -248,40 +248,15 @@ def conditional_accuracy(model_pred, consensus_pred, actual,
     return bundle
 
 
-@dataclass
-class ImportanceDecomposition:
-    """Top components by model importance mapped back to original columns."""
-
-    components: list
-    component_importance: list
-    entries: list
-    bucket_labels: list
-    format_labels: list
-    tally: np.ndarray
-
-    def to_record(self) -> dict:
-        return {
-            "components": [int(c) for c in self.components],
-            "component_importance": [float(v) for v in self.component_importance],
-            "entries": [
-                [{"column": name, "lag": int(lag), "format": fmt,
-                  "loading": float(loading)}
-                 for name, lag, fmt, loading in comp]
-                for comp in self.entries
-            ],
-            "bucket_labels": list(self.bucket_labels),
-            "format_labels": list(self.format_labels),
-            "tally": self.tally.tolist(),
-        }
-
-
 def decompose_importance(model, pca, metas, top_c: int = 5,
-                         top_v: int = 10) -> ImportanceDecomposition:
-    """Map component-level importance back to original variables.
+                         top_v: int = 10) -> dict:
+    """Map component-level importance back to original variables, as the
+    subset record's importance entry.
 
     Components rank by model importance (total split gain); within each of
-    the top top_c, the top_v original columns rank by absolute loading.
-    Tallies group the selected columns by lag bucket and format.
+    the top top_c, the top_v original columns rank by absolute loading,
+    each an entry {"column", "lag", "format", "loading"}. The tally counts
+    the selected columns by lag bucket (rows) and format (columns).
     """
     importance = boostwood.feature_importance(model)
     order = np.argsort(-importance, kind="stable")
@@ -304,81 +279,40 @@ def decompose_importance(model, pca, metas, top_c: int = 5,
         comp_entries = []
         for row in top_rows:
             meta = metas[row]
-            comp_entries.append((meta.name, meta.lag, meta.format.value,
-                                 float(loadings[row])))
+            comp_entries.append({"column": meta.name, "lag": meta.lag,
+                                 "format": meta.format.value,
+                                 "loading": float(loadings[row])})
             tally[meta.lag // LAG_BUCKET_WIDTH, fmt_index[meta.format.value]] += 1
         entries.append(comp_entries)
 
-    return ImportanceDecomposition(
-        components=[int(c) for c in components],
-        component_importance=[float(importance[c]) for c in components],
-        entries=entries,
-        bucket_labels=bucket_labels,
-        format_labels=format_labels,
-        tally=tally,
-    )
+    return {
+        "components": [int(c) for c in components],
+        "component_importance": [float(importance[c]) for c in components],
+        "entries": entries,
+        "bucket_labels": bucket_labels,
+        "format_labels": format_labels,
+        "tally": tally.tolist(),
+    }
 
 
 @dataclass
 class SubsetResult:
-    """Outcome of one rolling subset."""
+    """One rolling subset: its report.jsonl record and the artifacts
+    `fundcast backtest` writes beside it (model and PCA text, the search's
+    TrialRecords, the imputation's FillReport)."""
 
-    split: SubsetSplit
-    horizon: str
-    n_classes: int
-    scheme: str
-    tuned: HyperParams
-    pca_kept: int
-    n_train: int
-    n_test: int
-    test_companies: list
-    predictions: np.ndarray
-    actuals: np.ndarray
-    metrics: MetricsBundle
-    importance: ImportanceDecomposition | None
-    trials: list
+    record: dict
     model_text: str
     pca_text: str
+    trials: list
     fill_report: feature_forge.FillReport
-    dedupe_dropped: int
 
-    def to_record(self) -> dict:
-        def plain(value):
-            """value as JSON holds it: NaN as null, dict keys as str."""
-            if isinstance(value, dict):
-                return {str(k): plain(v) for k, v in value.items()}
-            return None if isinstance(value, float) and np.isnan(value) else value
 
-        return {
-            "record_type": "subset",
-            "subset": self.split.index,
-            "train_start": str(self.split.train_quarters[0]),
-            "train_end": str(self.split.train_quarters[-1]),
-            "test_quarter": str(self.split.test_quarter),
-            "horizon": self.horizon,
-            "n_classes": self.n_classes,
-            "scheme": self.scheme,
-            "pca_kept": self.pca_kept,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "tuned_params": {k: (v if not isinstance(v, float) else float(v))
-                             for k, v in vars(self.tuned).items()},
-            "predictions": [
-                {"company_id": c, "predicted": int(p), "actual": int(a)}
-                for c, p, a in zip(self.test_companies, self.predictions,
-                                   self.actuals)
-            ],
-            "metrics": plain(asdict(self.metrics)),
-            "importance": None if self.importance is None
-                else self.importance.to_record(),
-            "dedupe_dropped": self.dedupe_dropped,
-            "impute": {
-                "deleted_rows": self.fill_report.deleted_rows,
-                "deleted_columns": list(self.fill_report.deleted_columns),
-                "relevant_filled": self.fill_report.relevant_filled,
-                "constant_filled": self.fill_report.constant_filled,
-            },
-        }
+def _plain(value):
+    """value as JSON holds it: NaN as null, dict keys as str."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return None if isinstance(value, float) and np.isnan(value) else value
 
 
 def _subset_seeds(seed: int, index: int):
@@ -444,7 +378,8 @@ def _stage(index: int, name: str):
 def run_subset(split: SubsetSplit, features: FeatureMatrix,
                labels: np.ndarray, config: ExperimentConfig, schema,
                consensus: dict | None = None) -> SubsetResult:
-    """Run the full per-subset pipeline and score the test quarter.
+    """Run the full per-subset pipeline, score the test quarter and build
+    the subset's report.jsonl record.
 
     Stage order: outlier caps -> imputation -> lag expansion ->
     correlation filter -> PCA and component selection -> hold-out
@@ -455,6 +390,11 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     consensus, when given, holds build_consensus_vectors' classes, one per
     features row, and adds the consensus-conditional scores. Every setting
     comes from config; schema drives imputation.
+
+    Returns a SubsetResult: the record (split, sizes, tuned parameters,
+    per-company predictions, metrics with NaN as null, importance
+    decomposition, imputation counts) and the model text, PCA text,
+    search trials and FillReport written beside it.
     """
     n = features.n_rows
     for name, values in [("labels", labels),
@@ -553,31 +493,37 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
     metrics = _score_test_quarter(predictions, y_test, rows[test_idx],
                                   consensus, config)
-
-    importance = None
-    if pca.kept >= 1 and model.trees:
-        importance = decompose_importance(model, pca, deduped.metas)
-
-    return SubsetResult(
-        split=split,
-        horizon=config.horizon,
-        n_classes=config.n_classes,
-        scheme=config.scheme,
-        tuned=best,
-        pca_kept=pca.kept,
-        n_train=len(train_idx),
-        n_test=len(test_idx),
-        test_companies=lagged.index.company_names(test_idx),
-        predictions=predictions,
-        actuals=y_test,
-        metrics=metrics,
-        importance=importance,
-        trials=trials,
-        model_text=boostwood.to_text(model),
-        pca_text=spectral_reduce.to_text(pca),
-        fill_report=fill_report,
-        dedupe_dropped=len(deduped.dedupe_pairs),
-    )
+    record = {
+        "record_type": "subset",
+        "subset": split.index,
+        "train_start": str(split.train_quarters[0]),
+        "train_end": str(split.train_quarters[-1]),
+        "test_quarter": str(split.test_quarter),
+        "horizon": config.horizon,
+        "n_classes": config.n_classes,
+        "scheme": config.scheme,
+        "pca_kept": pca.kept,
+        "n_train": len(train_idx),
+        "n_test": len(test_idx),
+        "tuned_params": best.to_record(),
+        "predictions": [
+            {"company_id": c, "predicted": int(p), "actual": int(a)}
+            for c, p, a in zip(lagged.index.company_names(test_idx),
+                               predictions, y_test)
+        ],
+        "metrics": _plain(asdict(metrics)),
+        "importance": decompose_importance(model, pca, deduped.metas)
+            if pca.kept >= 1 and model.trees else None,
+        "dedupe_dropped": len(deduped.dedupe_pairs),
+        "impute": {
+            "deleted_rows": fill_report.deleted_rows,
+            "deleted_columns": list(fill_report.deleted_columns),
+            "relevant_filled": fill_report.relevant_filled,
+            "constant_filled": fill_report.constant_filled,
+        },
+    }
+    return SubsetResult(record, boostwood.to_text(model),
+                        spectral_reduce.to_text(pca), trials, fill_report)
 
 
 def build_consensus_vectors(table: RawPanel, panel: RawPanel,
@@ -623,11 +569,10 @@ def run_all_subsets(splits, features: FeatureMatrix, labels: np.ndarray,
 
 
 def build_records(results, config_echo: dict) -> list:
-    """Config record plus one record per subset, the report.jsonl content."""
-    records = [{"record_type": "config", "config": config_echo}]
-    for result in sorted(results, key=lambda r: r.split.index):
-        records.append(result.to_record())
-    return records
+    """Config record, then the subsets' records in subset order: the
+    report.jsonl content."""
+    return [{"record_type": "config", "config": config_echo},
+            *sorted((r.record for r in results), key=lambda rec: rec["subset"])]
 
 
 def _mean_defined(values) -> float:

@@ -55,6 +55,10 @@ class SignalSpec:
             raise InvalidSpecError("driver names must be unique")
         if not 0 <= self.missing_rate <= 1:
             raise InvalidSpecError(f"missing_rate outside [0,1]: {self.missing_rate}")
+        for name in ("noise_sd", "seasonality_amplitude"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidSpecError(f"{name} must be finite: {value}")
         if self.noise_sd < 0:
             raise InvalidSpecError(f"noise_sd must be >= 0: {self.noise_sd}")
         if self.n_companies < 1:

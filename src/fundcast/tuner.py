@@ -76,7 +76,7 @@ class TrialRecord:
         return self.error is None
 
     def to_record(self) -> dict:
-        out = {
+        return {
             "index": self.index,
             "validation_metric": None if np.isnan(self.validation_metric)
                 else float(self.validation_metric),
@@ -88,10 +88,8 @@ class TrialRecord:
             "rounds_fitted": self.rounds_fitted,
             "null_trees": self.null_trees,
             "best_valid_loss": self.best_valid_loss,
+            "params": self.params.to_record(),
         }
-        out["params"] = {k: (v if not isinstance(v, float) else float(v))
-                         for k, v in vars(self.params).items()}
-        return out
 
 
 def make_validation_split(quarters, size_quarters: int):

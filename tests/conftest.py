@@ -257,9 +257,9 @@ def n_leaves(tree: Tree) -> int:
     return sum(tree.is_leaf)
 
 
-def total_entries(decomposition) -> int:
-    """Columns an ImportanceDecomposition's tally counts."""
-    return int(decomposition.tally.sum())
+def total_entries(importance: dict) -> int:
+    """Columns the tally of a decompose_importance record counts."""
+    return sum(map(sum, importance["tally"]))
 
 
 def model_from_text(text: str) -> GbdtModel:

@@ -351,16 +351,16 @@ class TestCriterion8EndToEndSignalRecovery:
     @pytest.mark.slow
     def test_pipeline_recovers_planted_signal(self, e2e_run):
         results, elapsed = e2e_run
-        accs = [r.metrics.accuracy for r in results]
+        accs = [r.record["metrics"]["accuracy"] for r in results]
         mean_acc = float(np.mean(accs))
         assert mean_acc >= 0.45, f"mean accuracy {mean_acc:.3f} < 0.45"
         drivers_seen = set()
         for r in results:
-            assert r.importance is not None
-            for comp in r.importance.entries:
-                for name, _, _, _ in comp:
+            assert r.record["importance"] is not None
+            for comp in r.record["importance"]["entries"]:
+                for entry in comp:
                     for d in E2E_SPEC.driver_variables:
-                        if name.startswith(d):
+                        if entry["column"].startswith(d):
                             drivers_seen.add(d)
         assert drivers_seen, "no planted driver in the importance decomposition"
         assert elapsed < 300.0, f"runtime {elapsed:.0f}s >= 5 min"
@@ -384,12 +384,13 @@ class TestCriterion9ConditionalAccuracyAlgebra:
 
         results, _ = e2e_run
         for r in results:
-            mb = r.metrics
-            assert mb.consensus_available
-            assert mb.n_converge + mb.n_diverge == mb.n_scored
-            recomposed = (mb.n_converge * mb.converge_model_acc
-                          + mb.n_diverge * mb.diverge_model_acc) / mb.n_scored
-            assert recomposed == pytest.approx(mb.accuracy, abs=1e-12)
+            mb = r.record["metrics"]
+            assert mb["consensus_available"]
+            assert mb["n_converge"] + mb["n_diverge"] == mb["n_scored"]
+            recomposed = (mb["n_converge"] * mb["converge_model_acc"]
+                          + mb["n_diverge"] * mb["diverge_model_acc"]) \
+                / mb["n_scored"]
+            assert recomposed == pytest.approx(mb["accuracy"], abs=1e-12)
         report(9, "12-row hand table exact; decomposition identity holds "
                   "on all 5 backtest subsets")
 

@@ -186,6 +186,17 @@ class TestParseConfig:
          "bad value for gbdt.lambda_l2: must be finite, got nan"),
         ("search.space.lambda_l1 = 1, inf",
          "bad value for search.space.lambda_l1: must be finite, got inf"),
+        ("filters.min_share_price = nan",
+         "bad value for filters.min_share_price: must be finite, got nan"),
+        ("filters.min_share_price = inf",
+         "bad value for filters.min_share_price: must be finite, got inf"),
+        ("synth.noise_sd = nan",
+         "bad value for synth.noise_sd: must be finite, got nan"),
+        ("synth.missing_rate = inf",
+         "bad value for synth.missing_rate: must be finite, got inf"),
+        ("synth.seasonality_amplitude = -inf",
+         "bad value for synth.seasonality_amplitude: must be finite, "
+         "got -inf"),
         ("search.space.feature_fraction = 0.5, 1.2",
          r"bad value for search.space.feature_fraction: feature_fraction "
          r"must be in \(0, 1\]: 1.2")])
@@ -213,6 +224,14 @@ class TestParseConfig:
         assert f"error: line {line}: label.scheme = sign" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, parsed", [("none", None), ("None", None),
+                                               ("2.5", 2.5), ("0", 0.0)])
+    def test_min_share_price_finite_or_none_accepted(self, tmp_path, value,
+                                                     parsed):
+        path, _ = write_config(tmp_path,
+                               extra=f"\nfilters.min_share_price = {value}\n")
+        assert parse_config(path).filter_min_share_price == parsed
 
     def test_zero_fill_horizon_cap_accepted(self, tmp_path):
         path, _ = write_config(tmp_path,

@@ -1,12 +1,15 @@
 """Golden bytes of a tiny end-to-end run: synth, then backtest with consensus.
 
-The SHA-256 of the synthetic panel and consensus CSVs, the report, and the
-first subset's fill periods and model are pinned. A change to the CSV
-writer, the CSV readers, the panel bookkeeping between them or the imputation
-that alters any output shows here.
+The SHA-256 of the synthetic panel and consensus CSVs, both reports, and the
+first subset's fill periods, model and trial ledger are pinned. The ledger is
+hashed with each trial's wall_time taken out, since that is a timing. A
+change to the CSV writer, the CSV readers, the panel bookkeeping between them,
+the imputation or the report and ledger records that alters any output shows
+here.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -50,6 +53,10 @@ GOLDEN = {
         "15a355d3e02e7b37c6e9c5984eb5bcfb47439f89004b82f726304868641451b4",
     "report.jsonl":
         "bcde69c4415a0543078d1d96385bacd994cacde23fccde97dad00067b53b0f60",
+    "report.txt":
+        "cb9d9a356d14dd187e8ea48e5e2f0f431d2e88a0360abae4688227b162a669aa",
+    "trials/subset_001.jsonl":
+        "e721abb2aef03dd0a48682ac694ff43c5b4f6cbca5b9f3e838b4c86bbf2ef4f7",
     "models/subset_001.txt":
         "c5da22cfb8e0fe929a78fa3a95e9a24eb9b225e12ad45df4774ebe89cf977044",
 }
@@ -71,9 +78,20 @@ def run_dir(tmp_path_factory):
     return tmp_path / "out"
 
 
+def untimed_bytes(path) -> bytes:
+    """The file's bytes, or for a trial ledger its records re-serialised
+    without wall_time."""
+    if path.parent.name != "trials":
+        return path.read_bytes()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return "".join(json.dumps({k: v for k, v in r.items() if k != "wall_time"},
+                              sort_keys=True) + "\n"
+                   for r in records).encode()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_pinned(run_dir, name):
-    digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    digest = hashlib.sha256(untimed_bytes(run_dir / name)).hexdigest()
     assert digest == GOLDEN[name]
 
 

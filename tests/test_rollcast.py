@@ -278,9 +278,9 @@ class TestDecomposeImportance:
         model = self._model(d, [(2, 5.0), (0, 3.0)])
         dec = decompose_importance(model, self._identity_pca(d), self._metas(d),
                                    top_c=2, top_v=1)
-        assert dec.components == [2, 0]
-        assert dec.entries[0][0][0] == "v2_pct_assets_l02"
-        assert dec.entries[1][0][0] == "v0_qoq"
+        assert dec["components"] == [2, 0]
+        assert dec["entries"][0][0]["column"] == "v2_pct_assets_l02"
+        assert dec["entries"][1][0]["column"] == "v0_qoq"
 
     def test_tally_counts_sum_to_fifty(self):
         d = 24
@@ -288,21 +288,20 @@ class TestDecomposeImportance:
         dec = decompose_importance(model, self._identity_pca(d), self._metas(d),
                                    top_c=5, top_v=10)
         assert total_entries(dec) == 50
-        assert dec.tally.sum() == 50
+        assert np.sum(dec["tally"]) == 50
 
     def test_bucket_layout_from_lags(self):
         d = 24
         model = self._model(d, [(0, 1.0)])
         dec = decompose_importance(model, self._identity_pca(d), self._metas(d))
-        assert dec.bucket_labels == ["0-3", "4-7", "8-11", "12-15", "16-19"]
+        assert dec["bucket_labels"] == ["0-3", "4-7", "8-11", "12-15", "16-19"]
 
     def test_record_roundtrips_through_json(self):
         d = 12
         model = self._model(d, [(1, 2.0)])
         dec = decompose_importance(model, self._identity_pca(d), self._metas(d),
                                    top_c=2, top_v=3)
-        rec = dec.to_record()
-        assert json.loads(json.dumps(rec)) == rec
+        assert json.loads(json.dumps(dec)) == dec
 
 
 def small_pipeline(seed=5, n_companies=20, n_quarters=34):
@@ -332,14 +331,26 @@ def small_pipeline(seed=5, n_companies=20, n_quarters=34):
     return splits, feats, labels, cfg, schema
 
 
+def predicted(result) -> np.ndarray:
+    return np.array([p["predicted"] for p in result.record["predictions"]])
+
+
+def actual(result) -> np.ndarray:
+    return np.array([p["actual"] for p in result.record["predictions"]])
+
+
+def scored_companies(result) -> list:
+    return [p["company_id"] for p in result.record["predictions"]]
+
+
 class TestRunSubset:
     def test_deterministic_under_same_seed(self):
         splits, feats, labels, cfg, schema = small_pipeline()
         a = run_subset(splits[0], feats, labels, cfg, schema)
         b = run_subset(splits[0], feats, labels, cfg, schema)
         assert a.model_text == b.model_text
-        np.testing.assert_array_equal(a.predictions, b.predictions)
-        assert a.to_record() == b.to_record()
+        np.testing.assert_array_equal(predicted(a), predicted(b))
+        assert a.record == b.record
 
     def test_removing_test_rows_leaves_model_byte_identical(self):
         splits, feats, labels, cfg, schema = small_pipeline()
@@ -349,8 +360,8 @@ class TestRunSubset:
         cut = run_subset(split, feats.take_rows(mask), labels[mask], cfg,
                          schema)
         assert cut.model_text == full.model_text
-        assert cut.n_test == 0
-        assert np.isnan(cut.metrics.accuracy)
+        assert cut.record["n_test"] == 0
+        assert cut.record["metrics"]["accuracy"] is None  # NaN as JSON holds it
 
     def test_single_class_training_labels_degenerate(self):
         splits, feats, labels, cfg, schema = small_pipeline()
@@ -362,8 +373,8 @@ class TestRunSubset:
                 forced[i] = 1.0
         with pytest.warns(UserWarning, match="single class"):
             res = run_subset(split, feats, forced, cfg, schema)
-        share = (res.actuals == 1).mean()
-        assert res.metrics.accuracy == pytest.approx(share)
+        share = (actual(res) == 1).mean()
+        assert res.record["metrics"]["accuracy"] == pytest.approx(share)
 
     @pytest.mark.parametrize("setting, stage, cause", [
         ({"pca_threshold": 0.0}, "pca", ValueError),
@@ -379,9 +390,9 @@ class TestRunSubset:
     def test_prediction_count_matches_surviving_test_rows(self):
         splits, feats, labels, cfg, schema = small_pipeline()
         res = run_subset(splits[0], feats, labels, cfg, schema)
-        assert len(res.predictions) == res.n_test
-        assert len(res.test_companies) == res.n_test
-        assert res.n_test > 0
+        assert len(predicted(res)) == res.record["n_test"]
+        assert len(scored_companies(res)) == res.record["n_test"]
+        assert res.record["n_test"] > 0
 
     def test_label_count_must_match_features_rows(self):
         splits, feats, labels, cfg, schema = small_pipeline()
@@ -428,10 +439,10 @@ class TestConsensusScoring:
         cfg = replace(cfg, consensus_estimate=estimate,
                       consensus_pairing=pairing)
         res = run_subset(splits[0], feats, labels, cfg, schema, consensus)
-        test_keys = [(c, splits[0].test_quarter) for c in res.test_companies]
+        test_keys = [(c, splits[0].test_quarter) for c in scored_companies(res)]
         rows = feats.index.find(index_from_keys(test_keys))
         assert (rows >= 0).all()
-        pred, y = res.predictions, res.actuals
+        pred, y = predicted(res), actual(res)
         actual_ng = consensus["actual"][rows]
 
         def scored(classes):
@@ -444,22 +455,21 @@ class TestConsensusScoring:
         converge = pred[ok] == cons
         model_hits = pred[ok] == y[ok]
         cons_hits = cons == truth
-        m = res.metrics
+        m = res.record["metrics"]
         assert 0 < converge.sum() < ok.sum() < len(y)
-        assert m.consensus_available
-        assert m.accuracy == hand_rate(pred == y)
-        assert m.n_scored == len(y)
-        assert m.consensus_accuracy == hand_rate(cons_hits)
-        assert m.n_converge == converge.sum()
-        assert m.n_diverge == (~converge).sum()
-        assert m.converge_model_acc == hand_rate(model_hits[converge])
-        assert m.converge_consensus_acc == hand_rate(cons_hits[converge])
-        assert m.diverge_model_acc == hand_rate(model_hits[~converge])
-        assert m.diverge_consensus_acc == hand_rate(cons_hits[~converge])
+        assert m["consensus_available"]
+        assert m["accuracy"] == hand_rate(pred == y)
+        assert m["n_scored"] == len(y)
+        assert m["consensus_accuracy"] == hand_rate(cons_hits)
+        assert m["n_converge"] == converge.sum()
+        assert m["n_diverge"] == (~converge).sum()
+        assert m["converge_model_acc"] == hand_rate(model_hits[converge])
+        assert m["converge_consensus_acc"] == hand_rate(cons_hits[converge])
+        assert m["diverge_model_acc"] == hand_rate(model_hits[~converge])
+        assert m["diverge_consensus_acc"] == hand_rate(cons_hits[~converge])
         for name in ("mean", "median"):
             _, est, ref = scored(consensus[name])
-            assert getattr(m, f"consensus_{name}_accuracy") == \
-                hand_rate(est == ref)
+            assert m[f"consensus_{name}_accuracy"] == hand_rate(est == ref)
 
     @pytest.mark.parametrize("estimate", ["mean", "median"])
     def test_estimate_without_test_rows_leaves_consensus_unscored(self, estimate):
@@ -470,8 +480,8 @@ class TestConsensusScoring:
         res = run_subset(splits[0], feats, labels,
                          replace(cfg, consensus_estimate=estimate),
                          schema, consensus)
-        metrics = res.to_record()["metrics"]
-        assert res.n_test > 0
+        metrics = res.record["metrics"]
+        assert res.record["n_test"] > 0
         assert metrics["consensus_available"] is False
         assert metrics["consensus_mean_accuracy"] is None
         assert metrics["consensus_median_accuracy"] is None
@@ -553,8 +563,8 @@ class TestAggregateReport:
         records = build_records([result], {"seed": 19})
         assert len(records) == 2
         assert records[1]["metrics"]["accuracy"] == pytest.approx(
-            result.metrics.accuracy)
-        assert records[1]["test_quarter"] == str(result.split.test_quarter)
+            result.record["metrics"]["accuracy"])
+        assert records[1]["test_quarter"] == str(splits[0].test_quarter)
 
     def test_mean_of_two_accuracies(self):
         text = render_text([fake_record(1, 0.4), fake_record(2, 0.6)])

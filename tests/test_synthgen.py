@@ -38,6 +38,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             small_spec(missing_rate=1.5).validate()
 
+    @pytest.mark.parametrize("field", ["noise_sd", "seasonality_amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=f"{field} must be finite"):
+            small_spec(**{field: value}).validate()
+
 
 class TestGeneratePanel:
     def test_noiseless_target_recoverable_from_drivers(self):
