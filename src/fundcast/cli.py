@@ -116,13 +116,13 @@ _KEYS = {
     "consensus.pairing": ("consensus_pairing",
                           partial(_parse_choice,
                                   allowed=rollcast.CONSENSUS_PAIRINGS)),
-    "seed": ("seed", int),
-    "synth.n_companies": ("synth_n_companies", int),
-    "synth.n_quarters": ("synth_n_quarters", int),
+    "seed": ("seed", partial(_parse_count, least=0)),
+    "synth.n_companies": ("synth_n_companies", _parse_count),
+    "synth.n_quarters": ("synth_n_quarters", _parse_count),
     "synth.noise_sd": ("synth_noise_sd", _parse_finite),
     "synth.missing_rate": ("synth_missing_rate", _parse_finite),
     "synth.seasonality_amplitude": ("synth_seasonality", _parse_finite),
-    "synth.seed": ("synth_seed", int),
+    "synth.seed": ("synth_seed", partial(_parse_count, least=0)),
     "synth.consensus": ("synth_consensus", _parse_bool),
 }
 
@@ -314,6 +314,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     try:
         config = parse_config(args.config)

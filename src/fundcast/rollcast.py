@@ -192,60 +192,39 @@ def load_consensus(path) -> RawPanel:
                             for j, name in enumerate(CONSENSUS_HEADER[3:])})
 
 
-@dataclass
-class MetricsBundle:
-    """Accuracy metrics for one subset, consensus-conditional where available."""
-
-    accuracy: float
-    n_scored: int
-    per_class: dict = field(default_factory=dict)
-    consensus_available: bool = False
-    consensus_accuracy: float = float("nan")
-    consensus_mean_accuracy: float = float("nan")
-    consensus_median_accuracy: float = float("nan")
-    n_converge: int = 0
-    n_diverge: int = 0
-    converge_model_acc: float = float("nan")
-    converge_consensus_acc: float = float("nan")
-    diverge_model_acc: float = float("nan")
-    diverge_consensus_acc: float = float("nan")
-
-
-def _safe_rate(hits: int, total: int) -> float:
-    return hits / total if total else float("nan")
+def _rate(hits: np.ndarray) -> float | None:
+    """The share of true entries in hits; None over no rows."""
+    return int(hits.sum()) / len(hits) if len(hits) else None
 
 
 def conditional_accuracy(model_pred, consensus_pred, actual,
-                         actual_consensus=None) -> MetricsBundle:
-    """Split scoring into converge (model class == consensus class) and diverge.
+                         actual_consensus=None) -> dict:
+    """Split scoring into converge (model class == consensus class) and
+    diverge, as the subset record's metrics keys.
 
     Consensus is scored against actual_consensus when given (the split
     pairing, e.g. non-GAAP actuals), otherwise against the same actual as
-    the model.
+    the model. A rate over no rows is None.
     """
     model_pred = np.asarray(model_pred)
     consensus_pred = np.asarray(consensus_pred)
     actual = np.asarray(actual)
     actual_cons = actual if actual_consensus is None else np.asarray(actual_consensus)
-    n = len(model_pred)
     converge = model_pred == consensus_pred
-    n_conv = int(converge.sum())
-    n_div = n - n_conv
     model_hits = model_pred == actual
     cons_hits = consensus_pred == actual_cons
-    bundle = MetricsBundle(
-        accuracy=_safe_rate(int(model_hits.sum()), n),
-        n_scored=n,
-        consensus_available=True,
-        consensus_accuracy=_safe_rate(int(cons_hits.sum()), n),
-        n_converge=n_conv,
-        n_diverge=n_div,
-        converge_model_acc=_safe_rate(int(model_hits[converge].sum()), n_conv),
-        converge_consensus_acc=_safe_rate(int(cons_hits[converge].sum()), n_conv),
-        diverge_model_acc=_safe_rate(int(model_hits[~converge].sum()), n_div),
-        diverge_consensus_acc=_safe_rate(int(cons_hits[~converge].sum()), n_div),
-    )
-    return bundle
+    return {
+        "accuracy": _rate(model_hits),
+        "n_scored": len(model_pred),
+        "consensus_available": True,
+        "consensus_accuracy": _rate(cons_hits),
+        "n_converge": int(converge.sum()),
+        "n_diverge": int((~converge).sum()),
+        "converge_model_acc": _rate(model_hits[converge]),
+        "converge_consensus_acc": _rate(cons_hits[converge]),
+        "diverge_model_acc": _rate(model_hits[~converge]),
+        "diverge_consensus_acc": _rate(cons_hits[~converge]),
+    }
 
 
 def decompose_importance(model, pca, metas, top_c: int = 5,
@@ -308,13 +287,6 @@ class SubsetResult:
     fill_report: feature_forge.FillReport
 
 
-def _plain(value):
-    """value as JSON holds it: NaN as null, dict keys as str."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return None if isinstance(value, float) and np.isnan(value) else value
-
-
 def _subset_seeds(seed: int, index: int):
     seq = np.random.SeedSequence([seed, index])
     children = seq.spawn(3)
@@ -329,23 +301,34 @@ CONSENSUS_PAIRINGS = ("split", "shared")
 
 def _score_test_quarter(predictions, y_test, test_rows: np.ndarray,
                         consensus: dict | None,
-                        config: ExperimentConfig) -> MetricsBundle:
-    """Accuracy overall and per class and, where the chosen consensus
-    estimate scores a test row, the consensus-conditional scores.
-    test_rows holds each test row's position in the consensus arrays.
+                        config: ExperimentConfig) -> dict:
+    """The subset record's metrics: accuracy overall and per class and,
+    where the chosen consensus estimate scores a test row, the
+    consensus-conditional scores. test_rows holds each test row's position
+    in the consensus arrays. A rate over no rows is None.
 
     An estimate scores the rows where it and the non-GAAP actual class are
     both known. The split pairing scores it against that actual, the shared
     pairing against the model's labels.
     """
-    per_class = {c: _safe_rate(int((predictions[y_test == c] == c).sum()),
-                               int((y_test == c).sum()))
-                 for c in range(config.n_classes)}
-    overall = MetricsBundle(
-        accuracy=_safe_rate(int((predictions == y_test).sum()), len(y_test)),
-        n_scored=len(y_test), per_class=per_class)
-    if consensus is None or not len(y_test):
-        return overall
+    metrics = {
+        "accuracy": _rate(predictions == y_test),
+        "n_scored": len(y_test),
+        "per_class": {str(c): _rate(predictions[y_test == c] == c)
+                      for c in range(config.n_classes)},
+        "consensus_available": False,
+        "consensus_accuracy": None,
+        "consensus_mean_accuracy": None,
+        "consensus_median_accuracy": None,
+        "n_converge": 0,
+        "n_diverge": 0,
+        "converge_model_acc": None,
+        "converge_consensus_acc": None,
+        "diverge_model_acc": None,
+        "diverge_consensus_acc": None,
+    }
+    if consensus is None:
+        return metrics
 
     actual_ng = consensus["actual"][test_rows]
     scores = {}
@@ -358,12 +341,13 @@ def _score_test_quarter(predictions, y_test, test_rows: np.ndarray,
             predictions[rows], estimate[rows].astype(np.int64), y_test[rows],
             actual_consensus=truth)
     chosen = scores[config.consensus_estimate]
-    if not chosen.n_scored:
-        return overall
-    return replace(chosen, accuracy=overall.accuracy,
-                   n_scored=overall.n_scored, per_class=per_class,
-                   consensus_mean_accuracy=scores["mean"].consensus_accuracy,
-                   consensus_median_accuracy=scores["median"].consensus_accuracy)
+    if chosen["n_scored"]:
+        # accuracy and n_scored stay those of every test row
+        metrics.update(
+            chosen, accuracy=metrics["accuracy"], n_scored=metrics["n_scored"],
+            consensus_mean_accuracy=scores["mean"]["consensus_accuracy"],
+            consensus_median_accuracy=scores["median"]["consensus_accuracy"])
+    return metrics
 
 
 @contextmanager
@@ -392,9 +376,10 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     comes from config; schema drives imputation.
 
     Returns a SubsetResult: the record (split, sizes, tuned parameters,
-    per-company predictions, metrics with NaN as null, importance
-    decomposition, imputation counts) and the model text, PCA text,
-    search trials and FillReport written beside it.
+    per-company predictions, the metrics _score_test_quarter builds with
+    None for a rate over no rows, importance decomposition, imputation
+    counts) and the model text, PCA text, search trials and FillReport
+    written beside it.
     """
     n = features.n_rows
     for name, values in [("labels", labels),
@@ -491,8 +476,6 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         predictions = boostwood.predict(model, binned_full.map_new(comps_test)) \
             if len(test_idx) else np.empty(0, dtype=np.int64)
 
-    metrics = _score_test_quarter(predictions, y_test, rows[test_idx],
-                                  consensus, config)
     record = {
         "record_type": "subset",
         "subset": split.index,
@@ -511,7 +494,8 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             for c, p, a in zip(lagged.index.company_names(test_idx),
                                predictions, y_test)
         ],
-        "metrics": _plain(asdict(metrics)),
+        "metrics": _score_test_quarter(predictions, y_test, rows[test_idx],
+                                       consensus, config),
         "importance": decompose_importance(model, pca, deduped.metas)
             if pca.kept >= 1 and model.trees else None,
         "dedupe_dropped": len(deduped.dedupe_pairs),
@@ -575,15 +559,13 @@ def build_records(results, config_echo: dict) -> list:
             *sorted((r.record for r in results), key=lambda rec: rec["subset"])]
 
 
-def _mean_defined(values) -> float:
+def _mean_defined(values) -> float | None:
     vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else float("nan")
+    return float(np.mean(vals)) if vals else None
 
 
 def _fmt(value, width: int = 8) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return "n/a".rjust(width)
-    return f"{value:.4f}".rjust(width)
+    return ("n/a" if value is None else f"{value:.4f}").rjust(width)
 
 
 def render_text(records) -> str:

@@ -376,11 +376,11 @@ class TestCriterion9ConditionalAccuracyAlgebra:
         cons = np.array([0, 1, 2, 0, 1, 2, 2, 0, 1, 0, 1, 2])
         actual = np.array([0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 2])
         m = rollcast.conditional_accuracy(model, cons, actual)
-        assert m.n_converge == 6 and m.n_diverge == 6
-        assert m.converge_model_acc == pytest.approx(4 / 6)
-        assert m.diverge_model_acc == pytest.approx(3 / 6)
-        assert m.diverge_consensus_acc == pytest.approx(3 / 6)
-        assert m.accuracy == pytest.approx(7 / 12)
+        assert m["n_converge"] == 6 and m["n_diverge"] == 6
+        assert m["converge_model_acc"] == pytest.approx(4 / 6)
+        assert m["diverge_model_acc"] == pytest.approx(3 / 6)
+        assert m["diverge_consensus_acc"] == pytest.approx(3 / 6)
+        assert m["accuracy"] == pytest.approx(7 / 12)
 
         results, _ = e2e_run
         for r in results:

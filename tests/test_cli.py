@@ -199,7 +199,13 @@ class TestParseConfig:
          "got -inf"),
         ("search.space.feature_fraction = 0.5, 1.2",
          r"bad value for search.space.feature_fraction: feature_fraction "
-         r"must be in \(0, 1\]: 1.2")])
+         r"must be in \(0, 1\]: 1.2"),
+        ("seed = -1", "bad value for seed: must be >= 0, got -1"),
+        ("synth.seed = -2", "bad value for synth.seed: must be >= 0, got -2"),
+        ("synth.n_companies = 0",
+         "bad value for synth.n_companies: must be >= 1, got 0"),
+        ("synth.n_quarters = -4",
+         "bad value for synth.n_quarters: must be >= 1, got -4")])
     def test_every_error_names_its_line(self, tmp_path, entry, message):
         path, _ = write_config(tmp_path, extra=f"\n{entry}\n")
         line = path.read_text().splitlines().index(entry) + 1
@@ -214,6 +220,17 @@ class TestParseConfig:
                            match=f"^line {line}: label.scheme = sign requires "
                                  "label.n_classes = 2, got 3"):
             parse_config(path)
+
+    def test_negative_seed_flag_stops_backtest_before_ingest(self, tmp_path,
+                                                             capsys):
+        # the panel files do not exist: the flag is refused first
+        path, out = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["backtest", "--config", str(path), "--seed", "-1"])
+        assert info.value.code != 0
+        assert "argument --seed: must be >= 0, got -1" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sign_scheme_with_three_classes_stops_backtest_before_ingest(
             self, tmp_path, capsys):

@@ -90,41 +90,43 @@ class TestConditionalAccuracy:
     def test_twelve_row_hand_counts(self):
         model, cons, actual = self.hand_table()
         m = conditional_accuracy(model, cons, actual)
-        assert m.n_converge == 6
-        assert m.n_diverge == 6
-        assert m.converge_model_acc == pytest.approx(4 / 6)
-        assert m.diverge_model_acc == pytest.approx(3 / 6)
-        assert m.diverge_consensus_acc == pytest.approx(3 / 6)
-        assert m.accuracy == pytest.approx(7 / 12)
+        assert m["n_converge"] == 6
+        assert m["n_diverge"] == 6
+        assert m["converge_model_acc"] == pytest.approx(4 / 6)
+        assert m["diverge_model_acc"] == pytest.approx(3 / 6)
+        assert m["diverge_consensus_acc"] == pytest.approx(3 / 6)
+        assert m["accuracy"] == pytest.approx(7 / 12)
 
     def test_total_accuracy_decomposition_identity(self):
         model, cons, actual = self.hand_table()
         m = conditional_accuracy(model, cons, actual)
-        recomposed = (m.n_converge * m.converge_model_acc
-                      + m.n_diverge * m.diverge_model_acc) / m.n_scored
-        assert recomposed == pytest.approx(m.accuracy)
+        recomposed = (m["n_converge"] * m["converge_model_acc"]
+                      + m["n_diverge"] * m["diverge_model_acc"]) \
+            / m["n_scored"]
+        assert recomposed == pytest.approx(m["accuracy"])
 
     def test_converge_set_model_equals_consensus_accuracy(self):
         model, cons, actual = self.hand_table()
         m = conditional_accuracy(model, cons, actual)
         # identical predictions on the converge set, same actuals
-        assert m.converge_model_acc == pytest.approx(m.converge_consensus_acc)
+        assert m["converge_model_acc"] == pytest.approx(
+            m["converge_consensus_acc"])
 
     def test_model_identical_to_consensus(self):
         model = np.array([0, 1, 2, 1])
         actual = np.array([0, 1, 1, 1])
         m = conditional_accuracy(model, model.copy(), actual)
-        assert m.n_diverge == 0
-        assert np.isnan(m.diverge_model_acc)
-        assert m.converge_model_acc == pytest.approx(m.accuracy)
+        assert m["n_diverge"] == 0
+        assert m["diverge_model_acc"] is None
+        assert m["converge_model_acc"] == pytest.approx(m["accuracy"])
 
     def test_fully_disjoint_predictions(self):
         model = np.array([0, 0, 0])
         cons = np.array([1, 1, 1])
         actual = np.array([0, 1, 2])
         m = conditional_accuracy(model, cons, actual)
-        assert m.n_converge == 0
-        assert np.isnan(m.converge_model_acc)
+        assert m["n_converge"] == 0
+        assert m["converge_model_acc"] is None
 
     def test_split_pairing_uses_second_actual(self):
         model = np.array([0, 1])
@@ -132,8 +134,8 @@ class TestConditionalAccuracy:
         actual = np.array([0, 0])
         actual_cons = np.array([0, 1])
         m = conditional_accuracy(model, cons, actual, actual_cons)
-        assert m.accuracy == pytest.approx(0.5)
-        assert m.consensus_accuracy == pytest.approx(1.0)
+        assert m["accuracy"] == pytest.approx(0.5)
+        assert m["consensus_accuracy"] == pytest.approx(1.0)
 
 
 def consensus_panel(n_companies=9, n_quarters=3):
@@ -361,7 +363,7 @@ class TestRunSubset:
                          schema)
         assert cut.model_text == full.model_text
         assert cut.record["n_test"] == 0
-        assert cut.record["metrics"]["accuracy"] is None  # NaN as JSON holds it
+        assert cut.record["metrics"]["accuracy"] is None  # a rate over no rows
 
     def test_single_class_training_labels_degenerate(self):
         splits, feats, labels, cfg, schema = small_pipeline()
@@ -486,6 +488,38 @@ class TestConsensusScoring:
         assert metrics["consensus_mean_accuracy"] is None
         assert metrics["consensus_median_accuracy"] is None
         assert metrics["n_converge"] == metrics["n_diverge"] == 0
+
+
+METRIC_KEYS = {
+    "accuracy", "n_scored", "per_class", "consensus_available",
+    "consensus_accuracy", "consensus_mean_accuracy",
+    "consensus_median_accuracy", "n_converge", "n_diverge",
+    "converge_model_acc", "converge_consensus_acc", "diverge_model_acc",
+    "diverge_consensus_acc",
+}
+
+
+class TestMetricsRecord:
+    """The record's metrics hold the same 13 keys whichever consensus
+    branch scored them, and round-trip through strict JSON unchanged: no
+    NaN, and per_class keyed by str."""
+
+    @pytest.mark.parametrize("case", ["no_consensus", "consensus_scored",
+                                      "estimate_without_test_rows"])
+    def test_key_set_and_no_nan(self, case):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        consensus = None if case == "no_consensus" \
+            else random_consensus(labels, seed=3)
+        if case == "estimate_without_test_rows":
+            consensus["mean"][feats.index.quarter ==
+                              splits[0].test_quarter.index] = np.nan
+        res = run_subset(splits[0], feats, labels, cfg, schema, consensus)
+        metrics = res.record["metrics"]
+        assert set(metrics) == METRIC_KEYS
+        assert metrics["consensus_available"] is (case == "consensus_scored")
+        assert sorted(metrics["per_class"]) == ["0", "1", "2"]
+        assert json.loads(json.dumps(res.record, allow_nan=False)) \
+            == res.record
 
 
 def fake_record(idx, acc, quarter="2001Q1"):
