@@ -197,6 +197,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"line {set_on['label.scheme']}: label.scheme = sign requires "
             f"label.n_classes = 2, got {config.n_classes}")
+    if config.validation_size >= config.train_len:
+        # the window's last validation.size quarters are held out, and at
+        # least one must stay to train on; the key set later is named
+        later = max(("validation.size", "pipeline.train_len"),
+                    key=lambda key: set_on.get(key, 0))
+        raise ConfigError(
+            f"line {set_on[later]}: validation.size = {config.validation_size} "
+            f"requires pipeline.train_len >= {config.validation_size + 1}, "
+            f"got {config.train_len}")
     return config
 
 

@@ -2,8 +2,9 @@
 
 Turns raw variables into comparable formats (growth rates and log common-size
 ratios), clips outliers against positive-origin quantile caps, runs the
-four-tier missing-value policy, expands the per-company lag structure, and
-builds classification labels from relative earnings changes.
+four-tier missing-value policy, plans the per-company lag expansion that
+later stages gather block by block, filters correlated columns, and builds
+classification labels from relative earnings changes.
 
 Conventions shared with panel_ingest: NaN is the missing marker until the
 constant fill-in step replaces the leftovers with -1.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MissingDenominatorError, PanelError
+from .errors import DimensionMismatchError, MissingDenominatorError, PanelError
 from .panel_ingest import (
     CONVERTED_FORMATS,
     RATIO_FORMATS,
@@ -23,10 +24,13 @@ from .panel_ingest import (
     PanelIndex,
     RawPanel,
 )
+from .spectral_reduce import column_std
 
 DEFAULT_ASSETS_VAR = "atq"
 DEFAULT_REVENUE_VAR = "revtq"
 CONSTANT_FILL = -1.0
+# cells of lag-0 rows that LagPlan.gather reads per step (512 KB)
+GATHER_BLOCK_CELLS = 1 << 16
 
 FORMAT_ORDER = (Format.YOY, Format.QOQ, Format.PCT_ASSETS, Format.PCT_REVENUE, Format.RAW)
 
@@ -74,7 +78,6 @@ class FeatureMatrix:
     metas: list
     origin_positive: np.ndarray | None = None
     raw_missing: dict | None = None
-    dedupe_pairs: list = field(default_factory=list)
 
     def __post_init__(self):
         n, d = self.values.shape
@@ -101,8 +104,7 @@ class FeatureMatrix:
             origin_positive=None if self.origin_positive is None
             else self.origin_positive[mask],
             raw_missing=None if self.raw_missing is None
-            else {name: col[mask] for name, col in self.raw_missing.items()},
-            dedupe_pairs=list(self.dedupe_pairs))
+            else {name: col[mask] for name, col in self.raw_missing.items()})
 
 
 @dataclass
@@ -392,7 +394,8 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
         keep_cols = rates <= 0.70
     report.deleted_columns = [metas[j].name
                               for j in np.flatnonzero(~keep_cols)]
-    values = values[:, keep_cols]
+    # compress keeps the rows C-contiguous, as LagPlan.gather reads them
+    values = np.compress(keep_cols, values, axis=1)
     metas = [meta for meta, keep in zip(metas, keep_cols) if keep]
 
     # (3) relevant fill-in for percent formats
@@ -416,55 +419,112 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
     return out, report
 
 
-def correlation_dedupe_inputs(m: FeatureMatrix, cutoff: float = 0.9,
-                              fit_rows: np.ndarray | None = None) -> FeatureMatrix:
+@dataclass
+class Dedupe:
+    """What the correlation filter keeps: the kept column positions in
+    order, and a (dropped, kept-partner, r) triple per dropped column."""
+
+    kept: np.ndarray
+    dedupe_pairs: list
+
+
+def correlation_dedupe_inputs(block: np.ndarray, metas,
+                              cutoff: float = 0.9) -> Dedupe:
     """Greedy scan in meta order dropping columns correlated above cutoff.
 
-    Pearson correlation is measured on fit_rows (default: all): the fit rows
-    are standardised in one copy and every r comes from its Gram matrix. A
-    column is dropped when its largest |r| against the columns kept so far
-    (the first such partner on ties) exceeds cutoff; the (dropped,
-    kept-partner, r) triples are recorded on the returned matrix. Columns
-    that repeat one value on the fit rows (or have no std there, as NaN
-    columns) correlate with nothing and are kept.
+    block holds the fit rows of every column in metas, and the filter owns
+    it: the columns are standardised in place and every Pearson r comes
+    from the Gram matrix. A column is dropped when its largest |r| against
+    the columns kept so far (the first such partner on ties) exceeds
+    cutoff. Columns that repeat one value on the fit rows (or have no std
+    there, as NaN columns) correlate with nothing and are kept.
     """
-    rows = np.arange(m.n_rows) if fit_rows is None else np.asarray(fit_rows)
-    z = m.values[rows]
+    z = block
     n = z.shape[0]
-    sd = z.std(axis=0)
+    sd = column_std(z)
     # a repeated value can leave rounding in its std, so test it exactly
-    constant = ~(sd > 0) | (z == z[:1]).all(axis=0)
+    constant = ~(sd > 0) | (z.max(axis=0) == z.min(axis=0))
     z -= z.mean(axis=0)
     z /= np.where(constant, 1.0, sd)
     z[:, constant] = 0.0
     corr = z.T @ z
     corr /= n
-    del z
 
     kept = []
     pairs = []
-    for j in range(m.n_cols):
+    for j in range(len(metas)):
         if kept:
             r = corr[kept, j]
             worst = int(np.argmax(np.abs(r)))
             if abs(r[worst]) > cutoff:
-                pairs.append((m.metas[j].name, m.metas[kept[worst]].name,
+                pairs.append((metas[j].name, metas[kept[worst]].name,
                               float(r[worst])))
                 continue
         kept.append(j)
-
-    kept_idx = np.array(kept, dtype=np.int64)
-    return FeatureMatrix(m.index, np.take(m.values, kept_idx, axis=1),
-                         [m.metas[j] for j in kept],
-                         dedupe_pairs=pairs)
+    return Dedupe(np.array(kept, dtype=np.int64), pairs)
 
 
-def build_lags(m: FeatureMatrix, n_lags: int = 20) -> FeatureMatrix:
-    """Expand each lag-flagged column into n_lags columns (lag 0..n_lags-1).
+@dataclass(frozen=True)
+class LagPlan:
+    """The lagged matrix as a recipe: which cell of the lag-0 matrix each
+    of its cells copies, without the values.
+
+    Row i is index row i; its lag-k cells copy source row sources[i, k].
+    Column c is metas[c] and copies source column col_source[c] at lag
+    col_lag[c] (0 for a column that passes through unlagged). source_shape
+    is the lag-0 matrix's shape.
+    """
+
+    index: PanelIndex
+    metas: list
+    sources: np.ndarray
+    col_source: np.ndarray
+    col_lag: np.ndarray
+    source_shape: tuple
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.index)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.metas)
+
+    def gather(self, values: np.ndarray, rows=None, cols=None) -> np.ndarray:
+        """The lagged block of the selected rows and columns (positions;
+        default all), read from the lag-0 values.
+
+        A few rows at a time, one take reads their source rows at every
+        lag and a second places the selected (lag, column) cells in the
+        block's rows, so no temporary grows with the block.
+        """
+        if values.shape != self.source_shape:
+            raise DimensionMismatchError(
+                f"plan reads a {self.source_shape} matrix, got {values.shape}")
+        values = np.ascontiguousarray(values)  # each take reads whole rows
+        sources = self.sources if rows is None else self.sources[rows]
+        cols = np.arange(self.n_cols) if cols is None else np.asarray(cols)
+        n_lags, width = self.sources.shape[1], values.shape[1]
+        # cell (lag k, column j) of a row's source rows laid end to end
+        cells = self.col_lag[cols] * width + self.col_source[cols]
+        step = max(1, GATHER_BLOCK_CELLS // max(1, n_lags * width))
+        out = np.empty((len(sources), len(cols)))
+        # every index is in range once the shape matches, so take may clip
+        for start in range(0, len(sources), step):
+            src = sources[start:start + step]
+            lagged_rows = np.take(values, src.ravel(), axis=0, mode="clip")
+            np.take(lagged_rows.reshape(len(src), n_lags * width), cells,
+                    axis=1, out=out[start:start + step], mode="clip")
+        return out
+
+
+def build_lags(m: FeatureMatrix, n_lags: int = 20) -> LagPlan:
+    """Plan the expansion of each lag-flagged column into n_lags columns
+    (lag 0..n_lags-1); LagPlan.gather reads any block of it from m.values.
 
     Lag k takes the same company's value k quarters earlier; rows lacking a
     stored row for any required quarter are dropped. Macro and market
-    columns pass through unlagged.
+    columns pass through unlagged, after the lagged ones.
     """
     if n_lags < 1:
         raise ValueError("n_lags must be >= 1")
@@ -473,30 +533,19 @@ def build_lags(m: FeatureMatrix, n_lags: int = 20) -> FeatureMatrix:
     if any(m.metas[j].lag != 0 for j in lag_cols):
         raise PanelError("build_lags expects a lag-0 matrix")
 
-    n = m.n_rows
-    gather = np.empty((n, n_lags), dtype=np.int64)
+    sources = np.empty((m.n_rows, n_lags), dtype=np.int64)
     for k in range(n_lags):
-        gather[:, k] = m.index.locate(m.index.key - k)
-    ok = (gather >= 0).all(axis=1)
-    keep = np.flatnonzero(ok)
-    gather = gather[ok]
-
-    n_out = len(keep)
-    d_out = len(lag_cols) * n_lags + len(flat_cols)
-    values = np.empty((n_out, d_out))
-    metas = []
-    col = 0
-    for j in lag_cols:
-        base = m.metas[j]
-        for k in range(n_lags):
-            values[:, col] = m.values[gather[:, k], j]
-            metas.append(replace(base, lag=k, expand_lags=False))
-            col += 1
-    for j in flat_cols:
-        values[:, col] = m.values[keep, j]
-        metas.append(m.metas[j])
-        col += 1
-    return FeatureMatrix(m.index.take(keep), values, metas)
+        sources[:, k] = m.index.locate(m.index.key - k)
+    ok = (sources >= 0).all(axis=1)
+    metas = [replace(m.metas[j], lag=k, expand_lags=False)
+             for j in lag_cols for k in range(n_lags)]
+    metas += [m.metas[j] for j in flat_cols]
+    return LagPlan(m.index.take(ok), metas, sources[ok],
+                   np.array([j for j in lag_cols for _ in range(n_lags)]
+                            + flat_cols, dtype=np.int64),
+                   np.array(list(range(n_lags)) * len(lag_cols)
+                            + [0] * len(flat_cols), dtype=np.int64),
+                   m.values.shape)
 
 
 def relative_change_targets(index: PanelIndex, future_income: np.ndarray,

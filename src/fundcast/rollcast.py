@@ -365,11 +365,14 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     """Run the full per-subset pipeline, score the test quarter and build
     the subset's report.jsonl record.
 
-    Stage order: outlier caps -> imputation -> lag expansion ->
-    correlation filter -> PCA and component selection -> hold-out
+    Stage order: outlier caps -> imputation -> lag plan -> correlation
+    filter -> PCA and component selection -> hold-out
     validation split -> hyperparameter search -> final fit on the whole
-    training window -> test-quarter prediction. Fitted statistics use
-    training rows only; look-backs may reach quarters before the window.
+    training window -> test-quarter prediction. The lagged values are
+    gathered per stage: every column of the training rows for the filter,
+    then the kept columns of the training and the test rows for PCA.
+    Fitted statistics use training rows only; look-backs may reach
+    quarters before the window.
     labels[i] is the class of features row i, NaN where it is missing;
     consensus, when given, holds build_consensus_vectors' classes, one per
     features row, and adds the consensus-conditional scores. Every setting
@@ -406,12 +409,12 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             fit_rows=train_rows)
 
     with _stage(split.index, "build_lags"):
-        lagged = feature_forge.build_lags(work, config.n_lags)
+        plan = feature_forge.build_lags(work, config.n_lags)
 
-    # lagged's rows are features rows, each found by its key
-    rows = features.index.locate(lagged.index.key)
+    # the plan's rows are features rows, each found by its key
+    rows = features.index.locate(plan.index.key)
     label_values = labels[rows]
-    q_arr = lagged.index.quarter
+    q_arr = plan.index.quarter
     has_label = ~np.isnan(label_values)
     train_idx = np.flatnonzero(np.isin(q_arr, train_quarters) & has_label)
     test_idx = np.flatnonzero((q_arr == test_idx_q) & has_label)
@@ -420,16 +423,19 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
                           ValueError("no training rows survive preprocessing"))
 
     with _stage(split.index, "correlation_dedupe"):
-        deduped = feature_forge.correlation_dedupe_inputs(
-            lagged, config.correlation_cutoff, fit_rows=train_idx)
+        dedupe = feature_forge.correlation_dedupe_inputs(
+            plan.gather(work.values, train_idx), plan.metas,
+            config.correlation_cutoff)
+        kept_metas = [plan.metas[j] for j in dedupe.kept.tolist()]
 
     with _stage(split.index, "pca"):
-        x_train = deduped.values[train_idx]
+        x_train = plan.gather(work.values, train_idx, dedupe.kept)
         pca = spectral_reduce.fit_pca(x_train, standardize=config.standardize)
         pca.kept = spectral_reduce.choose_components(pca, config.pca_threshold)
         comps_train = spectral_reduce.transform(pca, x_train)
         del x_train  # not held through the search and the final fit
-        comps_test = spectral_reduce.transform(pca, deduped.values[test_idx]) \
+        comps_test = spectral_reduce.transform(
+            pca, plan.gather(work.values, test_idx, dedupe.kept)) \
             if len(test_idx) else np.empty((0, pca.kept))
 
     y_train = label_values[train_idx].astype(np.int64)
@@ -491,14 +497,14 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         "tuned_params": best.to_record(),
         "predictions": [
             {"company_id": c, "predicted": int(p), "actual": int(a)}
-            for c, p, a in zip(lagged.index.company_names(test_idx),
+            for c, p, a in zip(plan.index.company_names(test_idx),
                                predictions, y_test)
         ],
         "metrics": _score_test_quarter(predictions, y_test, rows[test_idx],
                                        consensus, config),
-        "importance": decompose_importance(model, pca, deduped.metas)
+        "importance": decompose_importance(model, pca, kept_metas)
             if pca.kept >= 1 and model.trees else None,
-        "dedupe_dropped": len(deduped.dedupe_pairs),
+        "dedupe_dropped": len(dedupe.dedupe_pairs),
         "impute": {
             "deleted_rows": fill_report.deleted_rows,
             "deleted_columns": list(fill_report.deleted_columns),

@@ -17,6 +17,38 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionMismatchError
 
 _RATIO_EPS = 1e-12
+STD_BLOCK_ROWS = 256
+
+
+def column_std(x: np.ndarray) -> np.ndarray:
+    """x.std(axis=0), byte for byte, without a temporary the size of x.
+
+    numpy sums a C-contiguous float64 matrix of two or more columns down its
+    rows one row at a time, so the squared deviations are formed
+    STD_BLOCK_ROWS rows at a time in a small buffer and summed with the
+    running sum as the buffer's row 0: the same additions in the same order.
+    One column (which numpy sums pairwise), no rows and other layouts or
+    dtypes go to np.std.
+    """
+    n, d = x.shape
+    if d < 2 or n == 0 or x.dtype != np.float64 or not x.flags.c_contiguous:
+        return x.std(axis=0)
+    mean = np.add.reduce(x, axis=0)
+    mean /= n
+    buf = np.empty((min(n, STD_BLOCK_ROWS) + 1, d))
+    total = None
+    for start in range(0, n, STD_BLOCK_ROWS):
+        stop = min(start + STD_BLOCK_ROWS, n)
+        sq = buf[1:stop - start + 1]
+        np.subtract(x[start:stop], mean, out=sq)
+        np.square(sq, out=sq)
+        if total is None:
+            total = np.add.reduce(sq, axis=0)
+        else:
+            buf[0] = total
+            total = np.add.reduce(buf[:stop - start + 1], axis=0)
+    total /= n
+    return np.sqrt(total, out=total)
 
 
 def eigh_descending(a: np.ndarray):
@@ -72,7 +104,8 @@ def fit_pca(x: np.ndarray, standardize: bool = False) -> PcaModel:
     The covariance is centered-columns'T centered-columns / n_rows; constant
     columns are permitted and contribute zero eigenvalues. eigh_descending
     decomposes it. kept starts at the full dimension; choose_components
-    narrows it.
+    narrows it. x is left unchanged: one working copy is centred and, with
+    standardize, scaled in place by its column_std.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -80,14 +113,15 @@ def fit_pca(x: np.ndarray, standardize: bool = False) -> PcaModel:
     n, d = x.shape
     if n < 2:
         raise DegenerateInputError(f"need at least 2 rows, got {n}")
-    if not np.isfinite(x).all():
+    # min and max are NaN or infinite when any entry is, with no temporary
+    if d and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise DegenerateInputError("input contains missing or non-finite entries")
 
     mean = x.mean(axis=0)
     xc = x - mean
     scale = None
     if standardize:
-        scale = xc.std(axis=0)
+        scale = column_std(xc)
         scale = np.where(scale > 0, scale, 1.0)
         xc /= scale
     eigenvalues, loadings = eigh_descending(xc.T @ xc / n)

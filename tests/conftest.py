@@ -1,5 +1,6 @@
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from fundcast import boostwood
 from fundcast.boostwood import GbdtModel, HyperParams, Tree
-from fundcast.feature_forge import FeatureMatrix, _pooled_fill_period
+from fundcast.feature_forge import Dedupe, FeatureMatrix, _pooled_fill_period
 from fundcast.panel_ingest import (
     CalendarQuarter,
     CompanyMeta,
@@ -141,15 +142,14 @@ def reference_fill_column_runs(seg, p, horizon_cap):
     return filled
 
 
-def reference_correlation_dedupe(m: FeatureMatrix, cutoff: float = 0.9,
-                                 fit_rows=None) -> FeatureMatrix:
+def reference_correlation_dedupe(values, metas, cutoff: float = 0.9) -> Dedupe:
     """Column-by-column scan: the plain form of
     feature_forge.correlation_dedupe_inputs, which must keep the same columns
-    and record the same (dropped, partner) names. Each column's r against the
-    kept columns is one matrix-vector product over a growing buffer of their
-    standardised fit rows."""
-    rows = np.arange(m.n_rows) if fit_rows is None else np.asarray(fit_rows)
-    x = m.values[rows]
+    and record the same (dropped, partner) names. values holds the fit rows
+    and is left unchanged. Each column's r against the kept columns is one
+    matrix-vector product over a growing buffer of their standardised fit
+    rows."""
+    x = values
     n = x.shape[0]
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
@@ -159,22 +159,49 @@ def reference_correlation_dedupe(m: FeatureMatrix, cutoff: float = 0.9,
 
     kept = []
     pairs = []
-    kept_z = np.empty((n, m.n_cols))
-    for j in range(m.n_cols):
+    kept_z = np.empty((n, len(metas)))
+    for j in range(len(metas)):
         if kept:
             r = kept_z[:, :len(kept)].T @ z[:, j] / n
             worst = int(np.argmax(np.abs(r)))
             if abs(r[worst]) > cutoff:
-                pairs.append((m.metas[j].name, m.metas[kept[worst]].name,
+                pairs.append((metas[j].name, metas[kept[worst]].name,
                               float(r[worst])))
                 continue
         kept_z[:, len(kept)] = z[:, j]
         kept.append(j)
+    return Dedupe(np.array(kept, dtype=np.int64), pairs)
 
-    kept_idx = np.array(kept, dtype=np.int64)
-    return FeatureMatrix(m.index, m.values[:, kept_idx].copy(),
-                         [m.metas[j] for j in kept],
-                         dedupe_pairs=pairs)
+
+def reference_build_lags(m: FeatureMatrix, n_lags: int) -> FeatureMatrix:
+    """The lagged matrix written out column by column: the plain form of
+    feature_forge.build_lags, whose LagPlan.gather must give the same bytes
+    for any rows and columns. Each lag-flagged column becomes n_lags
+    columns (lag 0..n_lags-1, lag k the same company's value k quarters
+    earlier), flat columns follow unlagged, and rows lacking a stored row
+    for any required quarter are dropped."""
+    lag_cols = [j for j, meta in enumerate(m.metas) if meta.expand_lags]
+    flat_cols = [j for j, meta in enumerate(m.metas) if not meta.expand_lags]
+    gather = np.empty((m.n_rows, n_lags), dtype=np.int64)
+    for k in range(n_lags):
+        gather[:, k] = m.index.locate(m.index.key - k)
+    ok = (gather >= 0).all(axis=1)
+    keep = np.flatnonzero(ok)
+    gather = gather[ok]
+
+    values = np.empty((len(keep), len(lag_cols) * n_lags + len(flat_cols)))
+    metas = []
+    col = 0
+    for j in lag_cols:
+        for k in range(n_lags):
+            values[:, col] = m.values[gather[:, k], j]
+            metas.append(replace(m.metas[j], lag=k, expand_lags=False))
+            col += 1
+    for j in flat_cols:
+        values[:, col] = m.values[keep, j]
+        metas.append(m.metas[j])
+        col += 1
+    return FeatureMatrix(m.index.take(keep), values, metas)
 
 
 def split_gain(parent_stats, left_stats, params) -> float:

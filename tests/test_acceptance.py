@@ -445,12 +445,14 @@ class TestCriterion11CleansingContracts:
             assert (col[finite] <= meta.cap + 1e-12).all()
         imputed, _ = feature_forge.impute(clipped, schema, look_back=8)
         assert not np.isnan(imputed.values).any()
-        lagged = feature_forge.build_lags(imputed, 6)
-        deduped = feature_forge.correlation_dedupe_inputs(lagged, 0.9)
-        corr = np.corrcoef(deduped.values.T)
-        off = corr[~np.eye(deduped.n_cols, dtype=bool)]
+        plan = feature_forge.build_lags(imputed, 6)
+        lagged = plan.gather(imputed.values)
+        kept = feature_forge.correlation_dedupe_inputs(
+            lagged.copy(), plan.metas, 0.9).kept
+        corr = np.corrcoef(lagged[:, kept].T)
+        off = corr[~np.eye(len(kept), dtype=bool)]
         off = off[~np.isnan(off)]
         assert (np.abs(off) <= 0.9 + 1e-12).all()
         report(11, f"zero missing after impute; {clipped.n_cols} capped columns "
-                   f"respect caps; {deduped.n_cols} deduped columns max |r| "
+                   f"respect caps; {len(kept)} deduped columns max |r| "
                    f"{np.max(np.abs(off)):.3f}")

@@ -205,7 +205,12 @@ class TestParseConfig:
         ("synth.n_companies = 0",
          "bad value for synth.n_companies: must be >= 1, got 0"),
         ("synth.n_quarters = -4",
-         "bad value for synth.n_quarters: must be >= 1, got -4")])
+         "bad value for synth.n_quarters: must be >= 1, got -4"),
+        # BASE_CONFIG sets pipeline.train_len = 26 and validation.size = 4
+        ("validation.size = 26",
+         "validation.size = 26 requires pipeline.train_len >= 27, got 26"),
+        ("pipeline.train_len = 4",
+         "validation.size = 4 requires pipeline.train_len >= 5, got 4")])
     def test_every_error_names_its_line(self, tmp_path, entry, message):
         path, _ = write_config(tmp_path, extra=f"\n{entry}\n")
         line = path.read_text().splitlines().index(entry) + 1

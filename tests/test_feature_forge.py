@@ -10,13 +10,14 @@ from conftest import (
     index_from_keys,
     keys_of,
     quarter_range,
+    reference_build_lags,
     reference_correlation_dedupe,
     reference_fill_column_runs,
     reference_pooled_fill_period,
     simple_spec,
     single_company_fill_period,
 )
-from fundcast.errors import MissingDenominatorError
+from fundcast.errors import DimensionMismatchError, MissingDenominatorError
 from fundcast.feature_forge import (
     CONSTANT_FILL,
     FeatureColumnMeta,
@@ -490,17 +491,22 @@ def dedupe_cases(draw):
 
 
 class TestCorrelationDedupe:
-    def _matrix(self, cols):
+    @staticmethod
+    def _metas(d):
+        return [FeatureColumnMeta(f"v{i}", Format.RAW) for i in range(d)]
+
+    def _dedupe(self, cols, cutoff=0.9, fit_rows=None):
+        """The filter on the fit rows (default: all) of the given columns,
+        passed as the block it owns."""
         values = np.column_stack(cols)
-        metas = [FeatureColumnMeta(f"v{i}", Format.RAW)
-                 for i in range(values.shape[1])]
-        keys = [("A", q) for q in quarter_range(1990, 1, values.shape[0])]
-        return FeatureMatrix(index_from_keys(keys), values, metas)
+        rows = np.arange(len(values)) if fit_rows is None else fit_rows
+        return correlation_dedupe_inputs(values[rows], self._metas(values.shape[1]),
+                                         cutoff)
 
     def test_duplicate_column_dropped(self, rng):
         x = rng.normal(size=30)
-        out = correlation_dedupe_inputs(self._matrix([x, x.copy()]))
-        assert out.n_cols == 1
+        out = self._dedupe([x, x.copy()])
+        assert out.kept.tolist() == [0]
         assert out.dedupe_pairs[0][0] == "v1_raw"
         assert out.dedupe_pairs[0][2] == pytest.approx(1.0)
 
@@ -509,29 +515,29 @@ class TestCorrelationDedupe:
         y = rng.normal(size=200)
         r = np.corrcoef(x, y)[0, 1]
         assert abs(r) < 0.9
-        out = correlation_dedupe_inputs(self._matrix([x, y]))
-        assert out.n_cols == 2
+        out = self._dedupe([x, y])
+        assert len(out.kept) == 2
 
     def test_near_duplicate_dropped(self, rng):
         x = rng.normal(size=100)
         y = 0.99 * x + rng.normal(0, 1e-3, size=100)
         assert abs(np.corrcoef(x, y)[0, 1]) > 0.9
-        out = correlation_dedupe_inputs(self._matrix([x, y]))
-        assert out.n_cols == 1
+        out = self._dedupe([x, y])
+        assert len(out.kept) == 1
 
     def test_kept_pairs_all_below_cutoff(self, rng):
         base = rng.normal(size=(120, 4))
         cols = [base[:, 0], base[:, 1], base[:, 0] * 0.995 + 0.01 * base[:, 2],
                 base[:, 2], base[:, 3], -base[:, 1] + 0.001 * base[:, 0]]
-        out = correlation_dedupe_inputs(self._matrix(cols))
-        corr = np.corrcoef(out.values.T)
-        off = corr[~np.eye(out.n_cols, dtype=bool)]
+        out = self._dedupe(cols)
+        corr = np.corrcoef(np.column_stack(cols)[:, out.kept].T)
+        off = corr[~np.eye(len(out.kept), dtype=bool)]
         assert (np.abs(off) <= 0.9).all()
 
     def test_constant_column_kept(self, rng):
         x = rng.normal(size=30)
-        out = correlation_dedupe_inputs(self._matrix([x, np.full(30, 2.0)]))
-        assert out.n_cols == 2
+        out = self._dedupe([x, np.full(30, 2.0)])
+        assert len(out.kept) == 2
 
     @pytest.mark.parametrize("n_fit", [30, 20])
     def test_repeated_inexact_value_counts_as_constant(self, rng, n_fit):
@@ -542,9 +548,8 @@ class TestCorrelationDedupe:
         a, b = np.full(30, 0.1), np.full(30, 0.7)
         a[n_fit:], b[n_fit:] = rng.normal(size=(2, 30 - n_fit))
         assert a[:n_fit].std() > 0
-        out = correlation_dedupe_inputs(self._matrix([x, y, a, b]),
-                                        fit_rows=np.arange(n_fit))
-        assert out.n_cols == 4
+        out = self._dedupe([x, y, a, b], fit_rows=np.arange(n_fit))
+        assert len(out.kept) == 4
         assert out.dedupe_pairs == []
 
     def test_first_kept_partner_wins_a_tie(self):
@@ -552,22 +557,24 @@ class TestCorrelationDedupe:
         # the bit: every product and sum is the same
         a = np.array([1.0, 1.0, -1.0, -1.0])
         b = np.array([1.0, -1.0, 1.0, -1.0])
-        out = correlation_dedupe_inputs(self._matrix([a, b, a + b]), 0.5)
+        out = self._dedupe([a, b, a + b], 0.5)
         assert [p[:2] for p in out.dedupe_pairs] == [("v2_raw", "v0_raw")]
         assert out.dedupe_pairs[0][2] == pytest.approx(np.sqrt(0.5))
 
-    def test_peak_memory_below_two_and_a_half_fit_blocks(self, rng):
-        # one standardised copy of the fit rows plus np.std's temporary;
-        # the d x d correlations are small beside them
-        m = self._matrix(list(rng.normal(size=(200, 4000))))
+    def test_peak_memory_below_one_and_a_half_fit_blocks(self, rng):
+        # the block the filter owns (copied inside the trace) plus the
+        # constant-column mask; column_std leaves no temporary of the
+        # block's size, and the d x d correlations are small beside it
+        values = rng.normal(size=(4000, 200))
+        metas = self._metas(200)
         tracemalloc.start()
         try:
-            out = correlation_dedupe_inputs(m, 0.9)
+            out = correlation_dedupe_inputs(values.copy(), metas, 0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.n_cols == 200
-        assert peak < 2.5 * m.values.nbytes
+        assert len(out.kept) == 200
+        assert peak < 1.5 * values.nbytes
 
     @settings(max_examples=300, deadline=None)
     @given(case=dedupe_cases())
@@ -575,13 +582,11 @@ class TestCorrelationDedupe:
         values, fit, cutoff = case
         rows = np.arange(len(values)) if fit is None else np.array(fit)
         assume(scan_margin(values[rows], cutoff) > 1e-9)
-        m = self._matrix(list(values.T))
+        metas = self._metas(values.shape[1])
 
-        out = correlation_dedupe_inputs(m, cutoff, fit_rows=fit)
-        ref = reference_correlation_dedupe(m, cutoff, fit_rows=fit)
-        assert out.metas == ref.metas
-        assert out.values.shape == ref.values.shape
-        assert out.values.tobytes() == ref.values.tobytes()
+        out = correlation_dedupe_inputs(values[rows], metas, cutoff)
+        ref = reference_correlation_dedupe(values[rows], metas, cutoff)
+        assert out.kept.tolist() == ref.kept.tolist()
         assert [p[:2] for p in out.dedupe_pairs] == \
             [p[:2] for p in ref.dedupe_pairs]
         for (_, _, r), (_, _, ref_r) in zip(out.dedupe_pairs, ref.dedupe_pairs):
@@ -607,12 +612,14 @@ class TestBuildLags:
         out = build_lags(m, 20)
         assert out.n_cols == 154 * 20 + 11 == 3091
         assert out.n_rows == 25 - 19
+        assert out.gather(m.values).shape == (6, 3091)
 
     def test_single_lag_is_identity_with_no_trim(self):
         m = self._matrix(3, 2, 8)
         out = build_lags(m, 1)
         assert out.n_rows == m.n_rows
-        np.testing.assert_array_equal(out.values[:, :3], m.values[:, :3])
+        np.testing.assert_array_equal(out.gather(m.values)[:, :3],
+                                      m.values[:, :3])
 
     def test_company_short_of_history_emits_no_rows(self):
         m = self._matrix(2, 0, 19)
@@ -625,15 +632,23 @@ class TestBuildLags:
         keys = [("A", q) for q in quarter_range(1990, 1, 6)]
         out = build_lags(FeatureMatrix(index_from_keys(keys), values, metas), 3)
         assert out.n_rows == 4
-        np.testing.assert_array_equal(out.values[0], [2.0, 1.0, 0.0])
-        np.testing.assert_array_equal(out.values[3], [5.0, 4.0, 3.0])
+        lagged = out.gather(values)
+        np.testing.assert_array_equal(lagged[0], [2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(lagged[3], [5.0, 4.0, 3.0])
         assert [m.lag for m in out.metas] == [0, 1, 2]
 
     def test_lags_never_cross_companies(self):
         m = self._matrix(1, 0, 4, n_companies=2)
         out = build_lags(m, 2)
         assert [c for c, _ in keys_of(out.index)] == ["C0"] * 3 + ["C1"] * 3
-        np.testing.assert_array_equal(out.values[3], [m.values[5, 0], m.values[4, 0]])
+        np.testing.assert_array_equal(out.gather(m.values)[3],
+                                      [m.values[5, 0], m.values[4, 0]])
+
+    def test_gather_refuses_values_of_another_shape(self):
+        m = self._matrix(2, 1, 6)
+        plan = build_lags(m, 3)
+        with pytest.raises(DimensionMismatchError, match=r"\(6, 3\).*\(6, 2\)"):
+            plan.gather(m.values[:, :2])
 
     def test_quarter_gap_drops_incomplete_rows(self):
         quarters = [q for i, q in enumerate(quarter_range(1990, 1, 6)) if i != 2]
@@ -644,6 +659,55 @@ class TestBuildLags:
         out_quarters = [str(q) for _, q in keys_of(out.index)]
         # 1990Q4 lacks 1990Q3; 1991Q1 and 1991Q2 have their immediate priors
         assert out_quarters == ["1990Q2", "1991Q1", "1991Q2"]
+
+
+@st.composite
+def lag_cases(draw):
+    """A lag-0 matrix of one to four companies, each on its own quarters
+    out of twelve (gaps anywhere), with lag-flagged and flat (macro)
+    columns holding normals, NaN and -0.0, and n_lags in 1..6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = []
+    for c in range(draw(st.integers(1, 4))):
+        gaps = draw(st.sets(st.integers(0, 11), max_size=4))
+        keys += [(f"C{c}", q) for i, q in enumerate(quarter_range(1990, 1, 12))
+                 if i not in gaps]
+    n_lagged = draw(st.integers(0, 3))
+    n_flat = draw(st.integers(0 if n_lagged else 1, 2))
+    metas = ([FeatureColumnMeta(f"f{i}", Format.YOY, expand_lags=True)
+              for i in range(n_lagged)]
+             + [FeatureColumnMeta(f"m{i}", Format.RAW, expand_lags=False)
+                for i in range(n_flat)])
+    values = rng.normal(size=(len(keys), len(metas)))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values[rng.random(values.shape) < 0.1] = -0.0
+    return (FeatureMatrix(index_from_keys(keys), values, metas),
+            draw(st.integers(1, 6)))
+
+
+class TestLagGatherOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=lag_cases(), data=st.data())
+    def test_gathered_blocks_equal_the_written_out_lags(self, case, data):
+        m, n_lags = case
+        plan = build_lags(m, n_lags)
+        ref = reference_build_lags(m, n_lags)
+        assert plan.index.key.tolist() == ref.index.key.tolist()
+        assert plan.metas == ref.metas
+        assert [meta.name for meta in plan.metas] == \
+            [meta.name for meta in ref.metas]
+        assert plan.n_cols == ref.n_cols and plan.n_rows == ref.n_rows
+        assert plan.gather(m.values).tobytes() == ref.values.tobytes()
+
+        rows = np.array(data.draw(st.lists(st.integers(0, max(ref.n_rows - 1, 0)),
+                                           max_size=ref.n_rows * 2)
+                                  if ref.n_rows else st.just([])), dtype=np.int64)
+        cols = np.array(data.draw(st.lists(st.integers(0, ref.n_cols - 1),
+                                           max_size=ref.n_cols * 2)),
+                        dtype=np.int64)
+        block = plan.gather(m.values, rows, cols)
+        assert block.shape == (len(rows), len(cols))
+        assert block.tobytes() == ref.values[np.ix_(rows, cols)].tobytes()
 
 
 class TestBuildLabels:

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from conftest import (
     simple_spec,
     total_entries,
 )
-from fundcast import boostwood, feature_forge, synthgen, tuner
+from fundcast import boostwood, feature_forge, rollcast, synthgen, tuner
 from fundcast.boostwood import HyperParams
 from fundcast.errors import (
     DimensionMismatchError,
@@ -411,6 +413,46 @@ class TestRunSubset:
                            match=f"^consensus median: {feats.n_rows - 2} "
                                  f"values for {feats.n_rows} features rows$"):
             run_subset(splits[0], feats, labels, cfg, schema, consensus)
+
+
+class TestSubsetMemory:
+    def test_filter_holds_one_lagged_block_and_pca_two_kept_blocks(
+            self, monkeypatch):
+        # Traced peaks above each stage's entry and above run_subset's
+        # start. The correlation filter owns one block of every lagged
+        # column's training rows; PCA holds the kept columns' training rows
+        # and fit_pca's (then transform's) working copy. Gathers,
+        # column_std's buffer and the d x d Gram matrix add little.
+        splits, feats, labels, cfg, schema = small_pipeline(n_companies=120,
+                                                            n_quarters=40)
+        cfg = replace(cfg, n_lags=8, look_back=8, standardize=True)
+        added, tops = {}, []
+        stage = rollcast._stage
+
+        @contextmanager
+        def traced(index, name):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with stage(index, name):
+                yield
+            tops.append(tracemalloc.get_traced_memory()[1])
+            added[name] = tops[-1] - start
+
+        monkeypatch.setattr(rollcast, "_stage", traced)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = run_subset(splits[-1], feats, labels, cfg, schema)
+            whole = max(tops + [tracemalloc.get_traced_memory()[1]]) - start
+        finally:
+            tracemalloc.stop()
+        kept = int(res.pca_text.split("n_features=")[1].split()[0])
+        lagged_block = res.record["n_train"] * 8 * (
+            kept + res.record["dedupe_dropped"])
+        kept_block = res.record["n_train"] * 8 * kept
+        assert added["correlation_dedupe"] < 1.5 * lagged_block
+        assert added["pca"] < 2.5 * kept_block
+        assert whole < 1.5 * max(lagged_block, 2 * kept_block)
 
 
 def random_consensus(labels, seed):

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import pca_from_text
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fundcast.errors import DegenerateInputError, DimensionMismatchError
 from fundcast.spectral_reduce import (
+    STD_BLOCK_ROWS,
     PcaModel,
     choose_components,
+    column_std,
     eigh_descending,
     fit_pca,
     to_text,
@@ -79,6 +83,71 @@ def planted_spectra(draw):
                            min_size=r, max_size=r))
     x = (u[:, 1:] * values) @ q[:, :r].T
     return x * draw(st.sampled_from((1.0, 1e-3, 1e3)))
+
+
+@st.composite
+def std_matrices(draw):
+    """Row counts on and around the block edges, one to a few hundred
+    columns, scales 1e-6 to 1e6 around offset means, constant columns
+    (some of values whose repeats leave rounding), -0.0 entries, and C,
+    Fortran and strided layouts."""
+    b = STD_BLOCK_ROWS
+    n = draw(st.sampled_from((1, 2, b - 1, b, b + 1, 3 * b + 5))
+             | st.integers(1, 2 * b + 3))
+    d = draw(st.sampled_from((1, 2, 3, 7, 301)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    x = scale * (rng.normal(size=(n, d))
+                 + draw(st.sampled_from((0.0, 1.0, 1e3))) * rng.normal(size=d))
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=3)):
+        x[:, j] = draw(st.sampled_from((0.0, -0.0, 0.1, 1 / 3, -2.6)))
+    x[rng.random(x.shape) < draw(st.sampled_from((0.0, 0.05, 0.5)))] = -0.0
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "F":
+        return np.asfortranarray(x)
+    return x[:, ::2] if layout == "strided" and d > 1 else x
+
+
+class TestColumnStd:
+    @settings(max_examples=300, deadline=None)
+    @given(x=std_matrices())
+    def test_equals_numpy_std_byte_for_byte(self, x):
+        before = x.copy()
+        assert column_std(x).tobytes() == x.std(axis=0).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_one_column_goes_to_numpy_std(self, rng):
+        # numpy sums one column pairwise, not row by row
+        calls = []
+
+        class Recorded(np.ndarray):
+            def std(self, *args, **kwargs):
+                calls.append(kwargs)
+                return super().std(*args, **kwargs)
+
+        column_std(rng.normal(size=(5 * STD_BLOCK_ROWS, 1)).view(Recorded))
+        column_std(rng.normal(size=(5 * STD_BLOCK_ROWS, 2)).view(Recorded))
+        assert calls == [{"axis": 0}]
+
+    def test_no_temporary_of_the_input_size(self, rng):
+        x = rng.normal(size=(20000, 50))
+        tracemalloc.start()
+        try:
+            column_std(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * x.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=std_matrices())
+    def test_fit_pca_scale_and_input_unchanged(self, x):
+        assume(len(x) >= 2)
+        before = x.copy()
+        model = fit_pca(x, standardize=True)
+        assert x.tobytes() == before.tobytes()
+        sd = (x - x.mean(axis=0)).std(axis=0)
+        assert model.scale.tobytes() == np.where(sd > 0, sd, 1.0).tobytes()
 
 
 class TestFitPcaProperties:
