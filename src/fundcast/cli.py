@@ -12,6 +12,7 @@ for the documented key table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -126,19 +127,11 @@ _KEYS = {
     "synth.consensus": ("synth_consensus", _parse_bool),
 }
 
+# every tree parameter of HyperParams; n_rounds and seed have their own keys
 _GBDT_FIELD_TYPES = {
-    "learning_rate": _parse_finite,
-    "max_bin": int,
-    "num_leaves": int,
-    "min_data_in_leaf": int,
-    "feature_fraction": _parse_finite,
-    "bagging_fraction": _parse_finite,
-    "bagging_freq": int,
-    "min_gain_to_split": _parse_finite,
-    "lambda_l1": _parse_finite,
-    "lambda_l2": _parse_finite,
-    "max_depth": int,
-}
+    f.name: _parse_finite if f.type == "float" else int
+    for f in dataclasses.fields(HyperParams)
+    if f.name not in ("n_rounds", "seed")}
 
 
 def parse_config(path) -> ExperimentConfig:

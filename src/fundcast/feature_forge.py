@@ -233,9 +233,7 @@ def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
         cap = float(np.quantile(col_fit[mask], pct, method="higher"))
         values[:, j] = np.minimum(values[:, j], cap)
         metas[j] = replace(meta, cap=cap)
-    return FeatureMatrix(m.index, values, metas,
-                         origin_positive=m.origin_positive,
-                         raw_missing=m.raw_missing)
+    return FeatureMatrix(m.index, values, metas, raw_missing=m.raw_missing)
 
 
 def _pooled_fill_period(column: np.ndarray, company: np.ndarray,
@@ -331,7 +329,8 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
 
     1. Delete rows where any crucial variable is missing anywhere in the
        current-plus-look-back window (quarters without a stored row count
-       as missing).
+       as missing), read from m.raw_missing; a crucial variable without a
+       mask there is a PanelError.
     2. Delete columns whose missing rate on the surviving fit rows exceeds
        70 percent, measured before any filling.
     3. For percent-format columns, fill the first horizon_cap values of
@@ -362,17 +361,10 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
     if crucial:
         missing_any = np.zeros(n, dtype=bool)
         for name in crucial:
-            if m.raw_missing is not None and name in m.raw_missing:
-                missing_any |= m.raw_missing[name]
-            else:
-                owned = [j for j, meta in enumerate(m.metas)
-                         if meta.base_variable == name]
-                if not owned:
-                    raise PanelError(
-                        f"crucial variable {name!r} has no presence information")
-                raw_cols = [j for j in owned if m.metas[j].format is Format.RAW]
-                j = raw_cols[0] if raw_cols else owned[0]
-                missing_any |= np.isnan(m.values[:, j])
+            if m.raw_missing is None or name not in m.raw_missing:
+                raise PanelError(
+                    f"crucial variable {name!r} has no raw missing mask")
+            missing_any |= m.raw_missing[name]
         # A row is kept when its company has a present row in each of the
         # look_back quarters ending at it, that is when the rows from the
         # window start up to it hold look_back present ones.

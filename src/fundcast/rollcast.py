@@ -369,8 +369,10 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     filter -> PCA and component selection -> hold-out
     validation split -> hyperparameter search -> final fit on the whole
     training window -> test-quarter prediction. The lagged values are
-    gathered per stage: every column of the training rows for the filter,
-    then the kept columns of the training and the test rows for PCA.
+    gathered per stage, each block with one owner that may overwrite it:
+    every column of the training rows for the filter, the kept columns of
+    the training rows for fit_pca, which fits and projects them, and the
+    kept columns of the test rows for transform.
     Fitted statistics use training rows only; look-backs may reach
     quarters before the window.
     labels[i] is the class of features row i, NaN where it is missing;
@@ -429,11 +431,9 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         kept_metas = [plan.metas[j] for j in dedupe.kept.tolist()]
 
     with _stage(split.index, "pca"):
-        x_train = plan.gather(work.values, train_idx, dedupe.kept)
-        pca = spectral_reduce.fit_pca(x_train, standardize=config.standardize)
-        pca.kept = spectral_reduce.choose_components(pca, config.pca_threshold)
-        comps_train = spectral_reduce.transform(pca, x_train)
-        del x_train  # not held through the search and the final fit
+        pca, comps_train = spectral_reduce.fit_pca(
+            plan.gather(work.values, train_idx, dedupe.kept),
+            config.pca_threshold, standardize=config.standardize)
         comps_test = spectral_reduce.transform(
             pca, plan.gather(work.values, test_idx, dedupe.kept)) \
             if len(test_idx) else np.empty((0, pca.kept))

@@ -98,14 +98,17 @@ class PcaModel:
         return len(self.mean)
 
 
-def fit_pca(x: np.ndarray, standardize: bool = False) -> PcaModel:
-    """Fit a full PCA model on a dense sample matrix.
+def fit_pca(x: np.ndarray, threshold: float,
+            standardize: bool = False) -> tuple[PcaModel, np.ndarray]:
+    """Fit PCA on a dense sample matrix and project it; returns (model,
+    components).
 
-    The covariance is centered-columns'T centered-columns / n_rows; constant
-    columns are permitted and contribute zero eigenvalues. eigh_descending
-    decomposes it. kept starts at the full dimension; choose_components
-    narrows it. x is left unchanged: one working copy is centred and, with
-    standardize, scaled in place by its column_std.
+    x is owned by the call: it is centred in place and, with standardize,
+    scaled in place by its column_std. The covariance is x'x / n_rows;
+    constant columns are permitted and contribute zero eigenvalues.
+    eigh_descending decomposes it, choose_components sets kept for
+    threshold, and components is x @ loadings[:, :kept], the bytes
+    transform gives for the original rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -118,16 +121,18 @@ def fit_pca(x: np.ndarray, standardize: bool = False) -> PcaModel:
         raise DegenerateInputError("input contains missing or non-finite entries")
 
     mean = x.mean(axis=0)
-    xc = x - mean
+    x -= mean
     scale = None
     if standardize:
-        scale = column_std(xc)
+        scale = column_std(x)
         scale = np.where(scale > 0, scale, 1.0)
-        xc /= scale
-    eigenvalues, loadings = eigh_descending(xc.T @ xc / n)
+        x /= scale
+    eigenvalues, loadings = eigh_descending(x.T @ x / n)
     total = eigenvalues.sum()
     ratio = eigenvalues / total if total > 0 else np.zeros(d)
-    return PcaModel(mean, loadings, eigenvalues, ratio, kept=d, scale=scale)
+    model = PcaModel(mean, loadings, eigenvalues, ratio, kept=d, scale=scale)
+    model.kept = choose_components(model, threshold)
+    return model, x @ loadings[:, :model.kept]
 
 
 def choose_components(model: PcaModel, threshold: float) -> int:

@@ -61,8 +61,8 @@ def default_space() -> dict:
 class TrialRecord:
     index: int
     params: HyperParams
-    validation_metric: float
-    train_metric: float
+    validation_metric: float | None  # None for a failed trial
+    train_metric: float | None
     wall_time: float
     error: str | None = None
     # training facts of the trial's model, when the objective reports them
@@ -78,10 +78,8 @@ class TrialRecord:
     def to_record(self) -> dict:
         return {
             "index": self.index,
-            "validation_metric": None if np.isnan(self.validation_metric)
-                else float(self.validation_metric),
-            "train_metric": None if np.isnan(self.train_metric)
-                else float(self.train_metric),
+            "validation_metric": self.validation_metric,
+            "train_metric": self.train_metric,
             "wall_time": float(self.wall_time),
             "error": self.error,
             "best_round": self.best_round,
@@ -145,7 +143,7 @@ def search(space: dict, budget: int, objective, seed: int, *,
                                  **(facts[0] if facts else {}))
         except Exception as exc:  # per-trial failures are recorded
             last_error = exc
-            record = TrialRecord(index, params, float("nan"), float("nan"),
+            record = TrialRecord(index, params, None, None,
                                  time.perf_counter() - t0, error=str(exc))
         trials.append(record)
 

@@ -53,7 +53,7 @@ class TestCriterion1PcaCorrectness:
             m = int(rng.integers(60, 201))
             d = int(rng.integers(5, 51))
             x = rng.normal(size=(m, d)) @ rng.normal(size=(d, d))
-            model = spectral_reduce.fit_pca(x)
+            model, _ = spectral_reduce.fit_pca(x.copy(), 1.0)
             xc = x - x.mean(axis=0)
             cov = xc.T @ xc / m
             # independent solver: the SVD of the centred matrix, whose
@@ -109,7 +109,7 @@ class TestCriterion2ExplainedVarianceSelection:
             checked += 1
         # the two documented operating thresholds on correlated data
         x = rng.normal(size=(300, 30)) @ rng.normal(size=(30, 30))
-        model = spectral_reduce.fit_pca(x)
+        model, _ = spectral_reduce.fit_pca(x, 1.0)
         for threshold in (0.66, 0.75):
             kept = spectral_reduce.choose_components(model, threshold)
             assert 1 <= kept < 30

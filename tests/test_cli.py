@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fundcast.boostwood import HyperParams
 from fundcast.cli import _KEYS, main, parse_config
 from fundcast.errors import ConfigError
 from fundcast.rollcast import ExperimentConfig
@@ -75,6 +76,20 @@ class TestParseConfig:
         path, _ = write_config(tmp_path, extra="\ngbdt.magic = 3\n")
         with pytest.raises(ConfigError, match="gbdt"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "field", [f for f in fields(HyperParams)
+                  if f.name not in ("n_rounds", "seed")],
+        ids=lambda f: f.name)
+    def test_every_tree_parameter_is_a_gbdt_key(self, tmp_path, field):
+        # float fields parse as float, the rest (max_depth too) as int
+        kind = float if isinstance(field.default, float) else int
+        value = "0.5" if kind is float else "3"
+        path, _ = write_config(tmp_path,
+                               extra=f"\ngbdt.{field.name} = {value}\n")
+        pinned = parse_config(path).gbdt_overrides[field.name]
+        assert type(pinned) is kind
+        assert pinned == kind(value)
 
     @pytest.mark.parametrize("key", ["validation.size", "search.budget",
                                      "pipeline.fill_max_p",

@@ -17,7 +17,11 @@ from conftest import (
     simple_spec,
     single_company_fill_period,
 )
-from fundcast.errors import DimensionMismatchError, MissingDenominatorError
+from fundcast.errors import (
+    DimensionMismatchError,
+    MissingDenominatorError,
+    PanelError,
+)
 from fundcast.feature_forge import (
     CONSTANT_FILL,
     FeatureColumnMeta,
@@ -145,6 +149,13 @@ def hand_matrix(values, fmt=Format.QOQ, origin=None):
 
 
 class TestClipOutliers:
+    def test_origin_mask_dropped_raw_mask_kept(self):
+        m = hand_matrix([0.1, 0.2, 50.0], origin=[True, True, False])
+        m.raw_missing = {"x": np.zeros(3, dtype=bool)}
+        out = clip_outliers(m, 0.95)
+        assert out.origin_positive is None
+        assert out.raw_missing is m.raw_missing
+
     def test_cap_from_positive_origin_subset(self):
         m = hand_matrix([0.1, 0.2, 50.0], origin=[True, True, False])
         out = clip_outliers(m, 0.95)
@@ -391,6 +402,16 @@ class TestImpute:
         assert [(c, str(q)) for c, q in keys_of(out.index)] == [
             ("A", "1990Q2"), ("A", "1991Q1"), ("B", "1990Q2"), ("B", "1991Q1")]
         assert report.deleted_rows == 4
+
+    def test_crucial_variable_without_raw_mask_rejected(self):
+        # a RAW column of the variable is no stand-in for its missing mask
+        specs = [simple_spec("niq", formats=(Format.RAW,), crucial=True)]
+        values = np.array([[1.0], [np.nan], [3.0]])
+        keys = [("A", q) for q in quarter_range(1990, 1, 3)]
+        m = FeatureMatrix(index_from_keys(keys), values,
+                          [FeatureColumnMeta("niq", Format.RAW)])
+        with pytest.raises(PanelError, match="crucial variable 'niq'"):
+            impute(m, specs, look_back=1)
 
     def test_fit_rows_restrict_deletion_rate(self):
         col = [np.nan] * 8 + [1.0] * 2

@@ -141,12 +141,10 @@ class TestColumnStd:
 
     @settings(max_examples=100, deadline=None)
     @given(x=std_matrices())
-    def test_fit_pca_scale_and_input_unchanged(self, x):
+    def test_fit_pca_scale_is_std_of_centred_columns(self, x):
         assume(len(x) >= 2)
-        before = x.copy()
-        model = fit_pca(x, standardize=True)
-        assert x.tobytes() == before.tobytes()
         sd = (x - x.mean(axis=0)).std(axis=0)
+        model, _ = fit_pca(x, 1.0, standardize=True)
         assert model.scale.tobytes() == np.where(sd > 0, sd, 1.0).tobytes()
 
 
@@ -154,7 +152,7 @@ class TestFitPcaProperties:
     @settings(max_examples=150, deadline=None)
     @given(x=awkward_matrices(), standardize=st.booleans())
     def test_fit_invariants_on_awkward_matrices(self, x, standardize):
-        model = fit_pca(x, standardize=standardize)
+        model, _ = fit_pca(x.copy(), 1.0, standardize=standardize)
         d = x.shape[1]
         w = model.eigenvalues
         assert (w >= 0).all()
@@ -167,9 +165,25 @@ class TestFitPcaProperties:
         text = to_text(model)
         back = pca_from_text(text)
         assert to_text(back) == text
-        np.testing.assert_array_equal(back.loadings, model.loadings)
+        # rank-deficient input can keep fewer than d components at 1.0
+        np.testing.assert_array_equal(back.loadings,
+                                      model.loadings[:, :model.kept])
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
-        assert to_text(fit_pca(x, standardize=standardize)) == text
+        assert to_text(fit_pca(x, 1.0, standardize=standardize)[0]) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=awkward_matrices(), standardize=st.booleans(),
+           threshold=st.floats(0.0, 1.0, exclude_min=True))
+    def test_components_and_overwritten_input_are_exact(self, x, standardize,
+                                                        threshold):
+        x0 = x.copy()
+        model, components = fit_pca(x, threshold, standardize=standardize)
+        assert model.kept == choose_components(model, threshold)
+        assert components.tobytes() == transform(model, x0).tobytes()
+        centred = x0 - model.mean
+        if standardize:
+            centred /= model.scale
+        assert x.tobytes() == centred.tobytes()
 
 
 class TestFitPcaEigensolver:
@@ -177,7 +191,7 @@ class TestFitPcaEigensolver:
     @given(x=planted_spectra())
     def test_matches_svd_of_centred_matrix(self, x):
         n, d = x.shape
-        model = fit_pca(x)
+        model, _ = fit_pca(x.copy(), 1.0)
         w_ref = np.zeros(d)
         _, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
         w_ref[:len(s)] = s ** 2 / n
@@ -198,21 +212,21 @@ class TestFitPcaEigensolver:
         h = np.array([[1.0]])
         for _ in range(3):
             h = np.block([[h, h], [h, -h]])
-        model = fit_pca(h[:, 1:5])
+        model, _ = fit_pca(h[:, 1:5], 1.0)
         np.testing.assert_allclose(model.eigenvalues, np.ones(4))
         np.testing.assert_allclose(model.explained_ratio, np.full(4, 0.25))
         np.testing.assert_allclose(model.loadings.T @ model.loadings,
                                    np.eye(4), atol=1e-12)
 
     def test_zero_covariance_identity_loadings(self):
-        model = fit_pca(np.tile([1.0, -2.0, 0.0], (5, 1)))
+        model, _ = fit_pca(np.tile([1.0, -2.0, 0.0], (5, 1)), 1.0)
         np.testing.assert_array_equal(model.eigenvalues, np.zeros(3))
         np.testing.assert_array_equal(model.explained_ratio, np.zeros(3))
         np.testing.assert_array_equal(model.loadings, np.eye(3))
 
     def test_single_column(self, rng):
         x = rng.normal(size=(20, 1))
-        model = fit_pca(x)
+        model, _ = fit_pca(x.copy(), 1.0)
         np.testing.assert_array_equal(model.loadings, np.ones((1, 1)))
         assert model.eigenvalues[0] == pytest.approx(np.var(x))
         np.testing.assert_array_equal(model.explained_ratio, [1.0])
@@ -221,7 +235,7 @@ class TestFitPcaEigensolver:
         x = rng.normal(size=(40, 4))
         x[:, 1] = 7.0
         x[:, 3] = -1.5
-        model = fit_pca(x)
+        model, _ = fit_pca(x, 1.0)
         np.testing.assert_array_equal(model.eigenvalues[2:], [0.0, 0.0])
         # the constant columns span the null space and no other component
         np.testing.assert_allclose(model.loadings[[1, 3], :2], 0.0, atol=1e-12)
@@ -229,7 +243,7 @@ class TestFitPcaEigensolver:
 
     def test_rejects_non_2d_input(self):
         with pytest.raises(DegenerateInputError, match="2-D"):
-            fit_pca(np.zeros(3))
+            fit_pca(np.zeros(3), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 20])
@@ -237,13 +251,13 @@ class TestFitPcaEigensolver:
         x = rng.normal(size=(n + 5, n))
         x[n // 2, 0] = bad
         with pytest.raises(DegenerateInputError, match="non-finite"):
-            fit_pca(x)
+            fit_pca(x, 1.0)
 
     def test_rejects_overflowing_covariance(self):
         x = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DegenerateInputError, match="overflow"):
-            fit_pca(x)
+            fit_pca(x, 1.0)
 
     def test_lapack_failure_is_degenerate_input(self, rng, monkeypatch):
         def failing_eigh(a):
@@ -252,12 +266,13 @@ class TestFitPcaEigensolver:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(DegenerateInputError,
                            match="did not converge") as caught:
-            fit_pca(rng.normal(size=(10, 3)))
+            fit_pca(rng.normal(size=(10, 3)), 1.0)
         assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
 
     def test_refit_gives_same_bytes(self, rng):
         x = rng.normal(size=(300, 125)) @ rng.normal(size=(125, 125))
-        a, b = fit_pca(x, standardize=True), fit_pca(x, standardize=True)
+        a, _ = fit_pca(x.copy(), 1.0, standardize=True)
+        b, _ = fit_pca(x.copy(), 1.0, standardize=True)
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.loadings.tobytes() == b.loadings.tobytes()
         assert to_text(a) == to_text(b)
@@ -330,21 +345,21 @@ class TestFitPca:
     def test_rank_one_data_first_component_carries_everything(self, rng):
         x = rng.normal(size=100)
         data = np.column_stack([x, 2.0 * x])
-        model = fit_pca(data)
+        model, _ = fit_pca(data, 1.0)
         assert model.explained_ratio[0] == pytest.approx(1.0)
         assert model.explained_ratio[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_isotropic_gaussian_splits_evenly(self):
         rng = np.random.default_rng(42)
         data = rng.normal(size=(4000, 2))
-        model = fit_pca(data)
+        model, _ = fit_pca(data, 1.0)
         assert model.explained_ratio[0] == pytest.approx(0.5, abs=0.1)
         assert model.explained_ratio[1] == pytest.approx(0.5, abs=0.1)
 
     def test_loadings_match_eigensolver_oracle(self, rng):
         for _ in range(5):
             x = rng.normal(size=(60, 8)) @ rng.normal(size=(8, 8))
-            model = fit_pca(x)
+            model, _ = fit_pca(x.copy(), 1.0)
             wo, vo = oracle_svd(x)
             np.testing.assert_allclose(model.eigenvalues, wo, atol=1e-8)
             np.testing.assert_allclose(
@@ -352,33 +367,33 @@ class TestFitPca:
 
     def test_orthonormal_loadings(self, rng):
         x = rng.normal(size=(50, 10))
-        model = fit_pca(x)
+        model, _ = fit_pca(x, 1.0)
         np.testing.assert_allclose(model.loadings.T @ model.loadings,
                                    np.eye(10), atol=1e-10)
 
     def test_eigenvalues_nonincreasing_nonnegative(self, rng):
         x = rng.normal(size=(40, 6))
-        model = fit_pca(x)
+        model, _ = fit_pca(x, 1.0)
         assert (model.eigenvalues >= 0).all()
         assert (np.diff(model.eigenvalues) <= 1e-12).all()
 
     def test_total_variance_conserved(self, rng):
         x = rng.normal(size=(80, 12)) * rng.uniform(0.1, 5.0, size=12)
-        model = fit_pca(x)
+        model, _ = fit_pca(x.copy(), 1.0)
         cov = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / len(x)
         assert model.eigenvalues.sum() == pytest.approx(np.trace(cov), abs=1e-8)
 
     def test_row_permutation_invariance(self, rng):
         x = rng.normal(size=(60, 5))
         perm = rng.permutation(60)
-        a = fit_pca(x)
-        b = fit_pca(x[perm])
+        a, _ = fit_pca(x.copy(), 1.0)
+        b, _ = fit_pca(x[perm], 1.0)
         np.testing.assert_allclose(a.loadings, b.loadings, atol=1e-8)
         np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-10)
 
     def test_first_component_beats_random_directions(self, rng):
         x = rng.normal(size=(200, 6)) @ rng.normal(size=(6, 6))
-        model = fit_pca(x)
+        model, _ = fit_pca(x.copy(), 1.0)
         xc = x - x.mean(axis=0)
         first_var = np.var(xc @ model.loadings[:, 0])
         for _ in range(100):
@@ -388,28 +403,28 @@ class TestFitPca:
 
     def test_constant_column_allowed_zero_eigenvalue(self, rng):
         x = np.column_stack([rng.normal(size=30), np.full(30, 7.0)])
-        model = fit_pca(x)
+        model, _ = fit_pca(x, 1.0)
         assert model.eigenvalues[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_entries_rejected(self):
         x = np.array([[1.0, np.nan], [2.0, 3.0]])
         with pytest.raises(DegenerateInputError):
-            fit_pca(x)
+            fit_pca(x, 1.0)
 
     def test_single_row_rejected(self):
         with pytest.raises(DegenerateInputError):
-            fit_pca(np.ones((1, 3)))
+            fit_pca(np.ones((1, 3)), 1.0)
 
     def test_sign_convention_largest_entry_positive(self, rng):
         x = rng.normal(size=(50, 7))
-        model = fit_pca(x)
+        model, _ = fit_pca(x, 1.0)
         for j in range(7):
             col = model.loadings[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_standardize_scales_columns(self, rng):
         x = rng.normal(size=(300, 3)) * np.array([1.0, 100.0, 0.01])
-        model = fit_pca(x, standardize=True)
+        model, _ = fit_pca(x, 1.0, standardize=True)
         # unit-variance columns spread variance roughly evenly
         assert model.explained_ratio[0] < 0.7
 
@@ -455,13 +470,13 @@ class TestChooseComponents:
 class TestTransform:
     def test_mean_row_maps_to_zero(self, rng):
         x = rng.normal(size=(30, 4))
-        model = fit_pca(x)
+        model, _ = fit_pca(x.copy(), 1.0)
         z = transform(model, x.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(z, np.zeros((1, 4)), atol=1e-10)
 
     def test_full_rank_reconstruction(self, rng):
         x = rng.normal(size=(40, 6))
-        model = fit_pca(x)
+        model, _ = fit_pca(x.copy(), 1.0)
         z = transform(model, x)
         back = reconstruct(model, z)
         np.testing.assert_allclose(back, x, atol=1e-8)
@@ -469,25 +484,24 @@ class TestTransform:
     def test_rank_one_data_single_component_reconstruction(self, rng):
         base = rng.normal(size=50)
         x = np.column_stack([base, 2.0 * base, -base])
-        model = fit_pca(x)
-        model.kept = 1
+        model, _ = fit_pca(x.copy(), 0.5)
         back = reconstruct(model, transform(model, x))
         np.testing.assert_allclose(back, x, atol=1e-8)
 
     def test_dimension_mismatch(self, rng):
-        model = fit_pca(rng.normal(size=(10, 3)))
+        model, _ = fit_pca(rng.normal(size=(10, 3)), 1.0)
         with pytest.raises(DimensionMismatchError):
             transform(model, np.zeros((2, 4)))
 
     def test_standardized_roundtrip(self, rng):
         x = rng.normal(size=(40, 5)) * np.array([1, 10, 100, 0.1, 3.0])
-        model = fit_pca(x, standardize=True)
+        model, _ = fit_pca(x.copy(), 1.0, standardize=True)
         back = reconstruct(model, transform(model, x))
         np.testing.assert_allclose(back, x, atol=1e-8)
 
     def test_cumulative_ratio_nondecreasing_and_concave(self, rng):
         x = rng.normal(size=(60, 9))
-        model = fit_pca(x)
+        model, _ = fit_pca(x, 1.0)
         cum = np.cumsum(model.explained_ratio)
         assert (np.diff(cum) >= -1e-12).all()
         assert cum[-1] == pytest.approx(1.0)
@@ -498,8 +512,7 @@ class TestTransform:
 class TestSerialization:
     def test_text_roundtrip_preserves_transform(self, rng):
         x = rng.normal(size=(40, 6))
-        model = fit_pca(x)
-        model.kept = choose_components(model, 0.75)
+        model, _ = fit_pca(x.copy(), 0.75)
         back = pca_from_text(to_text(model))
         assert back.kept == model.kept
         np.testing.assert_array_equal(transform(back, x), transform(model, x))
@@ -507,6 +520,6 @@ class TestSerialization:
 
     def test_standardized_model_roundtrip(self, rng):
         x = rng.normal(size=(30, 4)) * np.array([1, 10, 0.1, 5.0])
-        model = fit_pca(x, standardize=True)
+        model, _ = fit_pca(x.copy(), 1.0, standardize=True)
         back = pca_from_text(to_text(model))
         np.testing.assert_array_equal(transform(back, x), transform(model, x))

@@ -131,6 +131,21 @@ class TestSearch:
         assert all(t.error == "boom" for t in trials if not t.ok)
         assert best is not None
 
+    def test_failed_trial_metrics_are_none_in_memory_and_record(self):
+        def objective(params):
+            if params.learning_rate > 0.5:
+                raise RuntimeError("boom")
+            return 0.4, 0.3
+
+        _, trials = search(self._lr_space(), 8, objective, seed=0)
+        failed = [t for t in trials if not t.ok]
+        assert failed and len(failed) < len(trials)
+        for t in failed:
+            assert (t.validation_metric, t.train_metric) == (None, None)
+            record = t.to_record()
+            assert (record["validation_metric"], record["train_metric"]) \
+                == (None, None)
+
     def test_all_failures_raise(self):
         def objective(params):
             raise RuntimeError("nope")
