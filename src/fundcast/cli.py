@@ -20,7 +20,8 @@ from functools import partial
 
 from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
 from .boostwood import HyperParams
-from .errors import ConfigError, FundcastError, InvalidParamsError
+from .errors import (ConfigError, FundcastError, InvalidParamsError,
+                     InvalidSpecError)
 from .panel_ingest import FilterRules
 from .rollcast import ExperimentConfig
 from .tuner import ParamRange
@@ -157,6 +158,9 @@ def parse_config(path) -> ExperimentConfig:
             if key in _KEYS:
                 attr, coerce = _KEYS[key]
                 setattr(config, attr, coerce(value))
+                if key.startswith("synth."):
+                    # every synth value set before passed, so this one failed
+                    synth_spec(config).validate()
             elif key.startswith("search.space."):
                 name = key[len("search.space."):]
                 if name not in searchable:
@@ -183,7 +187,7 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
             raise ConfigError(f"line {line_num}: {exc}") from None
-        except (ValueError, TypeError, InvalidParamsError) as exc:
+        except (ValueError, TypeError, InvalidParamsError, InvalidSpecError) as exc:
             raise ConfigError(f"line {line_num}: bad value for {key}: {exc}") from exc
         set_on[key] = line_num
     if config.scheme == "sign" and config.n_classes != 2:
@@ -234,13 +238,14 @@ def run_backtest(config: ExperimentConfig):
     if config.max_subsets > 0:
         splits = splits[:config.max_subsets]
     results = rollcast.run_all_subsets(splits, features, labels, config,
-                                       schema, consensus)
+                                       consensus)
     records = rollcast.build_records(results, config.to_echo())
     return records, results
 
 
-def cmd_synth(config: ExperimentConfig) -> int:
-    spec = synthgen.SignalSpec(
+def synth_spec(config: ExperimentConfig) -> synthgen.SignalSpec:
+    """The generator spec of config's synth.* settings."""
+    return synthgen.SignalSpec(
         seasonality_amplitude=config.synth_seasonality,
         noise_sd=config.synth_noise_sd,
         missing_rate=config.synth_missing_rate,
@@ -248,6 +253,10 @@ def cmd_synth(config: ExperimentConfig) -> int:
         n_quarters=config.synth_n_quarters,
         seed=config.synth_seed,
     )
+
+
+def cmd_synth(config: ExperimentConfig) -> int:
+    spec = synth_spec(config)
     spec.validate()
     os.makedirs(config.output_dir, exist_ok=True)
     schema = synthgen.default_schema(spec)
@@ -265,14 +274,20 @@ def cmd_synth(config: ExperimentConfig) -> int:
     return 0
 
 
+def write_report_text(records, output_dir) -> str:
+    """Render records into output_dir/report.txt; returns the text."""
+    text = rollcast.render_text(records)
+    with open(os.path.join(output_dir, "report.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.write(text)
+    return text
+
+
 def cmd_backtest(config: ExperimentConfig) -> int:
     records, results = run_backtest(config)
     os.makedirs(config.output_dir, exist_ok=True)
     rollcast.write_jsonl(records, os.path.join(config.output_dir, "report.jsonl"))
-    text = rollcast.render_text(records)
-    with open(os.path.join(config.output_dir, "report.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
+    write_report_text(records, config.output_dir)
     models_dir = os.path.join(config.output_dir, "models")
     trials_dir = os.path.join(config.output_dir, "trials")
     fills_dir = os.path.join(config.output_dir, "fills")
@@ -296,11 +311,7 @@ def cmd_backtest(config: ExperimentConfig) -> int:
 
 def cmd_report(config: ExperimentConfig) -> int:
     records = rollcast.read_jsonl(os.path.join(config.output_dir, "report.jsonl"))
-    text = rollcast.render_text(records)
-    with open(os.path.join(config.output_dir, "report.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
-    print(text)
+    print(write_report_text(records, config.output_dir))
     return 0
 
 

@@ -67,17 +67,18 @@ class FeatureMatrix:
     """Samples-by-features values with per-column metadata.
 
     origin_positive marks cells whose source inputs were all strictly
-    positive (the population the outlier caps are estimated on) and
-    raw_missing carries per-variable missing masks for the crucial-variable
-    deletion rule. Both are attached by convert_formats and dropped by the
-    stages that consume them. index says which panel row each row is.
+    positive (the population the outlier caps are estimated on).
+    crucial_missing holds one bool per row, true where any crucial schema
+    variable is missing there, and is None when no variable is crucial.
+    convert_formats attaches both; clip_outliers drops origin_positive and
+    impute drops crucial_missing. index says which panel row each row is.
     """
 
     index: PanelIndex
     values: np.ndarray
     metas: list
     origin_positive: np.ndarray | None = None
-    raw_missing: dict | None = None
+    crucial_missing: np.ndarray | None = None
 
     def __post_init__(self):
         n, d = self.values.shape
@@ -103,8 +104,8 @@ class FeatureMatrix:
             self.index.take(mask), self.values[mask], list(self.metas),
             origin_positive=None if self.origin_positive is None
             else self.origin_positive[mask],
-            raw_missing=None if self.raw_missing is None
-            else {name: col[mask] for name, col in self.raw_missing.items()})
+            crucial_missing=None if self.crucial_missing is None
+            else self.crucial_missing[mask])
 
 
 @dataclass
@@ -145,6 +146,7 @@ def convert_formats(panel: RawPanel, schema, *,
     NaN when the numerator is zero too.
 
     formula_variant="minus_one" subtracts an extra 1 from the growth rates.
+    crucial_missing is the OR of the crucial variables' missing masks.
     """
     if formula_variant not in FORMULA_VARIANTS:
         raise ValueError(f"unknown formula_variant {formula_variant!r}")
@@ -201,9 +203,13 @@ def convert_formats(panel: RawPanel, schema, *,
 
     values = np.column_stack(cols) if cols else np.empty((n, 0))
     origin_positive = np.column_stack(origins) if origins else np.empty((n, 0), bool)
-    raw_missing = {s.name: np.isnan(panel.columns[s.name]) for s in schema}
+    crucial = [s.name for s in schema if s.crucial]
+    crucial_missing = np.isnan(panel.columns[crucial[0]]) if crucial else None
+    for name in crucial[1:]:
+        crucial_missing |= np.isnan(panel.columns[name])
     return FeatureMatrix(panel.index, values, metas,
-                         origin_positive=origin_positive, raw_missing=raw_missing)
+                         origin_positive=origin_positive,
+                         crucial_missing=crucial_missing)
 
 
 def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
@@ -233,7 +239,8 @@ def clip_outliers(m: FeatureMatrix, pct: float = 0.95,
         cap = float(np.quantile(col_fit[mask], pct, method="higher"))
         values[:, j] = np.minimum(values[:, j], cap)
         metas[j] = replace(meta, cap=cap)
-    return FeatureMatrix(m.index, values, metas, raw_missing=m.raw_missing)
+    return FeatureMatrix(m.index, values, metas,
+                         crucial_missing=m.crucial_missing)
 
 
 def _pooled_fill_period(column: np.ndarray, company: np.ndarray,
@@ -322,15 +329,15 @@ def _fill_gaps(column: np.ndarray, company: np.ndarray, p: int,
     return filled
 
 
-def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
+def impute(m: FeatureMatrix, *, look_back: int = 20,
            horizon_cap: int = 8, max_p: int = 20,
            fit_rows: np.ndarray | None = None):
     """Run the four-tier missing-value policy; returns (matrix, FillReport).
 
     1. Delete rows where any crucial variable is missing anywhere in the
        current-plus-look-back window (quarters without a stored row count
-       as missing), read from m.raw_missing; a crucial variable without a
-       mask there is a PanelError.
+       as missing), read from m.crucial_missing; when that is None no
+       variable is crucial and no row is deleted.
     2. Delete columns whose missing rate on the surviving fit rows exceeds
        70 percent, measured before any filling.
     3. For percent-format columns, fill the first horizon_cap values of
@@ -356,19 +363,12 @@ def impute(m: FeatureMatrix, schema, *, look_back: int = 20,
         fit_mask[np.asarray(fit_rows)] = True
 
     # (1) sample deletion on crucial-variable presence over the window
-    crucial = [s.name for s in schema if s.crucial]
     retained = np.ones(n, dtype=bool)
-    if crucial:
-        missing_any = np.zeros(n, dtype=bool)
-        for name in crucial:
-            if m.raw_missing is None or name not in m.raw_missing:
-                raise PanelError(
-                    f"crucial variable {name!r} has no raw missing mask")
-            missing_any |= m.raw_missing[name]
+    if m.crucial_missing is not None:
         # A row is kept when its company has a present row in each of the
         # look_back quarters ending at it, that is when the rows from the
         # window start up to it hold look_back present ones.
-        csum = np.concatenate(([0], np.cumsum(~missing_any)))
+        csum = np.concatenate(([0], np.cumsum(~m.crucial_missing)))
         first = np.searchsorted(m.index.key, m.index.key - (look_back - 1))
         retained = csum[1:] - csum[first] == look_back
     report.deleted_rows = int((~retained).sum())

@@ -1,9 +1,10 @@
 """Quarterly panel ingestion.
 
-Loads schema-described long-format CSVs onto a calendar-quarter grid, applies
-company-level sample-elimination filters, and shifts next-quarter-aligned
-series. Column vectors use NaN as the distinguished missing marker; no
-numeric sentinel appears before the imputation stage downstream.
+Reads the schema, panel and consensus CSVs through one row reader, puts the
+panel and consensus rows on a calendar-quarter grid, applies company-level
+sample-elimination filters, and shifts next-quarter-aligned series. Column
+vectors use NaN as the distinguished missing marker; no numeric sentinel
+appears before the imputation stage downstream.
 """
 
 from __future__ import annotations
@@ -299,18 +300,7 @@ def load_schema(path) -> list:
     specs = []
     names = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("schema file is empty") from None
-        if header != SCHEMA_HEADER:
-            raise SchemaError(f"bad schema header {header!r}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCHEMA_HEADER):
-                raise SchemaError(f"row {row_num}: expected 8 fields, got {len(row)}")
+        for row_num, row in _data_rows(fh, SCHEMA_HEADER, "schema", SchemaError):
             name = row[0].strip()
             if not name:
                 raise SchemaError(f"row {row_num}: empty variable name")
@@ -392,21 +382,22 @@ def _parse_value(text: str, row_num: int) -> float:
         raise PanelError(f"row {row_num}: bad value {text!r}") from None
 
 
-def _data_rows(fh, header: list, what: str):
+def _data_rows(fh, header: list, what: str, error=PanelError):
     """(row number, fields) of each non-blank row of a CSV with the given
-    header; the header is row 1 and blank lines count."""
+    header; the header is row 1 and blank lines count. A missing or wrong
+    header and a row of the wrong width raise error."""
     reader = csv.reader(fh)
     try:
         first = next(reader)
     except StopIteration:
-        raise PanelError(f"{what} file is empty") from None
+        raise error(f"{what} file is empty") from None
     if first != header:
-        raise PanelError(f"bad {what} header {first!r}")
+        raise error(f"bad {what} header {first!r}")
     for row_num, row in enumerate(reader, start=2):
         if len(row) != len(header):
             if not row:
                 continue
-            raise PanelError(
+            raise error(
                 f"row {row_num}: expected {len(header)} fields, got {len(row)}")
         yield row_num, row
 
@@ -526,6 +517,44 @@ def load_panel(path, schema) -> RawPanel:
                        np.frombuffer(coded.quarter, dtype=np.int64)[first])
     return RawPanel(index, {name: grid[j] for j, name in enumerate(var_names)},
                     {c: meta.get(c, CompanyMeta()) for c in names})
+
+
+def load_consensus(path) -> RawPanel:
+    """Load the consensus CSV in one streaming pass, as a RawPanel with the
+    consensus_mean, consensus_median and actual_nongaap columns, NaN where a
+    cell is blank. Rows may come in any order, and errors name the CSV row
+    as load_panel's do."""
+    coded = _RowCodes()
+    companies = coded.companies
+    values = array("d")
+
+    def check_repeats(names, company) -> np.ndarray:
+        """Each row's key; raises for a repeated (company, quarter)."""
+        key = coded.keys(company)
+        coded.raise_first_repeat(key, names, company, lambda i: "key")
+        return key
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for row_num, row in _data_rows(fh, CONSENSUS_HEADER, "consensus"):
+                q = coded.quarter_of(row[1], row[2], row_num)
+                # coded before its values, so a repeated key is named first
+                coded.company.append(companies.setdefault(row[0], len(companies)))
+                coded.quarter.append(q)
+                coded.row_num.append(row_num)
+                for text in row[3:6]:
+                    values.append(_parse_value(text, row_num))
+        except PanelError:
+            check_repeats(*coded.provisional_codes())
+            raise
+
+    names, company = coded.sorted_codes()
+    order = np.argsort(check_repeats(names, company), kind="stable")
+    index = PanelIndex(names, company[order],
+                       np.frombuffer(coded.quarter, dtype=np.int64)[order])
+    grid = np.frombuffer(values).reshape(-1, 3)[order]
+    return RawPanel(index, {name: grid[:, j]
+                            for j, name in enumerate(CONSENSUS_HEADER[3:])})
 
 
 def _csv_field(text: str) -> str:

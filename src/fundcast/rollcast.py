@@ -13,7 +13,6 @@ correlations, PCA, bins) is estimated on that subset's training rows only.
 from __future__ import annotations
 
 import json
-from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
@@ -33,11 +32,8 @@ from .panel_ingest import (
     CONSENSUS_HEADER,
     CalendarQuarter,
     Format,
-    PanelIndex,
     RawPanel,
-    _data_rows,
-    _parse_value,
-    _RowCodes,
+    load_consensus,  # the CLI reads the consensus file as rollcast's
     take_or_nan,
 )
 
@@ -152,44 +148,6 @@ def enumerate_subsets(quarters, train_len: int = 80) -> list:
         splits.append(SubsetSplit(
             tuple(quarters[i:i + train_len]), quarters[i + train_len], i + 1))
     return splits
-
-
-def load_consensus(path) -> RawPanel:
-    """Load the consensus CSV in one streaming pass, as a RawPanel with the
-    consensus_mean, consensus_median and actual_nongaap columns, NaN where a
-    cell is blank. Rows may come in any order, and errors name the CSV row
-    as load_panel's do."""
-    coded = _RowCodes()
-    companies = coded.companies
-    values = array("d")
-
-    def check_repeats(names, company) -> np.ndarray:
-        """Each row's key; raises for a repeated (company, quarter)."""
-        key = coded.keys(company)
-        coded.raise_first_repeat(key, names, company, lambda i: "key")
-        return key
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for row_num, row in _data_rows(fh, CONSENSUS_HEADER, "consensus"):
-                q = coded.quarter_of(row[1], row[2], row_num)
-                # coded before its values, so a repeated key is named first
-                coded.company.append(companies.setdefault(row[0], len(companies)))
-                coded.quarter.append(q)
-                coded.row_num.append(row_num)
-                for text in row[3:6]:
-                    values.append(_parse_value(text, row_num))
-        except PanelError:
-            check_repeats(*coded.provisional_codes())
-            raise
-
-    names, company = coded.sorted_codes()
-    order = np.argsort(check_repeats(names, company), kind="stable")
-    index = PanelIndex(names, company[order],
-                       np.frombuffer(coded.quarter, dtype=np.int64)[order])
-    grid = np.frombuffer(values).reshape(-1, 3)[order]
-    return RawPanel(index, {name: grid[:, j]
-                            for j, name in enumerate(CONSENSUS_HEADER[3:])})
 
 
 def _rate(hits: np.ndarray) -> float | None:
@@ -360,7 +318,7 @@ def _stage(index: int, name: str):
 
 
 def run_subset(split: SubsetSplit, features: FeatureMatrix,
-               labels: np.ndarray, config: ExperimentConfig, schema,
+               labels: np.ndarray, config: ExperimentConfig,
                consensus: dict | None = None) -> SubsetResult:
     """Run the full per-subset pipeline, score the test quarter and build
     the subset's report.jsonl record.
@@ -375,10 +333,11 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
     kept columns of the test rows for transform.
     Fitted statistics use training rows only; look-backs may reach
     quarters before the window.
-    labels[i] is the class of features row i, NaN where it is missing;
-    consensus, when given, holds build_consensus_vectors' classes, one per
-    features row, and adds the consensus-conditional scores. Every setting
-    comes from config; schema drives imputation.
+    features is convert_formats' matrix, whose crucial_missing drives the
+    crucial-variable rule of imputation. labels[i] is the class of
+    features row i, NaN where it is missing; consensus, when given, holds
+    build_consensus_vectors' classes, one per features row, and adds the
+    consensus-conditional scores. Every setting comes from config.
 
     Returns a SubsetResult: the record (split, sizes, tuned parameters,
     per-company predictions, the metrics _score_test_quarter builds with
@@ -406,7 +365,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
 
     with _stage(split.index, "impute"):
         work, fill_report = feature_forge.impute(
-            work, schema, look_back=config.look_back,
+            work, look_back=config.look_back,
             horizon_cap=config.fill_horizon_cap, max_p=config.fill_max_p,
             fit_rows=train_rows)
 
@@ -550,11 +509,11 @@ def build_consensus_vectors(table: RawPanel, panel: RawPanel,
 
 
 def run_all_subsets(splits, features: FeatureMatrix, labels: np.ndarray,
-                    config: ExperimentConfig, schema,
+                    config: ExperimentConfig,
                     consensus: dict | None = None) -> list:
     """Run every subset in order; per-subset seeding makes each result
     independent of the others."""
-    return [run_subset(split, features, labels, config, schema, consensus)
+    return [run_subset(split, features, labels, config, consensus)
             for split in splits]
 
 

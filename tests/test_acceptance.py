@@ -341,7 +341,7 @@ def e2e_run():
         n_rounds=60, early_stopping=12, seed=17)
     consensus = rollcast.build_consensus_vectors(table, panel, config)
     splits = rollcast.enumerate_subsets(panel.quarters(), 80)[:5]
-    results = [rollcast.run_subset(s, features, labels, config, schema, consensus)
+    results = [rollcast.run_subset(s, features, labels, config, consensus)
                for s in splits]
     elapsed = time.perf_counter() - t0
     return results, elapsed
@@ -443,7 +443,7 @@ class TestCriterion11CleansingContracts:
             col = clipped.values[:, j]
             finite = np.isfinite(col)
             assert (col[finite] <= meta.cap + 1e-12).all()
-        imputed, _ = feature_forge.impute(clipped, schema, look_back=8)
+        imputed, _ = feature_forge.impute(clipped, look_back=8)
         assert not np.isnan(imputed.values).any()
         plan = feature_forge.build_lags(imputed, 6)
         lagged = plan.gather(imputed.values)

@@ -221,6 +221,15 @@ class TestParseConfig:
          "bad value for synth.n_companies: must be >= 1, got 0"),
         ("synth.n_quarters = -4",
          "bad value for synth.n_quarters: must be >= 1, got -4"),
+        # the generator's own ranges, checked through SignalSpec.validate
+        ("synth.missing_rate = 1.5",
+         r"bad value for synth.missing_rate: missing_rate outside \[0,1\]: "
+         r"1.5"),
+        ("synth.n_quarters = 10",
+         r"bad value for synth.n_quarters: n_quarters must be >= 25 "
+         r"\(lag window \+ horizon\): 10"),
+        ("synth.noise_sd = -1",
+         "bad value for synth.noise_sd: noise_sd must be >= 0: -1.0"),
         # BASE_CONFIG sets pipeline.train_len = 26 and validation.size = 4
         ("validation.size = 26",
          "validation.size = 26 requires pipeline.train_len >= 27, got 26"),

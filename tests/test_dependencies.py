@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -30,3 +31,15 @@ def test_no_fundcast_module_imports_scipy():
     assert sorted(n.split(".")[1] for n in names) == \
         [f for f in files if f != "__init__"]
     assert scipy_modules == []
+
+
+def test_no_fundcast_module_imports_another_modules_private_name():
+    # a _-prefixed name belongs to its module; callers use its public API
+    found = []
+    for path in sorted(Path(fundcast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("fundcast")):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

@@ -17,11 +17,7 @@ from conftest import (
     simple_spec,
     single_company_fill_period,
 )
-from fundcast.errors import (
-    DimensionMismatchError,
-    MissingDenominatorError,
-    PanelError,
-)
+from fundcast.errors import DimensionMismatchError, MissingDenominatorError
 from fundcast.feature_forge import (
     CONSTANT_FILL,
     FeatureColumnMeta,
@@ -38,7 +34,7 @@ from fundcast.feature_forge import (
     quantile_rank_classes,
     relative_change_targets,
 )
-from fundcast.panel_ingest import Format
+from fundcast.panel_ingest import CalendarQuarter, Format, RawPanel
 
 
 def brute_fill_period(series, max_p=20):
@@ -149,12 +145,12 @@ def hand_matrix(values, fmt=Format.QOQ, origin=None):
 
 
 class TestClipOutliers:
-    def test_origin_mask_dropped_raw_mask_kept(self):
+    def test_origin_mask_dropped_crucial_mask_kept(self):
         m = hand_matrix([0.1, 0.2, 50.0], origin=[True, True, False])
-        m.raw_missing = {"x": np.zeros(3, dtype=bool)}
+        m.crucial_missing = np.zeros(3, dtype=bool)
         out = clip_outliers(m, 0.95)
         assert out.origin_positive is None
-        assert out.raw_missing is m.raw_missing
+        assert out.crucial_missing is m.crucial_missing
 
     def test_cap_from_positive_origin_subset(self):
         m = hand_matrix([0.1, 0.2, 50.0], origin=[True, True, False])
@@ -333,20 +329,20 @@ class TestImpute:
     def test_column_over_70pct_missing_deleted(self):
         col = [1.0] * 29 + [np.nan] * 71
         m = self._matrix(col)
-        out, report = impute(m, [], look_back=1)
+        out, report = impute(m, look_back=1)
         assert out.n_cols == 0
         assert report.deleted_columns == ["x_pct_assets"]
 
     def test_column_at_70pct_missing_kept(self):
         col = [1.0] * 30 + [np.nan] * 70
         m = self._matrix(col)
-        out, report = impute(m, [], look_back=1)
+        out, report = impute(m, look_back=1)
         assert out.n_cols == 1
         assert report.deleted_columns == []
 
     def test_leading_run_filled_with_forward_fill(self):
         m = self._matrix([3.0, np.nan, np.nan, 4.0])
-        out, report = impute(m, [], look_back=1)
+        out, report = impute(m, look_back=1)
         np.testing.assert_array_equal(out.values[:, 0], [3.0, 3.0, 3.0, 4.0])
         assert report.chosen_p["x_pct_assets"] == 1
         assert report.relevant_filled == 2
@@ -354,7 +350,7 @@ class TestImpute:
     def test_long_gap_capped_at_horizon(self):
         col = [3.0] * 4 + [np.nan] * 10 + [5.0] * 4
         m = self._matrix(col)
-        out, report = impute(m, [], look_back=1, horizon_cap=8)
+        out, report = impute(m, look_back=1, horizon_cap=8)
         filled = out.values[4:14, 0]
         np.testing.assert_array_equal(filled[:8], [3.0] * 8)
         np.testing.assert_array_equal(filled[8:], [CONSTANT_FILL] * 2)
@@ -363,7 +359,7 @@ class TestImpute:
 
     def test_rolling_mean_uses_filled_values(self):
         m = self._matrix([1.0, 2.0, np.nan, np.nan])
-        out, _ = impute(m, [], look_back=1, max_p=2)
+        out, _ = impute(m, look_back=1, max_p=2)
         # chosen p here is 2 (smaller residual than p=1 on [1, 2])?
         # p=1 residual: (2-1)^2 = 1; p=2 residual: same single residual -> tie -> 1
         np.testing.assert_array_equal(out.values[:, 0], [1.0, 2.0, 2.0, 2.0])
@@ -372,14 +368,14 @@ class TestImpute:
         col = rng.normal(size=50)
         col[rng.random(50) < 0.4] = np.nan
         m = self._matrix(col.tolist())
-        out, _ = impute(m, [], look_back=1)
+        out, _ = impute(m, look_back=1)
         assert not np.isnan(out.values).any()
 
     def test_non_pct_columns_only_constant_filled(self):
         values = np.array([[1.0], [np.nan], [2.0]])
         metas = [FeatureColumnMeta("x", Format.QOQ)]
         keys = [("A", q) for q in quarter_range(1990, 1, 3)]
-        out, report = impute(FeatureMatrix(index_from_keys(keys), values, metas), [], look_back=1)
+        out, report = impute(FeatureMatrix(index_from_keys(keys), values, metas), look_back=1)
         assert out.values[1, 0] == CONSTANT_FILL
         assert report.relevant_filled == 0
 
@@ -387,7 +383,7 @@ class TestImpute:
         specs = [simple_spec("niq", formats=(Format.RAW,), crucial=True)]
         col = [1.0, np.nan, 3.0, 4.0, 5.0]
         m, _ = panel_matrix({"niq": col}, specs)
-        out, report = impute(m, specs, look_back=2)
+        out, report = impute(m, look_back=2)
         # rows 0 (no lookback), 1 (missing), 2 (lookback hits missing) deleted
         kept_quarters = [q.quarter for _, q in keys_of(out.index)]
         assert kept_quarters == [4, 1]
@@ -397,30 +393,20 @@ class TestImpute:
         specs = [simple_spec("niq", formats=(Format.RAW,), crucial=True)]
         quarters = [q for i, q in enumerate(quarter_range(1990, 1, 5)) if i != 2]
         panel = grid_panel(["A", "B"], quarters, {"niq": np.ones((2, 4))})
-        out, report = impute(convert_formats(panel, specs), specs, look_back=2)
+        out, report = impute(convert_formats(panel, specs), look_back=2)
         # 1990Q4 lacks a 1990Q3 row; each company's first row has no look-back
         assert [(c, str(q)) for c, q in keys_of(out.index)] == [
             ("A", "1990Q2"), ("A", "1991Q1"), ("B", "1990Q2"), ("B", "1991Q1")]
         assert report.deleted_rows == 4
 
-    def test_crucial_variable_without_raw_mask_rejected(self):
-        # a RAW column of the variable is no stand-in for its missing mask
-        specs = [simple_spec("niq", formats=(Format.RAW,), crucial=True)]
-        values = np.array([[1.0], [np.nan], [3.0]])
-        keys = [("A", q) for q in quarter_range(1990, 1, 3)]
-        m = FeatureMatrix(index_from_keys(keys), values,
-                          [FeatureColumnMeta("niq", Format.RAW)])
-        with pytest.raises(PanelError, match="crucial variable 'niq'"):
-            impute(m, specs, look_back=1)
-
     def test_fit_rows_restrict_deletion_rate(self):
         col = [np.nan] * 8 + [1.0] * 2
         m = self._matrix(col)
         # fit on the all-missing prefix: rate 100% -> deleted
-        out, _ = impute(m, [], look_back=1, fit_rows=np.arange(8))
+        out, _ = impute(m, look_back=1, fit_rows=np.arange(8))
         assert out.n_cols == 0
         # fit on the present suffix: rate 0 -> kept
-        out2, _ = impute(m, [], look_back=1, fit_rows=np.arange(8, 10))
+        out2, _ = impute(m, look_back=1, fit_rows=np.arange(8, 10))
         assert out2.n_cols == 1
 
     @pytest.mark.parametrize("kwargs", [{"look_back": 0}, {"max_p": 0},
@@ -429,7 +415,65 @@ class TestImpute:
         # look_back 0 would delete no row and horizon_cap -1 fill no cell
         m = self._matrix([1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            impute(m, [], **{"look_back": 1, **kwargs})
+            impute(m, **{"look_back": 1, **kwargs})
+
+
+CRUCIAL_QUARTERS = quarter_range(1990, 1, 12)
+
+
+@st.composite
+def crucial_panels(draw):
+    """(panel, schema) over up to three companies, each stored at a random
+    set of quarters (so with gaps), with missing cells and random crucial
+    flags, none crucial included."""
+    schema = [simple_spec(f"v{j}", crucial=draw(st.booleans()))
+              for j in range(draw(st.integers(1, 3)))]
+    keys = []
+    for company in ("A", "B", "C")[:draw(st.integers(1, 3))]:
+        stored = draw(st.lists(st.sampled_from(CRUCIAL_QUARTERS), min_size=1,
+                               unique=True))
+        keys += [(company, q) for q in sorted(stored)]
+    columns = {spec.name: [np.nan if draw(st.integers(0, 4)) == 0 else 1.0
+                           for _ in keys] for spec in schema}
+    panel = RawPanel(index_from_keys(keys),
+                     {name: np.array(col) for name, col in columns.items()})
+    return panel, schema
+
+
+def crucial_rule_oracle(panel, schema, look_back):
+    """(company_id, CalendarQuarter) of each row the crucial rule keeps:
+    its company has, in each of the look_back quarters ending at the row, a
+    stored row with every crucial variable present. Without a crucial
+    variable the rule does not run and every row stays."""
+    crucial = [spec.name for spec in schema if spec.crucial]
+    keys = keys_of(panel.index)
+    if not crucial:
+        return keys
+    complete = {key for i, key in enumerate(keys)
+                if not any(np.isnan(panel.columns[name][i]) for name in crucial)}
+    return [(c, q) for c, q in keys
+            if all((c, CalendarQuarter.from_index(q.index - k)) in complete
+                   for k in range(look_back))]
+
+
+class TestCrucialRule:
+    @settings(max_examples=200, deadline=None)
+    @given(data=crucial_panels(), look_back=st.integers(1, 4),
+           last=st.sampled_from(CRUCIAL_QUARTERS))
+    def test_keeps_rows_with_complete_look_back(self, data, look_back, last):
+        panel, schema = data
+        expected = crucial_rule_oracle(panel, schema, look_back)
+        m = convert_formats(panel, schema)
+        assert (m.crucial_missing is None) == \
+            (not any(spec.crucial for spec in schema))
+        out, report = impute(m, look_back=look_back)
+        assert keys_of(out.index) == expected
+        assert report.deleted_rows == panel.n_rows - len(expected)
+        assert out.crucial_missing is None
+        # run_subset imputes the rows up to its test quarter
+        cut, _ = impute(m.take_rows(m.index.quarter <= last.index),
+                        look_back=look_back)
+        assert keys_of(cut.index) == [(c, q) for c, q in expected if q <= last]
 
 
 def scan_margin(x, cutoff):

@@ -350,8 +350,8 @@ def scored_companies(result) -> list:
 class TestRunSubset:
     def test_deterministic_under_same_seed(self):
         splits, feats, labels, cfg, schema = small_pipeline()
-        a = run_subset(splits[0], feats, labels, cfg, schema)
-        b = run_subset(splits[0], feats, labels, cfg, schema)
+        a = run_subset(splits[0], feats, labels, cfg)
+        b = run_subset(splits[0], feats, labels, cfg)
         assert a.model_text == b.model_text
         np.testing.assert_array_equal(predicted(a), predicted(b))
         assert a.record == b.record
@@ -359,10 +359,9 @@ class TestRunSubset:
     def test_removing_test_rows_leaves_model_byte_identical(self):
         splits, feats, labels, cfg, schema = small_pipeline()
         split = splits[0]
-        full = run_subset(split, feats, labels, cfg, schema)
+        full = run_subset(split, feats, labels, cfg)
         mask = np.array([q != split.test_quarter for _, q in keys_of(feats.index)])
-        cut = run_subset(split, feats.take_rows(mask), labels[mask], cfg,
-                         schema)
+        cut = run_subset(split, feats.take_rows(mask), labels[mask], cfg)
         assert cut.model_text == full.model_text
         assert cut.record["n_test"] == 0
         assert cut.record["metrics"]["accuracy"] is None  # a rate over no rows
@@ -376,7 +375,7 @@ class TestRunSubset:
             if q.index in train_set and not np.isnan(forced[i]):
                 forced[i] = 1.0
         with pytest.warns(UserWarning, match="single class"):
-            res = run_subset(split, feats, forced, cfg, schema)
+            res = run_subset(split, feats, forced, cfg)
         share = (actual(res) == 1).mean()
         assert res.record["metrics"]["accuracy"] == pytest.approx(share)
 
@@ -386,14 +385,14 @@ class TestRunSubset:
     def test_stage_failure_names_subset_and_stage(self, setting, stage, cause):
         splits, feats, labels, cfg, schema = small_pipeline()
         with pytest.raises(SubsetError, match=f"^subset 2, stage {stage}: ") as info:
-            run_subset(splits[1], feats, labels, replace(cfg, **setting), schema)
+            run_subset(splits[1], feats, labels, replace(cfg, **setting))
         assert info.value.stage == stage
         assert isinstance(info.value.__cause__, cause)
         assert info.value.cause is info.value.__cause__
 
     def test_prediction_count_matches_surviving_test_rows(self):
         splits, feats, labels, cfg, schema = small_pipeline()
-        res = run_subset(splits[0], feats, labels, cfg, schema)
+        res = run_subset(splits[0], feats, labels, cfg)
         assert len(predicted(res)) == res.record["n_test"]
         assert len(scored_companies(res)) == res.record["n_test"]
         assert res.record["n_test"] > 0
@@ -403,7 +402,7 @@ class TestRunSubset:
         with pytest.raises(DimensionMismatchError,
                            match=f"^labels: {feats.n_rows - 1} values for "
                                  f"{feats.n_rows} features rows$"):
-            run_subset(splits[0], feats, labels[1:], cfg, schema)
+            run_subset(splits[0], feats, labels[1:], cfg)
 
     def test_consensus_count_must_match_features_rows(self):
         splits, feats, labels, cfg, schema = small_pipeline()
@@ -412,7 +411,7 @@ class TestRunSubset:
         with pytest.raises(DimensionMismatchError,
                            match=f"^consensus median: {feats.n_rows - 2} "
                                  f"values for {feats.n_rows} features rows$"):
-            run_subset(splits[0], feats, labels, cfg, schema, consensus)
+            run_subset(splits[0], feats, labels, cfg, consensus)
 
 
 class TestSubsetMemory:
@@ -441,7 +440,7 @@ class TestSubsetMemory:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            res = run_subset(splits[-1], feats, labels, cfg, schema)
+            res = run_subset(splits[-1], feats, labels, cfg)
             whole = max(tops + [tracemalloc.get_traced_memory()[1]]) - start
         finally:
             tracemalloc.stop()
@@ -481,7 +480,7 @@ class TestConsensusScoring:
         consensus = random_consensus(labels, seed=3)
         cfg = replace(cfg, consensus_estimate=estimate,
                       consensus_pairing=pairing)
-        res = run_subset(splits[0], feats, labels, cfg, schema, consensus)
+        res = run_subset(splits[0], feats, labels, cfg, consensus)
         test_keys = [(c, splits[0].test_quarter) for c in scored_companies(res)]
         rows = feats.index.find(index_from_keys(test_keys))
         assert (rows >= 0).all()
@@ -522,7 +521,7 @@ class TestConsensusScoring:
                             splits[0].test_quarter.index] = np.nan
         res = run_subset(splits[0], feats, labels,
                          replace(cfg, consensus_estimate=estimate),
-                         schema, consensus)
+                         consensus)
         metrics = res.record["metrics"]
         assert res.record["n_test"] > 0
         assert metrics["consensus_available"] is False
@@ -554,7 +553,7 @@ class TestMetricsRecord:
         if case == "estimate_without_test_rows":
             consensus["mean"][feats.index.quarter ==
                               splits[0].test_quarter.index] = np.nan
-        res = run_subset(splits[0], feats, labels, cfg, schema, consensus)
+        res = run_subset(splits[0], feats, labels, cfg, consensus)
         metrics = res.record["metrics"]
         assert set(metrics) == METRIC_KEYS
         assert metrics["consensus_available"] is (case == "consensus_scored")
@@ -619,8 +618,8 @@ class TestReportRendering:
 
     def test_build_records_sorted_by_subset(self):
         splits, feats, labels, cfg, schema = small_pipeline()
-        r1 = run_subset(splits[0], feats, labels, cfg, schema)
-        r2 = run_subset(splits[1], feats, labels, cfg, schema)
+        r1 = run_subset(splits[0], feats, labels, cfg)
+        r2 = run_subset(splits[1], feats, labels, cfg)
         records = build_records([r2, r1], {"seed": 19})
         assert records[0]["record_type"] == "config"
         assert [r["subset"] for r in records[1:]] == [1, 2]
@@ -634,7 +633,7 @@ class TestAggregateReport:
 
     def test_single_subset_report_matches_its_metrics(self):
         splits, feats, labels, cfg, schema = small_pipeline()
-        result = run_subset(splits[0], feats, labels, cfg, schema)
+        result = run_subset(splits[0], feats, labels, cfg)
         records = build_records([result], {"seed": 19})
         assert len(records) == 2
         assert records[1]["metrics"]["accuracy"] == pytest.approx(
