@@ -235,7 +235,7 @@ def _leaf_weight(g: float, h: float, l1: float, l2: float) -> float:
 
 @dataclass
 class Tree:
-    """One fitted tree; parallel node arrays, children by index."""
+    """One fitted tree; parallel node arrays, children by index (-1 at leaves)."""
 
     feature: list = field(default_factory=list)
     threshold: list = field(default_factory=list)
@@ -244,7 +244,6 @@ class Tree:
     right: list = field(default_factory=list)
     value: list = field(default_factory=list)
     gain: list = field(default_factory=list)
-    is_leaf: list = field(default_factory=list)
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -254,7 +253,6 @@ class Tree:
         self.right.append(-1)
         self.value.append(0.0)
         self.gain.append(0.0)
-        self.is_leaf.append(True)
         return len(self.feature) - 1
 
     def predict(self, codes: np.ndarray, miss_code: int) -> np.ndarray:
@@ -262,7 +260,7 @@ class Tree:
         stack = [(0, np.arange(codes.shape[0]))]
         while stack:
             node, rows = stack.pop()
-            if self.is_leaf[node]:
+            if self.left[node] < 0:
                 out[rows] = self.value[node]
                 continue
             c = codes[rows, self.feature[node]]
@@ -505,7 +503,6 @@ def _split_leaf(tree, leaf, index, width, n_bins_f, g, h, params: HyperParams):
     """Materialize a leaf's best split; return its left and right children,
     each holding its own best split or None."""
     gain, f_local, t, default_left = leaf.best
-    tree.is_leaf[leaf.node_id] = False
     tree.feature[leaf.node_id] = f_local
     tree.threshold[leaf.node_id] = t
     tree.default_left[leaf.node_id] = default_left
@@ -725,8 +722,8 @@ def feature_importance(model: GbdtModel) -> np.ndarray:
         for tree in round_trees:
             if tree is None:
                 continue
-            for node, leaf in enumerate(tree.is_leaf):
-                if not leaf:
+            for node, left in enumerate(tree.left):
+                if left >= 0:
                     out[tree.feature[node]] += tree.gain[node]
     return out
 
@@ -747,7 +744,7 @@ def to_text(model: GbdtModel) -> str:
                 continue
             lines.append(f"tree {r} {c} {len(tree.feature)}")
             for i in range(len(tree.feature)):
-                if tree.is_leaf[i]:
+                if tree.left[i] < 0:
                     lines.append(f"leaf {i} {repr(float(tree.value[i]))}")
                 else:
                     lines.append(

@@ -12,198 +12,13 @@ for the documented key table.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import os
 import sys
-from functools import partial
 
-from . import feature_forge, panel_ingest, rollcast, synthgen, tuner
-from .boostwood import HyperParams
-from .errors import (ConfigError, FundcastError, InvalidParamsError,
-                     InvalidSpecError)
+from . import feature_forge, panel_ingest, rollcast, synthgen
+from .errors import FundcastError
 from .panel_ingest import FilterRules
-from .rollcast import ExperimentConfig
-from .tuner import ParamRange
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected boolean, got {text!r}")
-
-
-def _parse_finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
-
-
-def _parse_optional_finite(text: str):
-    return None if text.lower() == "none" else _parse_finite(text)
-
-
-def _parse_count(text: str, least: int = 1) -> int:
-    value = int(text)
-    if value < least:
-        raise ValueError(f"must be >= {least}, got {value}")
-    return value
-
-
-def _parse_choice(text, allowed: tuple):
-    if text not in allowed:
-        raise ValueError(
-            f"must be one of {', '.join(map(str, allowed))}, got {text!r}")
-    return text
-
-
-def _parse_fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise ValueError(f"must lie in (0, 1], got {value}")
-    return value
-
-
-def _parse_sectors(text: str) -> tuple:
-    if not text.strip():
-        return ()
-    return tuple(int(part) for part in text.split(","))
-
-
-_KEYS = {
-    "paths.schema": ("schema_path", str),
-    "paths.panel": ("panel_path", str),
-    "paths.consensus": ("consensus_path", str),
-    "paths.output_dir": ("output_dir", str),
-    "label.horizon": ("horizon",
-                      partial(_parse_choice, allowed=feature_forge.HORIZONS)),
-    "label.n_classes": ("n_classes", lambda text: _parse_choice(
-        int(text), feature_forge.N_CLASSES)),
-    "label.scheme": ("scheme",
-                     partial(_parse_choice, allowed=feature_forge.SCHEMES)),
-    "label.income_var": ("income_var", str),
-    "label.assets_var": ("assets_var", str),
-    "label.revenue_var": ("revenue_var", str),
-    "filters.require_company_id": ("filter_require_company_id", _parse_bool),
-    "filters.min_share_price": ("filter_min_share_price",
-                                _parse_optional_finite),
-    "filters.excluded_sectors": ("filter_excluded_sectors", _parse_sectors),
-    "filters.require_fiscal_alignment": ("filter_require_fiscal_alignment", _parse_bool),
-    "filters.exclude_reporting_gaps": ("filter_exclude_reporting_gaps", _parse_bool),
-    "pipeline.formula_variant": ("formula_variant",
-                                 partial(_parse_choice,
-                                         allowed=feature_forge.FORMULA_VARIANTS)),
-    "pipeline.clip_pct": ("clip_pct", _parse_fraction),
-    "pipeline.fill_max_p": ("fill_max_p", _parse_count),
-    "pipeline.fill_horizon_cap": ("fill_horizon_cap",
-                                  partial(_parse_count, least=0)),
-    "pipeline.look_back": ("look_back", _parse_count),
-    "pipeline.n_lags": ("n_lags", _parse_count),
-    "pipeline.correlation_cutoff": ("correlation_cutoff", _parse_fraction),
-    "pipeline.pca_threshold": ("pca_threshold", _parse_fraction),
-    "pipeline.standardize": ("standardize", _parse_bool),
-    "pipeline.train_len": ("train_len", _parse_count),
-    "pipeline.max_subsets": ("max_subsets", partial(_parse_count, least=0)),
-    "validation.size": ("validation_size", _parse_count),
-    "search.budget": ("search_budget", _parse_count),
-    "gbdt.n_rounds": ("n_rounds", _parse_count),
-    "gbdt.early_stopping": ("early_stopping", partial(_parse_count, least=0)),
-    "consensus.estimate": ("consensus_estimate",
-                           partial(_parse_choice,
-                                   allowed=rollcast.CONSENSUS_ESTIMATES)),
-    "consensus.pairing": ("consensus_pairing",
-                          partial(_parse_choice,
-                                  allowed=rollcast.CONSENSUS_PAIRINGS)),
-    "seed": ("seed", partial(_parse_count, least=0)),
-    "synth.n_companies": ("synth_n_companies", _parse_count),
-    "synth.n_quarters": ("synth_n_quarters", _parse_count),
-    "synth.noise_sd": ("synth_noise_sd", _parse_finite),
-    "synth.missing_rate": ("synth_missing_rate", _parse_finite),
-    "synth.seasonality_amplitude": ("synth_seasonality", _parse_finite),
-    "synth.seed": ("synth_seed", partial(_parse_count, least=0)),
-    "synth.consensus": ("synth_consensus", _parse_bool),
-}
-
-# every tree parameter of HyperParams; n_rounds and seed have their own keys
-_GBDT_FIELD_TYPES = {
-    f.name: _parse_finite if f.type == "float" else int
-    for f in dataclasses.fields(HyperParams)
-    if f.name not in ("n_rounds", "seed")}
-
-
-def parse_config(path) -> ExperimentConfig:
-    """Read a config file; every error names the line it comes from."""
-    config = ExperimentConfig()
-    searchable = tuner.default_space()
-    set_on = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    for line_num, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {line_num}: expected key = value")
-        key = key.strip()
-        value = value.strip()
-        try:
-            if key in _KEYS:
-                attr, coerce = _KEYS[key]
-                setattr(config, attr, coerce(value))
-                if key.startswith("synth."):
-                    # every synth value set before passed, so this one failed
-                    synth_spec(config).validate()
-            elif key.startswith("search.space."):
-                name = key[len("search.space."):]
-                if name not in searchable:
-                    raise ConfigError(
-                        f"unknown search parameter {name!r}, expected one of "
-                        f"{', '.join(searchable)}")
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) not in (2, 3):
-                    raise ValueError("expected min,max[,scale]")
-                scale = parts[2] if len(parts) == 3 else "linear"
-                range_ = ParamRange(_parse_finite(parts[0]),
-                                    _parse_finite(parts[1]), scale)
-                for end in (range_.lo, range_.hi):
-                    HyperParams(**{name: end}).validate()
-                config.search_space_overrides[name] = range_
-            elif key.startswith("gbdt."):
-                name = key[len("gbdt."):]
-                if name not in _GBDT_FIELD_TYPES:
-                    raise ConfigError(f"unknown gbdt parameter {name!r}")
-                pinned = _GBDT_FIELD_TYPES[name](value)
-                HyperParams(**{name: pinned}).validate()
-                config.gbdt_overrides[name] = pinned
-            else:
-                raise ConfigError(f"unknown key {key!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"line {line_num}: {exc}") from None
-        except (ValueError, TypeError, InvalidParamsError, InvalidSpecError) as exc:
-            raise ConfigError(f"line {line_num}: bad value for {key}: {exc}") from exc
-        set_on[key] = line_num
-    if config.scheme == "sign" and config.n_classes != 2:
-        raise ConfigError(
-            f"line {set_on['label.scheme']}: label.scheme = sign requires "
-            f"label.n_classes = 2, got {config.n_classes}")
-    if config.validation_size >= config.train_len:
-        # the window's last validation.size quarters are held out, and at
-        # least one must stay to train on; the key set later is named
-        later = max(("validation.size", "pipeline.train_len"),
-                    key=lambda key: set_on.get(key, 0))
-        raise ConfigError(
-            f"line {set_on[later]}: validation.size = {config.validation_size} "
-            f"requires pipeline.train_len >= {config.validation_size + 1}, "
-            f"got {config.train_len}")
-    return config
+from .rollcast import ExperimentConfig, parse_config, synth_spec
 
 
 def filter_rules(config: ExperimentConfig) -> FilterRules:
@@ -241,18 +56,6 @@ def run_backtest(config: ExperimentConfig):
                                        consensus)
     records = rollcast.build_records(results, config.to_echo())
     return records, results
-
-
-def synth_spec(config: ExperimentConfig) -> synthgen.SignalSpec:
-    """The generator spec of config's synth.* settings."""
-    return synthgen.SignalSpec(
-        seasonality_amplitude=config.synth_seasonality,
-        noise_sd=config.synth_noise_sd,
-        missing_rate=config.synth_missing_rate,
-        n_companies=config.synth_n_companies,
-        n_quarters=config.synth_n_quarters,
-        seed=config.synth_seed,
-    )
 
 
 def cmd_synth(config: ExperimentConfig) -> int:

@@ -13,16 +13,20 @@ correlations, PCA, bins) is estimated on that subset's training rows only.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import boostwood, feature_forge, spectral_reduce, tuner
+from . import boostwood, feature_forge, spectral_reduce, synthgen, tuner
 from .boostwood import HyperParams
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     InsufficientHistoryError,
+    InvalidParamsError,
+    InvalidSpecError,
     PanelError,
     ReportError,
     SubsetError,
@@ -39,62 +43,132 @@ from .panel_ingest import (
 
 LAG_BUCKET_WIDTH = 4
 
+# the consensus estimates and pairings that _score_test_quarter knows
+CONSENSUS_ESTIMATES = ("mean", "median")
+CONSENSUS_PAIRINGS = ("split", "shared")
+
+
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected boolean, got {text!r}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+def _finite_or_none(text: str):
+    return None if text.lower() == "none" else _finite(text)
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise ValueError(f"must lie in (0, 1], got {value}")
+    return value
+
+
+def _sectors(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(",")) if text.strip() else ()
+
+
+def _count(least: int):
+    """The parser of an integer >= least."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+def _choice(allowed: tuple):
+    """The parser of one of allowed, read as the type of its values."""
+    def parse(text: str):
+        value = type(allowed[0])(text)
+        if value not in allowed:
+            raise ValueError(
+                f"must be one of {', '.join(map(str, allowed))}, got {value!r}")
+        return value
+    return parse
+
+
+def _key(key: str, default, parse=str):
+    """A config field with the key that sets it and the parser of its value."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
 
 @dataclass
 class ExperimentConfig:
-    """Every setting of an experiment, as parse_config fills it from the
-    config file; the backtest and each subset read their settings here."""
+    """Every setting of an experiment. Each field but the two override dicts
+    declares the config key that parse_config sets it from."""
 
-    schema_path: str = ""
-    panel_path: str = ""
-    consensus_path: str = ""
-    output_dir: str = "."
+    schema_path: str = _key("paths.schema", "")
+    panel_path: str = _key("paths.panel", "")
+    consensus_path: str = _key("paths.consensus", "")
+    output_dir: str = _key("paths.output_dir", ".")
 
-    horizon: str = "qoq"
-    n_classes: int = 3
-    scheme: str = "quantile_rank"
-    income_var: str = "niq"
-    assets_var: str = "atq"
-    revenue_var: str = "revtq"
+    horizon: str = _key("label.horizon", "qoq", _choice(feature_forge.HORIZONS))
+    n_classes: int = _key("label.n_classes", 3, _choice(feature_forge.N_CLASSES))
+    scheme: str = _key("label.scheme", "quantile_rank",
+                       _choice(feature_forge.SCHEMES))
+    income_var: str = _key("label.income_var", "niq")
+    assets_var: str = _key("label.assets_var", "atq")
+    revenue_var: str = _key("label.revenue_var", "revtq")
 
-    filter_require_company_id: bool = True
-    filter_min_share_price: float | None = 1.0
-    filter_excluded_sectors: tuple = (40, 55)
-    filter_require_fiscal_alignment: bool = True
-    filter_exclude_reporting_gaps: bool = True
+    filter_require_company_id: bool = _key("filters.require_company_id", True,
+                                           _bool)
+    filter_min_share_price: float | None = _key("filters.min_share_price", 1.0,
+                                                _finite_or_none)
+    filter_excluded_sectors: tuple = _key("filters.excluded_sectors", (40, 55),
+                                          _sectors)
+    filter_require_fiscal_alignment: bool = _key(
+        "filters.require_fiscal_alignment", True, _bool)
+    filter_exclude_reporting_gaps: bool = _key(
+        "filters.exclude_reporting_gaps", True, _bool)
 
-    formula_variant: str = "standard"
-    clip_pct: float = 0.95
-    fill_max_p: int = 20
-    fill_horizon_cap: int = 8
-    look_back: int = 20
-    n_lags: int = 20
-    correlation_cutoff: float = 0.9
-    pca_threshold: float = 0.66
-    standardize: bool = False
-    train_len: int = 80
-    max_subsets: int = 0
+    formula_variant: str = _key("pipeline.formula_variant", "standard",
+                                _choice(feature_forge.FORMULA_VARIANTS))
+    clip_pct: float = _key("pipeline.clip_pct", 0.95, _fraction)
+    fill_max_p: int = _key("pipeline.fill_max_p", 20, _count(1))
+    fill_horizon_cap: int = _key("pipeline.fill_horizon_cap", 8, _count(0))
+    look_back: int = _key("pipeline.look_back", 20, _count(1))
+    n_lags: int = _key("pipeline.n_lags", 20, _count(1))
+    correlation_cutoff: float = _key("pipeline.correlation_cutoff", 0.9, _fraction)
+    pca_threshold: float = _key("pipeline.pca_threshold", 0.66, _fraction)
+    standardize: bool = _key("pipeline.standardize", False, _bool)
+    train_len: int = _key("pipeline.train_len", 80, _count(1))
+    max_subsets: int = _key("pipeline.max_subsets", 0, _count(0))
 
-    validation_size: int = 8
+    validation_size: int = _key("validation.size", 8, _count(1))
 
-    search_budget: int = 25
+    search_budget: int = _key("search.budget", 25, _count(1))
     search_space_overrides: dict = field(default_factory=dict)
     gbdt_overrides: dict = field(default_factory=dict)
-    n_rounds: int = 200
-    early_stopping: int = 20
+    n_rounds: int = _key("gbdt.n_rounds", 200, _count(1))
+    early_stopping: int = _key("gbdt.early_stopping", 20, _count(0))
 
-    consensus_estimate: str = "mean"
-    consensus_pairing: str = "split"
+    consensus_estimate: str = _key("consensus.estimate", "mean",
+                                   _choice(CONSENSUS_ESTIMATES))
+    consensus_pairing: str = _key("consensus.pairing", "split",
+                                  _choice(CONSENSUS_PAIRINGS))
 
-    seed: int = 7
+    seed: int = _key("seed", 7, _count(0))
 
-    synth_n_companies: int = 300
-    synth_n_quarters: int = 120
-    synth_noise_sd: float = 0.5
-    synth_missing_rate: float = 0.05
-    synth_seasonality: float = 0.6
-    synth_seed: int = 7
-    synth_consensus: bool = False
+    synth_n_companies: int = _key("synth.n_companies", 300, _count(1))
+    synth_n_quarters: int = _key("synth.n_quarters", 120, _count(1))
+    synth_noise_sd: float = _key("synth.noise_sd", 0.5, _finite)
+    synth_missing_rate: float = _key("synth.missing_rate", 0.05, _finite)
+    synth_seasonality: float = _key("synth.seasonality_amplitude", 0.6, _finite)
+    synth_seed: int = _key("synth.seed", 7, _count(0))
+    synth_consensus: bool = _key("synth.consensus", False, _bool)
 
     def search_box(self):
         """The search space and the base HyperParams of every trial.
@@ -121,6 +195,108 @@ class ExperimentConfig:
 
         return {key: canonical(value)
                 for key, value in sorted(asdict(self).items())}
+
+
+# every tree parameter of HyperParams; n_rounds and seed have their own keys
+_GBDT_FIELD_TYPES = {
+    f.name: _finite if f.type == "float" else int
+    for f in fields(HyperParams) if f.name not in ("n_rounds", "seed")}
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Read a config file; every error names the line it comes from."""
+    config = ExperimentConfig()
+    keyed = {f.metadata["key"]: f for f in fields(config) if f.metadata}
+    searchable = tuner.default_space()
+    set_on = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    for line_num, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"line {line_num}: expected key = value")
+        key, value = key.strip(), value.strip()
+        try:
+            if key in keyed:
+                setting = keyed[key]
+                setattr(config, setting.name, setting.metadata["parse"](value))
+                if key.startswith("synth."):
+                    # every synth value set before passed, so this one failed
+                    synth_spec(config).validate()
+            elif key.startswith("search.space."):
+                name = key[len("search.space."):]
+                if name not in searchable:
+                    raise ConfigError(
+                        f"unknown search parameter {name!r}, expected one of "
+                        f"{', '.join(searchable)}")
+                parts = [p.strip() for p in value.split(",")]
+                if len(parts) not in (2, 3):
+                    raise ValueError("expected min,max[,scale]")
+                integer = _GBDT_FIELD_TYPES[name] is int
+                scales = ("integer",) if integer else ("linear", "log")
+                scale = parts[2] if len(parts) == 3 else scales[0]
+                if scale not in scales:
+                    raise ValueError(f"{name} takes scale "
+                                     f"{' or '.join(scales)}, got {scale!r}")
+                range_ = tuner.ParamRange(_finite(parts[0]), _finite(parts[1]),
+                                          scale)
+                for end in (range_.lo, range_.hi):
+                    if integer and not end.is_integer():
+                        raise ValueError(f"{name} is an integer, got {end}")
+                    HyperParams(**{name: end}).validate()
+                if name in config.gbdt_overrides:
+                    raise ConfigError(f"gbdt.{name} and search.space.{name} "
+                                      "cannot both be set")
+                config.search_space_overrides[name] = range_
+            elif key.startswith("gbdt."):
+                name = key[len("gbdt."):]
+                if name not in _GBDT_FIELD_TYPES:
+                    raise ConfigError(f"unknown gbdt parameter {name!r}")
+                pinned = _GBDT_FIELD_TYPES[name](value)
+                HyperParams(**{name: pinned}).validate()
+                if name in config.search_space_overrides:
+                    raise ConfigError(f"gbdt.{name} and search.space.{name} "
+                                      "cannot both be set")
+                config.gbdt_overrides[name] = pinned
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_num}: {exc}") from None
+        except (ValueError, TypeError, InvalidParamsError, InvalidSpecError) as exc:
+            raise ConfigError(f"line {line_num}: bad value for {key}: {exc}") from exc
+        set_on[key] = line_num
+    if config.scheme == "sign" and config.n_classes != 2:
+        raise ConfigError(
+            f"line {set_on['label.scheme']}: label.scheme = sign requires "
+            f"label.n_classes = 2, got {config.n_classes}")
+    if config.validation_size >= config.train_len:
+        # the window's last validation.size quarters are held out, and at
+        # least one must stay to train on; the key set later is named
+        later = max(("validation.size", "pipeline.train_len"),
+                    key=lambda key: set_on.get(key, 0))
+        raise ConfigError(
+            f"line {set_on[later]}: validation.size = {config.validation_size} "
+            f"requires pipeline.train_len >= {config.validation_size + 1}, "
+            f"got {config.train_len}")
+    return config
+
+
+def synth_spec(config: ExperimentConfig) -> synthgen.SignalSpec:
+    """The generator spec of config's synth.* settings."""
+    return synthgen.SignalSpec(
+        seasonality_amplitude=config.synth_seasonality,
+        noise_sd=config.synth_noise_sd,
+        missing_rate=config.synth_missing_rate,
+        n_companies=config.synth_n_companies,
+        n_quarters=config.synth_n_quarters,
+        seed=config.synth_seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -249,12 +425,6 @@ def _subset_seeds(seed: int, index: int):
     seq = np.random.SeedSequence([seed, index])
     children = seq.spawn(3)
     return [int(c.generate_state(1)[0] & 0x7FFFFFFF) for c in children]
-
-
-# The consensus.estimate and consensus.pairing values _score_test_quarter
-# knows.
-CONSENSUS_ESTIMATES = ("mean", "median")
-CONSENSUS_PAIRINGS = ("split", "shared")
 
 
 def _score_test_quarter(predictions, y_test, test_rows: np.ndarray,

@@ -281,7 +281,7 @@ def level_wise_growth():
 
 
 def n_leaves(tree: Tree) -> int:
-    return sum(tree.is_leaf)
+    return sum(left < 0 for left in tree.left)
 
 
 def total_entries(importance: dict) -> int:
@@ -332,7 +332,6 @@ def model_from_text(text: str) -> GbdtModel:
             if parts[0] == "leaf":
                 tree.value[node] = float(parts[2])
             else:
-                tree.is_leaf[node] = False
                 tree.feature[node] = int(parts[2])
                 tree.threshold[node] = int(parts[3])
                 tree.default_left[node] = parts[4] == "1"

@@ -194,7 +194,7 @@ class TestFit:
             for tree in round_trees:
                 if tree is not None:
                     assert n_leaves(tree) == 2
-                    assert sum(not l for l in tree.is_leaf) == 1
+                    assert sum(left >= 0 for left in tree.left) == 1
 
     def test_infinite_min_gain_no_trees_prior_prediction(self):
         x, y = make_separable(n_per=10)
@@ -282,7 +282,7 @@ class TestFit:
             stack = [(0, idx_all)]
             while stack:
                 node, rows = stack.pop()
-                if tree.is_leaf[node]:
+                if tree.left[node] < 0:
                     assert len(rows) >= 25
                     continue
                 c = codes[rows, tree.feature[node]]

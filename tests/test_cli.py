@@ -5,9 +5,13 @@ from pathlib import Path
 import pytest
 
 from fundcast.boostwood import HyperParams
-from fundcast.cli import _KEYS, main, parse_config
+from fundcast.cli import main, parse_config
 from fundcast.errors import ConfigError
 from fundcast.rollcast import ExperimentConfig
+
+# the attribute each fixed config key sets, as ExperimentConfig declares it
+ATTR_OF_KEY = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)
+               if "key" in f.metadata}
 
 BASE_CONFIG = """
 paths.output_dir = {out}
@@ -85,7 +89,11 @@ class TestParseConfig:
         # float fields parse as float, the rest (max_depth too) as int
         kind = float if isinstance(field.default, float) else int
         value = "0.5" if kind is float else "3"
-        path, _ = write_config(tmp_path,
+        # a pinned parameter cannot also be ranged, so BASE_CONFIG's
+        # ranges go
+        base = "\n".join(line for line in BASE_CONFIG.splitlines()
+                         if not line.startswith("search.space."))
+        path, _ = write_config(tmp_path, base=base,
                                extra=f"\ngbdt.{field.name} = {value}\n")
         pinned = parse_config(path).gbdt_overrides[field.name]
         assert type(pinned) is kind
@@ -142,8 +150,7 @@ class TestParseConfig:
             # BASE_CONFIG's 3 classes cannot be cut by sign
             extra += "label.n_classes = 2\n"
         path, _ = write_config(tmp_path, extra=extra)
-        attr = _KEYS[key][0]
-        assert getattr(parse_config(path), attr) == value
+        assert getattr(parse_config(path), ATTR_OF_KEY[key]) == value
 
     @pytest.mark.parametrize("key", ["pipeline.correlation_cutoff",
                                      "pipeline.pca_threshold",
@@ -162,7 +169,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", [1.0, 0.25])
     def test_fraction_in_range_accepted(self, tmp_path, key, value):
         path, _ = write_config(tmp_path, extra=f"\n{key} = {value}\n")
-        assert getattr(parse_config(path), _KEYS[key][0]) == value
+        assert getattr(parse_config(path), ATTR_OF_KEY[key]) == value
 
     def test_out_of_range_fraction_stops_backtest_before_ingest(
             self, tmp_path, capsys):
@@ -234,12 +241,40 @@ class TestParseConfig:
         ("validation.size = 26",
          "validation.size = 26 requires pipeline.train_len >= 27, got 26"),
         ("pipeline.train_len = 4",
-         "validation.size = 4 requires pipeline.train_len >= 5, got 4")])
+         "validation.size = 4 requires pipeline.train_len >= 5, got 4"),
+        # a range draws by its parameter's type
+        ("search.space.num_leaves = 4, 12, log",
+         "bad value for search.space.num_leaves: num_leaves takes scale "
+         "integer, got 'log'"),
+        ("search.space.bagging_freq = 2, 6, linear",
+         "bad value for search.space.bagging_freq: bagging_freq takes scale "
+         "integer, got 'linear'"),
+        ("search.space.num_leaves = 4, 12.5",
+         "bad value for search.space.num_leaves: num_leaves is an integer, "
+         "got 12.5"),
+        ("search.space.learning_rate = 0.5, 1.0, integer",
+         "bad value for search.space.learning_rate: learning_rate takes "
+         "scale linear or log, got 'integer'"),
+        # BASE_CONFIG pins max_bin and ranges num_leaves
+        ("search.space.max_bin = 100, 200",
+         "gbdt.max_bin and search.space.max_bin cannot both be set"),
+        ("gbdt.num_leaves = 8",
+         "gbdt.num_leaves and search.space.num_leaves cannot both be set")])
     def test_every_error_names_its_line(self, tmp_path, entry, message):
         path, _ = write_config(tmp_path, extra=f"\n{entry}\n")
         line = path.read_text().splitlines().index(entry) + 1
         with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
             parse_config(path)
+
+    @pytest.mark.parametrize("entry", ["search.space.max_bin = 100, 200",
+                                       "search.space.max_bin = 100, 200, "
+                                       "integer"])
+    def test_integer_range_defaults_to_integer_scale(self, tmp_path, entry):
+        base = BASE_CONFIG.replace("gbdt.max_bin = 16\n", "")
+        path, _ = write_config(tmp_path, extra=f"\n{entry}\n", base=base)
+        range_ = parse_config(path).search_space_overrides["max_bin"]
+        assert (range_.lo, range_.hi, range_.scale) == (100, 200, "integer")
+        assert type(range_.lo) is float  # the config echo keeps 100.0
 
     def test_sign_scheme_needs_two_classes_names_scheme_line(self, tmp_path):
         # BASE_CONFIG sets label.n_classes = 3 above the scheme line
@@ -300,13 +335,14 @@ class TestParseConfig:
                                    for name in names.split(",")}
                 elif "NAME" not in key:
                     documented.add(key)
-        assert documented == set(_KEYS)
+        assert documented == set(ATTR_OF_KEY)
 
     def test_every_config_field_has_a_key(self):
         # the two dicts are filled by the search.space. and gbdt. prefixes
-        targets = {attr for attr, _ in _KEYS.values()}
-        targets |= {"search_space_overrides", "gbdt_overrides"}
-        assert {f.name for f in fields(ExperimentConfig)} == targets
+        keys = [f.metadata.get("key") for f in fields(ExperimentConfig)
+                if f.name not in ("search_space_overrides", "gbdt_overrides")]
+        assert None not in keys
+        assert len(set(keys)) == len(keys)
 
 
 class TestSynthCommand:

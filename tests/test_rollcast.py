@@ -252,7 +252,6 @@ def make_stump_tree(feature, gain):
     root = tree.add_node()
     left = tree.add_node()
     right = tree.add_node()
-    tree.is_leaf[root] = False
     tree.feature[root] = feature
     tree.threshold[root] = 0
     tree.left[root] = left

@@ -193,3 +193,11 @@ class TestSearch:
         assert space["min_gain_to_split"].lo == 0.5
         assert space["min_gain_to_split"].hi == 0.72
         assert space["lambda_l2"].lo == 350.0
+
+    def test_default_space_draws_integers_for_exactly_the_integer_fields(self):
+        defaults = HyperParams()
+        space = default_space()
+        assert {name for name, range_ in space.items()
+                if range_.scale == "integer"} == {
+            name for name in space
+            if isinstance(getattr(defaults, name), int)}
