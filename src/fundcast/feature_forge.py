@@ -20,6 +20,7 @@ from .errors import DimensionMismatchError, MissingDenominatorError, PanelError
 from .panel_ingest import (
     CONVERTED_FORMATS,
     RATIO_FORMATS,
+    CalendarQuarter,
     Format,
     PanelIndex,
     RawPanel,
@@ -141,7 +142,10 @@ def convert_formats(panel: RawPanel, schema, *,
     Growth rates use zero-clamped inputs: QoQ = (T0 - T-1)/T-1 and
     YoY = (T0 - T-4)/T-4 after max(value, 0) on both quarters. Percent
     formats are ln(max(T0, 0)/denominator + 1) with the denominator taken
-    as-is and required positive. Raw passes through untouched. Missing
+    as-is and required positive. Raw passes through untouched, and a raw
+    value of +-inf raises PanelError naming the variable, company and
+    quarter, since no later stage caps a raw column; panel is the aligned
+    panel shift_forward_aligned returns. Missing
     propagates; a clamped zero denominator yields +inf (capped later) or
     NaN when the numerator is zero too.
 
@@ -195,6 +199,19 @@ def convert_formats(panel: RawPanel, schema, *,
             elif fmt is Format.PCT_REVENUE:
                 col, origin = ratio(raw, revenue)
             else:
+                infinite = np.flatnonzero(np.isinf(raw))
+                if len(infinite):
+                    row = infinite[0]
+                    quarter = int(panel.index.quarter[row])
+                    # shift_forward_aligned moved the value back a quarter
+                    stored = (f" (the {CalendarQuarter.from_index(quarter + 1)} "
+                              "value of a next-quarter-aligned variable)"
+                              if spec.next_quarter_aligned else "")
+                    raise PanelError(
+                        f"raw variable {spec.name!r} is {raw[row]} at "
+                        f"{panel.index.company_names([row])[0]} "
+                        f"{CalendarQuarter.from_index(quarter)}{stored}; "
+                        "raw values must be finite or missing")
                 col, origin = raw.copy(), np.ones(n, dtype=bool)
             cols.append(col)
             origins.append(origin)

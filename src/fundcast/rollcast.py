@@ -170,13 +170,45 @@ class ExperimentConfig:
     synth_seed: int = _key("synth.seed", 7, _count(0))
     synth_consensus: bool = _key("synth.consensus", False, _bool)
 
+    def check_search(self) -> None:
+        """The rules of the two override dicts, for a config read from a
+        file or built in code. Every pinned value and both ends of every
+        range pass HyperParams.validate; a range names a default_space()
+        parameter and draws by its field's type (scale integer with
+        integral ends for an integer field, linear or log otherwise); and
+        no parameter is both pinned and ranged. Raises ConfigError,
+        InvalidParamsError or ValueError naming the parameter.
+        """
+        for name, pinned in self.gbdt_overrides.items():
+            HyperParams(**{name: pinned}).validate()
+        searchable = tuner.default_space()
+        for name, range_ in self.search_space_overrides.items():
+            if name not in searchable:
+                raise ConfigError(
+                    f"unknown search parameter {name!r}, expected one of "
+                    f"{', '.join(searchable)}")
+            integer = _GBDT_FIELD_TYPES[name] is int
+            scales = ("integer",) if integer else ("linear", "log")
+            if range_.scale not in scales:
+                raise ValueError(f"{name} takes scale "
+                                 f"{' or '.join(scales)}, got {range_.scale!r}")
+            for end in (range_.lo, range_.hi):
+                if integer and not float(end).is_integer():
+                    raise ValueError(f"{name} is an integer, got {end}")
+                HyperParams(**{name: end}).validate()
+            if name in self.gbdt_overrides:
+                raise ConfigError(f"gbdt.{name} and search.space.{name} "
+                                  "cannot both be set")
+
     def search_box(self):
-        """The search space and the base HyperParams of every trial.
+        """The search space and the base HyperParams of every trial, once
+        check_search passes.
 
         A search.space override replaces its default range in place, so
         trials draw parameters in default_space()'s order; a gbdt override
-        pins its parameter in the base and takes it out of the space.
+        pins its parameter in the base.
         """
+        self.check_search()
         space = tuner.default_space()
         space.update(self.search_space_overrides)
         for name in self.gbdt_overrides:
@@ -207,7 +239,6 @@ def parse_config(path) -> ExperimentConfig:
     """Read a config file; every error names the line it comes from."""
     config = ExperimentConfig()
     keyed = {f.metadata["key"]: f for f in fields(config) if f.metadata}
-    searchable = tuner.default_space()
     set_on = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -231,39 +262,21 @@ def parse_config(path) -> ExperimentConfig:
                     synth_spec(config).validate()
             elif key.startswith("search.space."):
                 name = key[len("search.space."):]
-                if name not in searchable:
-                    raise ConfigError(
-                        f"unknown search parameter {name!r}, expected one of "
-                        f"{', '.join(searchable)}")
                 parts = [p.strip() for p in value.split(",")]
                 if len(parts) not in (2, 3):
                     raise ValueError("expected min,max[,scale]")
-                integer = _GBDT_FIELD_TYPES[name] is int
-                scales = ("integer",) if integer else ("linear", "log")
-                scale = parts[2] if len(parts) == 3 else scales[0]
-                if scale not in scales:
-                    raise ValueError(f"{name} takes scale "
-                                     f"{' or '.join(scales)}, got {scale!r}")
-                range_ = tuner.ParamRange(_finite(parts[0]), _finite(parts[1]),
-                                          scale)
-                for end in (range_.lo, range_.hi):
-                    if integer and not end.is_integer():
-                        raise ValueError(f"{name} is an integer, got {end}")
-                    HyperParams(**{name: end}).validate()
-                if name in config.gbdt_overrides:
-                    raise ConfigError(f"gbdt.{name} and search.space.{name} "
-                                      "cannot both be set")
-                config.search_space_overrides[name] = range_
+                # a range without a scale draws by its parameter's type
+                scale = parts[2] if len(parts) == 3 else \
+                    "integer" if _GBDT_FIELD_TYPES.get(name) is int else "linear"
+                config.search_space_overrides[name] = tuner.ParamRange(
+                    _finite(parts[0]), _finite(parts[1]), scale)
+                config.check_search()
             elif key.startswith("gbdt."):
                 name = key[len("gbdt."):]
                 if name not in _GBDT_FIELD_TYPES:
                     raise ConfigError(f"unknown gbdt parameter {name!r}")
-                pinned = _GBDT_FIELD_TYPES[name](value)
-                HyperParams(**{name: pinned}).validate()
-                if name in config.search_space_overrides:
-                    raise ConfigError(f"gbdt.{name} and search.space.{name} "
-                                      "cannot both be set")
-                config.gbdt_overrides[name] = pinned
+                config.gbdt_overrides[name] = _GBDT_FIELD_TYPES[name](value)
+                config.check_search()
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:

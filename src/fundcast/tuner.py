@@ -7,6 +7,7 @@ last quarters of the training window. Every trial is seeded from
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -110,6 +111,29 @@ def make_validation_split(quarters, size_quarters: int):
     return idx[~in_valid], idx[in_valid]
 
 
+# The objective of the running search. Pool workers are forked after it is
+# set, so they inherit it: only (index, params) and TrialRecords are pickled.
+_objective = None
+
+
+def _run_trial(index: int, params: HyperParams) -> TrialRecord:
+    t0 = time.perf_counter()
+    try:
+        val, train, *facts = _objective(params)
+        return TrialRecord(index, params, float(val), float(train),
+                           time.perf_counter() - t0,
+                           **(facts[0] if facts else {}))
+    except Exception as exc:  # per-trial failures are recorded
+        return TrialRecord(index, params, None, None,
+                           time.perf_counter() - t0, error=str(exc))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def search(space: dict, budget: int, objective, seed: int, *,
            base_params: HyperParams | None = None):
     """Sample budget parameter vectors and keep the best validation metric.
@@ -122,35 +146,50 @@ def search(space: dict, budget: int, objective, seed: int, *,
     recorded, not fatal, unless every trial fails, and then the last
     trial's error names the cause. Ties on the metric go to the earliest
     trial.
+
+    The trials run in min(usable CPUs, budget // 2) forked worker
+    processes, each worker taking two trials or more, since one small
+    trial per worker saves less than the fork costs; below two workers, or
+    where fork is unavailable, they run in this process. Either way the
+    trials come back in index order, and the pool's workers are joined
+    before search returns. A worker that dies raises BrokenProcessPool.
     """
+    global _objective
     if budget < 1:
         raise SearchError(f"budget must be >= 1, got {budget}")
     base = base_params if base_params is not None else HyperParams()
 
-    trials = []
-    last_error = None
+    drawn = []
     for index in range(budget):
         rng = np.random.default_rng([seed, index])
         params = replace(base, **{name: range_.sample(rng)
                                   for name, range_ in space.items()})
-        params = replace(params, seed=int(np.random.default_rng(
-            [seed, index, 1]).integers(0, 2 ** 31)))
-        t0 = time.perf_counter()
-        try:
-            val, train, *facts = objective(params)
-            record = TrialRecord(index, params, float(val), float(train),
-                                 time.perf_counter() - t0,
-                                 **(facts[0] if facts else {}))
-        except Exception as exc:  # per-trial failures are recorded
-            last_error = exc
-            record = TrialRecord(index, params, None, None,
-                                 time.perf_counter() - t0, error=str(exc))
-        trials.append(record)
+        drawn.append(replace(params, seed=int(np.random.default_rng(
+            [seed, index, 1]).integers(0, 2 ** 31))))
+
+    workers = min(_usable_cpus(), budget // 2) if hasattr(os, "fork") else 1
+    _objective = objective
+    try:
+        if workers < 2:
+            trials = [_run_trial(index, params)
+                      for index, params in enumerate(drawn)]
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                trials = list(pool.map(_run_trial, range(budget), drawn))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        _objective = None
 
     ok = [record for record in trials if record.ok]
     if not ok:
         raise SearchError(
-            f"all {budget} trials failed; last error: {last_error}") from last_error
+            f"all {budget} trials failed; last error: {trials[-1].error}")
     # max keeps the earliest of equal metrics
     best = max(ok, key=lambda record: record.validation_metric)
     return best.params, trials

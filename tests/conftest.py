@@ -1,3 +1,5 @@
+import multiprocessing
+import signal
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
@@ -6,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fundcast import boostwood
+from fundcast import boostwood, tuner
 from fundcast.boostwood import GbdtModel, HyperParams, Tree
 from fundcast.feature_forge import Dedupe, FeatureMatrix, _pooled_fill_period
 from fundcast.panel_ingest import (
@@ -369,6 +371,37 @@ def pca_from_text(text: str) -> PcaModel:
     total = eigenvalues.sum()
     ratio = eigenvalues / total if total > 0 else np.zeros(len(eigenvalues))
     return PcaModel(mean, loadings, eigenvalues, ratio, kept=kept, scale=scale)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the block with TimeoutError if it runs longer than seconds, so
+    that a hung worker pool stops the test instead of the test session.
+    The alarm repeats every second until the block exits, so a hang in the
+    pool's shutdown is cut short too; worker processes still alive then are
+    killed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"block still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join(10)
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """usable_cpus(n) sets the CPU count that tuner.search sizes its worker
+    pool by, for the rest of the test."""
+    def usable(n):
+        monkeypatch.setattr(tuner, "_usable_cpus", lambda: n)
+    return usable
 
 
 @pytest.fixture

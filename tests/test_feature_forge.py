@@ -17,7 +17,11 @@ from conftest import (
     simple_spec,
     single_company_fill_period,
 )
-from fundcast.errors import DimensionMismatchError, MissingDenominatorError
+from fundcast.errors import (
+    DimensionMismatchError,
+    MissingDenominatorError,
+    PanelError,
+)
 from fundcast.feature_forge import (
     CONSTANT_FILL,
     FeatureColumnMeta,
@@ -34,7 +38,12 @@ from fundcast.feature_forge import (
     quantile_rank_classes,
     relative_change_targets,
 )
-from fundcast.panel_ingest import CalendarQuarter, Format, RawPanel
+from fundcast.panel_ingest import (
+    CalendarQuarter,
+    Format,
+    RawPanel,
+    shift_forward_aligned,
+)
 
 
 def brute_fill_period(series, max_p=20):
@@ -84,6 +93,37 @@ class TestConvertFormats:
         std = convert_formats(panel, schema)
         alt = convert_formats(panel, schema, formula_variant="minus_one")
         assert alt.values[1, 0] == pytest.approx(std.values[1, 0] - 1.0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_raw_value_names_variable_company_and_quarter(self,
+                                                                   value):
+        quarters = quarter_range(1990, 1, 3)
+        panel = grid_panel(["C00001", "C00002"], quarters, {
+            "niq": [[1.0, 2.0, 3.0], [4.0, value, value]],
+            "atq": [[1.0, value, 3.0], [4.0, 5.0, 6.0]]})
+        schema = [simple_spec("niq", formats=(Format.QOQ,)),
+                  simple_spec("atq", "balance", formats=(Format.RAW,))]
+        with pytest.raises(PanelError, match=(
+                f"^raw variable 'atq' is {value} at C00001 1990Q2; raw "
+                "values must be finite or missing$")):
+            convert_formats(panel, schema)
+
+    def test_infinite_aligned_value_names_the_quarter_it_was_stored_at(self):
+        panel = one_company_panel({"mkt_excess_ret": [0.1, 0.2, -np.inf]})
+        spec = simple_spec("mkt_excess_ret", "market", formats=(Format.RAW,),
+                           aligned=True)
+        with pytest.raises(PanelError, match=(
+                r"^raw variable 'mkt_excess_ret' is -inf at A 1990Q2 \(the "
+                r"1990Q3 value of a next-quarter-aligned variable\); ")):
+            convert_formats(shift_forward_aligned(panel, [spec]), [spec])
+
+    def test_infinite_value_of_converted_formats_only_passes(self):
+        # clip_outliers caps converted columns, so their inputs may be inf
+        panel = one_company_panel({"niq": [1.0, np.inf, 3.0]})
+        m = convert_formats(panel, [simple_spec(
+            "niq", formats=(Format.QOQ, Format.YOY))])
+        qoq = [meta.format for meta in m.metas].index(Format.QOQ)
+        assert np.isposinf(m.values[1, qoq])
 
     def test_negative_inputs_clamped_to_zero(self):
         # prev -10 clamps to 0: positive numerator over zero denominator -> +inf

@@ -1,5 +1,9 @@
 import json
+import multiprocessing
+import os
+import signal
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -8,6 +12,7 @@ import pytest
 
 from conftest import (
     consensus_table,
+    deadline,
     grid_panel,
     index_from_keys,
     keys_of,
@@ -18,8 +23,10 @@ from conftest import (
 from fundcast import boostwood, feature_forge, rollcast, synthgen, tuner
 from fundcast.boostwood import HyperParams
 from fundcast.errors import (
+    ConfigError,
     DimensionMismatchError,
     InsufficientHistoryError,
+    InvalidParamsError,
     ReportError,
     SubsetError,
     WindowTooSmallError,
@@ -35,6 +42,7 @@ from fundcast.rollcast import (
     enumerate_subsets,
     read_jsonl,
     render_text,
+    run_all_subsets,
     run_subset,
     write_jsonl,
 )
@@ -80,6 +88,35 @@ class TestSearchBox:
         assert list(space) == expected
         assert space["learning_rate"] is lr
         assert (base.max_bin, base.lambda_l1) == (16, 0.0)
+
+    def test_pinned_parameter_outside_the_space_is_kept(self):
+        space, base = ExperimentConfig(
+            gbdt_overrides={"max_depth": 3}).search_box()
+        assert list(space) == list(tuner.default_space())
+        assert base.max_depth == 3
+
+    # configs built in code keep the rules parse_config applies to a file
+    @pytest.mark.parametrize("ranges, pinned, error, message", [
+        ({"num_leaves": ParamRange(16, 63, "linear")}, {}, ValueError,
+         "num_leaves takes scale integer, got 'linear'"),
+        ({"learning_rate": ParamRange(0.5, 1.0, "integer")}, {}, ValueError,
+         "learning_rate takes scale linear or log, got 'integer'"),
+        ({"max_bin": ParamRange(100, 200.5, "integer")}, {}, ValueError,
+         "max_bin is an integer, got 200.5"),
+        ({"num_leaves": ParamRange(1, 8, "integer")}, {}, InvalidParamsError,
+         "num_leaves must be >= 2: 1"),
+        ({}, {"bagging_fraction": 1.5}, InvalidParamsError,
+         r"bagging_fraction must be in \(0, 1\]: 1.5"),
+        ({"seed": ParamRange(1, 2, "integer")}, {}, ConfigError,
+         "unknown search parameter 'seed'"),
+        ({"num_leaves": ParamRange(4, 12, "integer")}, {"num_leaves": 8},
+         ConfigError, "gbdt.num_leaves and search.space.num_leaves cannot "
+                      "both be set")])
+    def test_bad_overrides_rejected(self, ranges, pinned, error, message):
+        config = ExperimentConfig(search_space_overrides=ranges,
+                                  gbdt_overrides=pinned)
+        with pytest.raises(error, match=f"^{message}"):
+            config.search_box()
 
 
 class TestConditionalAccuracy:
@@ -411,6 +448,59 @@ class TestRunSubset:
                            match=f"^consensus median: {feats.n_rows - 2} "
                                  f"values for {feats.n_rows} features rows$"):
             run_subset(splits[0], feats, labels, cfg, consensus)
+
+
+class TestPooledTrials:
+    """Subsets whose search runs its trials in forked workers (budget 6,
+    two usable CPUs, so two workers), each under a deadline so that a hung
+    pool fails the test instead of the run."""
+
+    def test_one_and_two_workers_write_the_same_bytes(self, usable_cpus):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        cfg = replace(cfg, search_budget=6)
+        written = []
+        for n in (1, 2):
+            usable_cpus(n)
+            with deadline(120):
+                res = run_subset(splits[1], feats, labels, cfg,
+                                 random_consensus(labels, seed=3))
+            written.append((
+                json.dumps(res.record, sort_keys=True), res.model_text,
+                res.pca_text,
+                json.dumps(res.fill_report.to_records(), sort_keys=True),
+                [{k: v for k, v in t.to_record().items() if k != "wall_time"}
+                 for t in res.trials]))
+        assert written[0] == written[1]
+        assert len(written[0][4]) == 6
+
+    def test_no_worker_outlives_run_all_subsets(self, usable_cpus):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        usable_cpus(2)
+        with deadline(120):
+            results = run_all_subsets(splits[:2], feats, labels,
+                                      replace(cfg, search_budget=4))
+        assert [r.record["subset"] for r in results] == [1, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_the_subsets_search_error(self, usable_cpus,
+                                                       monkeypatch):
+        splits, feats, labels, cfg, schema = small_pipeline()
+        parent, fit = os.getpid(), boostwood.fit
+
+        def fit_or_die(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(boostwood, "fit", fit_or_die)
+        usable_cpus(2)
+        with deadline(120), pytest.raises(
+                SubsetError, match="^subset 1, stage search: ") as info:
+            run_all_subsets(splits[:2], feats, labels,
+                            replace(cfg, search_budget=4))
+        assert info.value.stage == "search"
+        assert isinstance(info.value.cause, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
 
 
 class TestSubsetMemory:

@@ -1,7 +1,12 @@
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
-from conftest import quarter_range
+from conftest import deadline, quarter_range
+from fundcast import tuner
 from fundcast.boostwood import HyperParams
 from fundcast.errors import SearchError, WindowTooSmallError
 from fundcast.tuner import (
@@ -103,14 +108,9 @@ class TestSearch:
 
     def test_all_samples_inside_box(self):
         space = default_space()
-        seen = []
-
-        def objective(params):
-            seen.append(params)
-            return 0.5, 0.5
-
-        search(space, 30, objective, seed=11)
-        for params in seen:
+        _, trials = search(space, 30, lambda p: (0.5, 0.5), seed=11)
+        assert len(trials) == 30
+        for params in (t.params for t in trials):
             for name, rng_ in space.items():
                 value = getattr(params, name)
                 assert rng_.lo <= value <= rng_.hi, (name, value)
@@ -118,11 +118,13 @@ class TestSearch:
                     assert float(value).is_integer()
 
     def test_failed_trials_recorded_not_fatal(self):
-        calls = {"n": 0}
+        # every second trial fails, chosen by its params rather than by a
+        # call count, which each worker process would keep on its own
+        _, drawn = search(self._lr_space(), 6, lambda p: (0.4, 0.4), seed=0)
+        failing = {t.params.learning_rate for t in drawn[1::2]}
 
         def objective(params):
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:
+            if params.learning_rate in failing:
                 raise RuntimeError("boom")
             return 0.4, 0.4
 
@@ -201,3 +203,77 @@ class TestSearch:
                 if range_.scale == "integer"} == {
             name for name in space
             if isinstance(getattr(defaults, name), int)}
+
+
+def without_wall_time(trials) -> list:
+    return [{k: v for k, v in t.to_record().items() if k != "wall_time"}
+            for t in trials]
+
+
+class TestPooledSearch:
+    """search with its trials in forked worker processes. Each call runs
+    under a deadline, so a hung pool fails the test instead of the run."""
+
+    _lr_space = TestSearch._lr_space
+
+    @pytest.mark.parametrize("n_cpus, budget, workers", [
+        (2, 4, 2), (8, 9, 4), (2, 3, 0), (1, 8, 0), (4, 2, 0)])
+    def test_two_trials_per_worker_at_most_one_worker_per_cpu(
+            self, usable_cpus, n_cpus, budget, workers):
+        # train_metric carries the pid of the process that ran the trial
+        usable_cpus(n_cpus)
+        with deadline(60):
+            _, trials = search(default_space(), budget,
+                               lambda p: (0.5, os.getpid()), seed=1)
+        pids = {int(t.train_metric) for t in trials}
+        if workers:
+            assert os.getpid() not in pids
+            assert 1 <= len(pids) <= workers
+        else:
+            assert pids == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    def test_workers_give_the_serial_trials_and_choice(self, usable_cpus):
+        def objective(params):
+            if params.num_leaves % 4 == 0:
+                raise RuntimeError(f"no tree at {params.num_leaves} leaves")
+            # rounded, so that several trials tie on the metric
+            return (round(params.learning_rate, 1), params.lambda_l2,
+                    {"best_round": params.max_bin, "null_trees": 0})
+
+        runs = []
+        for n in (1, 2):
+            usable_cpus(n)
+            with deadline(60):
+                best, trials = search(default_space(), 16, objective, seed=4)
+            runs.append((best, without_wall_time(trials)))
+        assert runs[0] == runs[1]
+        assert any(t["error"] for t in runs[0][1])
+        assert tuner._objective is None
+
+    def test_all_failures_in_workers_name_the_last_error(self, usable_cpus):
+        def objective(params):
+            raise RuntimeError(f"no tree at learning_rate {params.learning_rate}")
+
+        usable_cpus(2)
+        with deadline(60), pytest.raises(SearchError) as info:
+            search(self._lr_space(), 6, objective, seed=0)
+        _, trials = search(self._lr_space(), 6, lambda p: (0.5, 0.5), seed=0)
+        assert str(info.value) == (
+            f"all 6 trials failed; last error: no tree at learning_rate "
+            f"{trials[-1].params.learning_rate}")
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_and_leaves_no_process(self, usable_cpus):
+        parent = os.getpid()
+
+        def objective(params):
+            if os.getpid() != parent:
+                os._exit(3)
+            return 0.5, 0.5
+
+        usable_cpus(2)
+        with deadline(60), pytest.raises(BrokenProcessPool):
+            search(self._lr_space(), 6, objective, seed=0)
+        assert multiprocessing.active_children() == []
+        assert tuner._objective is None
