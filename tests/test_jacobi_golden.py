@@ -121,7 +121,7 @@ def single_thread_digests():
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
     run = subprocess.run(
         [sys.executable, "-c",
-         "import test_eigh_golden as g\n"
+         "import test_jacobi_golden as g\n"
          "for k, v in g.digests().items(): print(k, v)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     return dict(line.split() for line in run.stdout.splitlines())
