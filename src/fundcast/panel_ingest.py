@@ -1,10 +1,11 @@
 """Quarterly panel ingestion.
 
-Reads the schema, panel and consensus CSVs through one row reader, puts the
-panel and consensus rows on a calendar-quarter grid, applies company-level
-sample-elimination filters, and shifts next-quarter-aligned series. Column
-vectors use NaN as the distinguished missing marker; no numeric sentinel
-appears before the imputation stage downstream.
+Reads the schema, panel and consensus CSVs through one reader that decodes
+a block of rows at a time, puts the panel and consensus rows on a
+calendar-quarter grid, applies company-level sample-elimination filters,
+and shifts next-quarter-aligned series. Column vectors use NaN as the
+distinguished missing marker; no numeric sentinel appears before the
+imputation stage downstream.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -299,8 +299,10 @@ def load_schema(path) -> list:
     VariableSpec."""
     specs = []
     names = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_num, row in _data_rows(fh, SCHEMA_HEADER, "schema", SchemaError):
+
+    def add(block: _Block) -> None:
+        for i, row_num in enumerate(block.row.tolist()):
+            row = block.texts(i)
             name = row[0].strip()
             if not name:
                 raise SchemaError(f"row {row_num}: empty variable name")
@@ -326,6 +328,8 @@ def load_schema(path) -> list:
                     f"row {row_num}: next_quarter_aligned requires macro/market group"
                 )
             specs.append(schema_spec((name, group, *flags, crucial, aligned)))
+
+    _read(path, SCHEMA_HEADER, "schema", add, SchemaError)
     return specs
 
 
@@ -373,79 +377,292 @@ def _set_meta(meta: dict, company: str, variable: str, text: str,
         )
 
 
-def _parse_value(text: str, row_num: int) -> float:
-    if text == "":
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        raise PanelError(f"row {row_num}: bad value {text!r}") from None
+# The CSV reader. It takes csv.writer's dialect: fields separated by commas,
+# records ended by CRLF, LF or CR, and a field that starts with a quote runs
+# to the next quote not doubled inside it. It finds these boundaries for a
+# block of the file at a time with numpy, and decodes columns of fields, not
+# rows: each distinct company, year, quarter or variable field once, and all
+# short value fields in one bytes-to-float cast.
+_COMMA, _LF, _CR, _QUOTE = b',\n\r"'
+# Bytes read per block. A record longer than a block makes the next read as
+# long as the bytes carried over, so every record is read whole.
+_BLOCK_BYTES = 1 << 18
+# Fields up to this many bytes are decoded as columns, through zero-padded
+# fixed-width copies; a longer field is decoded on its own.
+_SHORT_FIELD = 32
+_PADDING = bytes(_SHORT_FIELD)
+# A quote opening a field follows one of these, and one closing it precedes
+# one; the quote case is a doubled quote.
+_BOUNDARY = np.zeros(256, dtype=bool)
+_BOUNDARY[[_COMMA, _LF, _CR, _QUOTE]] = True
+# _LOW_BYTES[n] keeps the first n bytes of a little-endian word.
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _data_rows(fh, header: list, what: str, error=PanelError):
-    """(row number, fields) of each non-blank row of a CSV with the given
-    header; the header is row 1 and blank lines count. A missing or wrong
-    header and a row of the wrong width raise error."""
-    reader = csv.reader(fh)
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise error(f"{what} file is empty") from None
-    if first != header:
-        raise error(f"bad {what} header {first!r}")
-    for row_num, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            if not row:
-                continue
-            raise error(
-                f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-        yield row_num, row
+def _text(raw: bytes) -> str:
+    """A field's text from its bytes: outer quotes removed, doubled ones
+    undoubled."""
+    if raw[:1] == b'"':
+        raw = raw[1:-1].replace(b'""', b'"')
+    return raw.decode("utf-8")
+
+
+def _fixed_width(buf: np.ndarray, start: np.ndarray,
+                 length: np.ndarray) -> np.ndarray:
+    """The fields at start as rows of a uint8 array, zero after each one's
+    length; the row width is a multiple of 8 bytes. A field of at most
+    _SHORT_FIELD bytes is whole, so a NUL-free field equals another exactly
+    when their rows do."""
+    width = 8 * max(1, (int(length.max(initial=0)) + 7) // 8)
+    windows = np.ndarray((len(buf) - width + 1, width), dtype=np.uint8,
+                         buffer=buf, strides=(1, 1))
+    raw = windows[start]
+    words = raw.view("<u8")
+    for w in range(width // 8):
+        rest = np.clip(length - 8 * w, 0, 8)
+        words[:, w] &= _LOW_BYTES[rest]
+    return raw
+
+
+def _distinct(raw: np.ndarray) -> tuple:
+    """(code of each row, first row of each code) of a 2-D uint8 array
+    whose width is a multiple of 8; equal rows share a code."""
+    words = raw.view("<u8")
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    code = np.empty(len(order), dtype=np.int64)
+    code[order] = np.cumsum(new) - 1
+    return code, order[new]
+
+
+class _Block:
+    """Consecutive data records of a CSV file, all of one width.
+
+    buf holds the block's bytes and _PADDING; start and stop give each
+    field's byte range in buf, quotes included, a row per record; row holds
+    each record's row number in the file.
+    """
+
+    def __init__(self, buf, start, stop, row):
+        self.buf = buf
+        self.start = start
+        self.stop = stop
+        self.row = row
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def text(self, i: int, j: int) -> str:
+        return _text(self.buf[self.start[i, j]:self.stop[i, j]].tobytes())
+
+    def texts(self, i: int) -> list:
+        return [self.text(i, j) for j in range(self.start.shape[1])]
+
+    def lookup(self, j: int, parse) -> np.ndarray:
+        """parse(text) of field j of each record, an integer; parse runs
+        once per distinct field, in the order they first appear."""
+        start = self.start[:, j]
+        length = self.stop[:, j] - start
+        short = np.flatnonzero(length <= _SHORT_FIELD)
+        wide = np.flatnonzero(length > _SHORT_FIELD)
+        code = np.empty(len(start), dtype=np.int64)
+        code[short], first = _distinct(
+            _fixed_width(self.buf, start[short], length[short]))
+        first = np.concatenate((short[first], wide))
+        code[wide] = np.arange(len(first) - len(wide), len(first))
+        table = np.empty(len(first), dtype=np.int64)
+        for c in np.argsort(first).tolist():
+            table[c] = parse(self.text(first[c], j))
+        return table[code]
+
+    def floats(self, j: int, rows=True) -> tuple:
+        """(values, bad): field j of the records rows marks (all by default)
+        as float() reads it, NaN where empty or not asked for; bad marks the
+        fields float() rejects."""
+        start = self.start[:, j]
+        length = self.stop[:, j] - start
+        values = np.full(len(start), np.nan)
+        bad = np.zeros(len(start), dtype=bool)
+        asked = rows & (length > 0)
+        cast = asked & (length <= _SHORT_FIELD) & (self.buf[start] != _QUOTE)
+        one_by_one = asked & ~cast
+        if cast.any():
+            raw = _fixed_width(self.buf, start[cast], length[cast])
+            try:
+                values[cast] = raw.view(f"S{raw.shape[1]}")[:, 0].astype(np.float64)
+            except ValueError:
+                # float() also reads what the cast does not, such as
+                # non-ASCII digits; it decides
+                one_by_one = asked
+        for i in np.flatnonzero(one_by_one).tolist():
+            text = self.text(i, j)
+            try:
+                values[i] = float(text) if text else np.nan
+            except ValueError:
+                bad[i] = True
+        return values, bad
+
+    def value_error(self, i: int, j: int) -> PanelError:
+        return PanelError(f"row {self.row[i]}: bad value {self.text(i, j)!r}")
+
+
+def _split(data: bytes, final: bool) -> tuple:
+    """The fields of the complete records at the start of data.
+
+    A comma, CR, LF or CRLF outside quotes ends a field, and all but the
+    comma end a record; a byte is outside quotes when an even number of
+    quotes precede it. Returns (buf, start, stop, last, used, fault): buf
+    is data and _PADDING as uint8, start and stop each field's byte range,
+    last the index of each record's last field, used the bytes the records
+    take, and fault None or the message for the record after them, which
+    holds a NUL byte or a stray quote.
+    """
+    buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+    size = len(data)
+    body = buf[:size]
+    sep = np.flatnonzero((body == _COMMA) | (body == _LF) | (body == _CR))
+    faults = []
+    if b"\0" in data:
+        faults.append((data.index(b"\0"), "NUL byte"))
+    if b'"' in data:
+        quotes = np.flatnonzero(body == _QUOTE)
+        sep = sep[np.searchsorted(quotes, sep) % 2 == 0]
+        opening, closing = quotes[::2], quotes[1::2]
+        stray = opening[(opening > 0) & ~_BOUNDARY[buf[opening - 1]]]
+        if len(stray):
+            faults.append((int(stray[0]), "quote inside an unquoted field"))
+        trailing = closing[(closing + 1 < size) & ~_BOUNDARY[buf[closing + 1]]]
+        if len(trailing):
+            faults.append((int(trailing[0]), "text after a closing quote"))
+    at, fault = min(faults, default=(size, None))
+    sep = sep[sep < at]
+    byte = buf[sep]
+    # the LF of a CRLF ends nothing more, and a CR at the end of the data
+    # waits for the next block, which may start with its LF
+    keep = (byte != _LF) | (buf[sep - 1] != _CR)
+    if not final and len(sep) and sep[-1] == size - 1 and byte[-1] == _CR:
+        keep[-1] = False
+    sep, byte = sep[keep], byte[keep]
+    last = np.flatnonzero(byte != _COMMA)
+    n = int(last[-1]) + 1 if len(last) else 0
+    after = sep[:n] + 1 + ((byte[:n] == _CR) & (buf[sep[:n] + 1] == _LF))
+    start = np.concatenate(([0], after[:-1]))[:n]
+    used = int(after[-1]) if n else 0
+    return buf, start, sep[:n], last, used, fault
+
+
+def _read(path, header: list, what: str, add, error=PanelError) -> None:
+    """Pass the data records of a CSV file with the given header to add, as
+    _Blocks of width len(header), reading about _BLOCK_BYTES at a time.
+
+    The header is row 1 and every record after it counts, blank ones too;
+    blank records are skipped. An empty file, a wrong header, a record of
+    the wrong width, a NUL byte and a quote inside an unquoted field or
+    after a closing one raise error, after the records before it are added.
+    At the end of the file an open quote ends, as in csv.reader.
+    """
+    width = len(header)
+    done = 0  # records read
+    carry = b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(max(_BLOCK_BYTES, len(carry)))
+            data = carry + chunk
+            final = not chunk
+            if final:
+                if not data:
+                    break
+                if data.count(b'"') % 2:
+                    data += b'"'
+                if data[-1] not in b"\r\n":
+                    data += b"\n"
+            buf, start, stop, last, used, fault = _split(data, final)
+            carry = data[used:]
+            count = np.diff(last, prepend=-1)
+            blank = (count == 1) & (start[last] == stop[last])
+            row = done + 1 + np.arange(len(last))
+            if done == 0 and len(last):
+                fields = [] if blank[0] else [
+                    _text(buf[a:b].tobytes())
+                    for a, b in zip(start[:count[0]], stop[:count[0]])]
+                if fields != header:
+                    raise error(f"bad {what} header {fields!r}")
+                blank[0] = True
+            done += len(last)
+            wrong = np.flatnonzero(~blank & (count != width))
+            end = int(wrong[0]) if len(wrong) else len(last)
+            keep = np.flatnonzero(~blank[:end])
+            if len(keep):
+                field = last[keep, None] + np.arange(1 - width, 1)
+                add(_Block(buf, start[field], stop[field], row[keep]))
+            if len(wrong):
+                raise error(f"row {row[end]}: expected {width} fields, "
+                            f"got {count[end]}")
+            if fault is not None:
+                raise error(f"row {done + 1}: {fault}")
+            if final:
+                break
+    if done == 0:
+        raise error(f"{what} file is empty")
 
 
 class _RowCodes:
-    """Company and quarter codes of a long CSV's rows, appended while it
-    streams.
+    """Company and quarter codes of a long CSV's rows, gathered block by
+    block with the loader's other per-row columns.
 
-    Companies get codes in first-seen order (companies), each distinct
-    (year, quarter) text pair is parsed once (quarter_of), and row_num
-    keeps each row's CSV row number for error messages.
+    Companies get codes in first-seen order (companies); column(name)
+    holds the named column of every row added, row each row's CSV row
+    number for error messages.
     """
 
-    def __init__(self):
+    def __init__(self, **empty):
+        """empty: an empty array of each other column, for its dtype."""
         self.companies = {}
-        self.quarters = {}
-        self.company = array("q")
-        self.quarter = array("q")
-        self.row_num = array("q")
+        self.parts = {name: [array] for name, array in dict(
+            company=np.empty(0, dtype=np.int64),
+            quarter=np.empty(0, dtype=np.int32),  # CalendarQuarter.index < 2**31
+            row=np.empty(0, dtype=np.int64), **empty).items()}
 
-    def quarter_of(self, year_s: str, quarter_s: str, row_num: int) -> int:
-        """CalendarQuarter.index of a (year, quarter) text pair."""
-        index = self.quarters.get((year_s, quarter_s))
-        if index is None:
-            try:
-                index = CalendarQuarter(int(year_s), int(quarter_s)).index
-            except ValueError:
-                index = -1
-            if not 0 <= index < 2 ** 31:
-                raise PanelError(
-                    f"row {row_num}: malformed quarter {year_s!r},{quarter_s!r}")
-            self.quarters[year_s, quarter_s] = index
-        return index
+    def codes(self, block: _Block) -> tuple:
+        """(company code, CalendarQuarter.index) of each record of a block
+        whose first three fields are company_id, year and quarter; the
+        index is -1 where the quarter is malformed."""
+        company = block.lookup(
+            0, lambda text: self.companies.setdefault(text, len(self.companies)))
+        # year * 4 + quarter - 1 lies in [0, 2**31) for these
+        year = block.lookup(1, lambda text: _integer(text, 0, 2 ** 29))
+        quarter = block.lookup(2, lambda text: _integer(text, 1, 5))
+        index = np.where((year >= 0) & (quarter >= 0), year * 4 + quarter - 1, -1)
+        return company, index
+
+    def add(self, rows: np.ndarray, **columns) -> None:
+        """Append the rows of each column, in the column's dtype."""
+        for name, values in columns.items():
+            parts = self.parts[name]
+            parts.append(values[rows].astype(parts[0].dtype, copy=False))
+
+    def column(self, name: str) -> np.ndarray:
+        parts = self.parts[name]
+        if len(parts) > 1:
+            parts[:] = [np.concatenate(parts)]
+        return parts[0]
 
     def sorted_codes(self) -> tuple:
         """(company ids in str order, each row's code into them)."""
         names = sorted(self.companies)
         rank = np.empty(len(names), dtype=np.int64)
         rank[[self.companies[name] for name in names]] = np.arange(len(names))
-        return tuple(names), rank[np.frombuffer(self.company, dtype=np.int64)]
+        return tuple(names), rank[self.column("company")]
 
     def provisional_codes(self) -> tuple:
         """(company ids in first-seen order, each row's code into them)."""
-        return list(self.companies), np.frombuffer(self.company, dtype=np.int64)
+        return list(self.companies), self.column("company")
 
     def keys(self, company: np.ndarray) -> np.ndarray:
         """Each row's key under the given company codes."""
-        return _row_key(company, np.frombuffer(self.quarter, dtype=np.int64))
+        return _row_key(company, self.column("quarter"))
 
     def raise_first_repeat(self, cell: np.ndarray, names, company, what) -> None:
         """Raise for the first row, in file order, whose cell an earlier row
@@ -454,9 +671,27 @@ class _RowCodes:
         repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
         if len(repeats):
             i = int(repeats.min())
-            cq = CalendarQuarter.from_index(self.quarter[i])
-            raise PanelError(f"row {self.row_num[i]}: duplicate {what(i)} "
+            cq = CalendarQuarter.from_index(int(self.column("quarter")[i]))
+            raise PanelError(f"row {self.column('row')[i]}: duplicate {what(i)} "
                              f"at {names[company[i]]},{cq}")
+
+
+def _integer(text: str, low: int, high: int) -> int:
+    """int(text) when it lies in [low, high), else -1."""
+    try:
+        number = int(text)
+    except ValueError:
+        return -1
+    return number if low <= number < high else -1
+
+
+def _malformed_quarter(block: _Block, i: int) -> PanelError:
+    return PanelError(f"row {block.row[i]}: malformed quarter "
+                      f"{block.text(i, 1)!r},{block.text(i, 2)!r}")
+
+
+# Variable codes of panel rows that hold no schema variable.
+_META, _UNKNOWN = -1, -2
 
 
 def load_panel(path, schema) -> RawPanel:
@@ -464,21 +699,24 @@ def load_panel(path, schema) -> RawPanel:
 
     Rows: company_id,year,quarter,variable,value, in any order. Empty value
     cells become the missing marker. Reserved meta_* variables populate
-    company meta. One streaming pass turns each row into codes; errors name
-    the CSV row, counting the header as row 1 and blank lines too.
+    company meta. Each block of rows is coded at once; the error raised is
+    the one on the earliest row, and errors name the CSV row, counting the
+    header as row 1 and blank lines too.
     """
     var_names = [spec.name for spec in schema]
     var_code = {name: j for j, name in enumerate(var_names)}
-    coded = _RowCodes()
-    companies = coded.companies
-    variable = array("q")
-    value = array("d")
+    coded = _RowCodes(variable=np.empty(0, dtype=np.int32), value=np.empty(0))
     meta = {}
+
+    def code_of(variable: str) -> int:
+        if variable in var_code:
+            return var_code[variable]
+        return _META if variable.startswith(META_PREFIX) else _UNKNOWN
 
     def cells(names, company) -> tuple:
         """(first cell of each distinct row in key order, each cell's row);
         raises for a repeated cell."""
-        variables = np.frombuffer(variable, dtype=np.int64)
+        variables = coded.column("variable")
         _, first, rows = np.unique(coded.keys(company), return_index=True,
                                    return_inverse=True)
         coded.raise_first_repeat(
@@ -486,47 +724,57 @@ def load_panel(path, schema) -> RawPanel:
             lambda i: f"cell for {var_names[variables[i]]!r}")
         return first, rows
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for row_num, row in _data_rows(fh, PANEL_HEADER, "panel"):
-                company, year_s, quarter_s, var, value_s = row
-                q = coded.quarter_of(year_s, quarter_s, row_num)
-                c = companies.setdefault(company, len(companies))
-                j = var_code.get(var)
-                if j is None:
-                    if not var.startswith(META_PREFIX):
-                        raise PanelError(f"row {row_num}: unknown variable {var!r}")
-                    _set_meta(meta, company, var, value_s, row_num)
-                    continue
-                v = _parse_value(value_s, row_num)
-                coded.company.append(c)
-                coded.quarter.append(q)
-                coded.row_num.append(row_num)
-                variable.append(j)
-                value.append(v)
-        except PanelError:
-            # a repeated cell on an earlier row is the first error in the file
-            cells(*coded.provisional_codes())
-            raise
+    def add(block: _Block) -> None:
+        """Code a block's rows; for its earliest bad row, code the rows
+        before it and raise."""
+        company, quarter = coded.codes(block)
+        variable = block.lookup(3, code_of)
+        value, bad_value = block.floats(4, variable >= 0)
+        bad = np.flatnonzero((quarter < 0) | (variable == _UNKNOWN) | bad_value)
+        end = int(bad[0]) if len(bad) else len(block)
+        error = None
+        for i in np.flatnonzero(variable[:end] == _META).tolist():
+            try:
+                _set_meta(meta, block.text(i, 0), block.text(i, 3),
+                          block.text(i, 4), block.row[i])
+            except PanelError as exc:
+                error, end = exc, i
+                break
+        if error is None and end < len(block):
+            if quarter[end] < 0:
+                error = _malformed_quarter(block, end)
+            elif variable[end] == _UNKNOWN:
+                error = PanelError(f"row {block.row[end]}: unknown variable "
+                                   f"{block.text(end, 3)!r}")
+            else:
+                error = block.value_error(end, 4)
+        coded.add(np.flatnonzero(variable[:end] >= 0), company=company,
+                  quarter=quarter, row=block.row, variable=variable, value=value)
+        if error is not None:
+            raise error
+
+    try:
+        _read(path, PANEL_HEADER, "panel", add)
+    except PanelError:
+        # a repeated cell on an earlier row is the first error in the file
+        cells(*coded.provisional_codes())
+        raise
 
     names, company = coded.sorted_codes()
     first, rows = cells(names, company)
     grid = np.full((len(var_names), len(first)), np.nan)
-    grid[np.frombuffer(variable, dtype=np.int64), rows] = np.frombuffer(value)
-    index = PanelIndex(names, company[first],
-                       np.frombuffer(coded.quarter, dtype=np.int64)[first])
+    grid[coded.column("variable"), rows] = coded.column("value")
+    index = PanelIndex(names, company[first], coded.column("quarter")[first])
     return RawPanel(index, {name: grid[j] for j, name in enumerate(var_names)},
                     {c: meta.get(c, CompanyMeta()) for c in names})
 
 
 def load_consensus(path) -> RawPanel:
-    """Load the consensus CSV in one streaming pass, as a RawPanel with the
+    """Load the consensus CSV block by block, as a RawPanel with the
     consensus_mean, consensus_median and actual_nongaap columns, NaN where a
     cell is blank. Rows may come in any order, and errors name the CSV row
     as load_panel's do."""
-    coded = _RowCodes()
-    companies = coded.companies
-    values = array("d")
+    coded = _RowCodes(values=np.empty((0, 3)))
 
     def check_repeats(names, company) -> np.ndarray:
         """Each row's key; raises for a repeated (company, quarter)."""
@@ -534,25 +782,32 @@ def load_consensus(path) -> RawPanel:
         coded.raise_first_repeat(key, names, company, lambda i: "key")
         return key
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for row_num, row in _data_rows(fh, CONSENSUS_HEADER, "consensus"):
-                q = coded.quarter_of(row[1], row[2], row_num)
-                # coded before its values, so a repeated key is named first
-                coded.company.append(companies.setdefault(row[0], len(companies)))
-                coded.quarter.append(q)
-                coded.row_num.append(row_num)
-                for text in row[3:6]:
-                    values.append(_parse_value(text, row_num))
-        except PanelError:
-            check_repeats(*coded.provisional_codes())
-            raise
+    def add(block: _Block) -> None:
+        """Code a block's rows; for its earliest bad row, code the rows
+        before it and raise."""
+        company, quarter = coded.codes(block)
+        values, bad = zip(*[block.floats(j) for j in (3, 4, 5)])
+        bad_row = np.flatnonzero((quarter < 0) | np.any(bad, axis=0))
+        end = int(bad_row[0]) if len(bad_row) else len(block)
+        # a row is coded before its values, so a repeated key is named first
+        coded.add(np.arange(end + (end < len(block) and quarter[end] >= 0)),
+                  company=company, quarter=quarter, row=block.row,
+                  values=np.column_stack(values))
+        if end < len(block):
+            if quarter[end] < 0:
+                raise _malformed_quarter(block, end)
+            raise block.value_error(end, 3 + [b[end] for b in bad].index(True))
+
+    try:
+        _read(path, CONSENSUS_HEADER, "consensus", add)
+    except PanelError:
+        check_repeats(*coded.provisional_codes())
+        raise
 
     names, company = coded.sorted_codes()
     order = np.argsort(check_repeats(names, company), kind="stable")
-    index = PanelIndex(names, company[order],
-                       np.frombuffer(coded.quarter, dtype=np.int64)[order])
-    grid = np.frombuffer(values).reshape(-1, 3)[order]
+    index = PanelIndex(names, company[order], coded.column("quarter")[order])
+    grid = coded.column("values")[order]
     return RawPanel(index, {name: grid[:, j]
                             for j, name in enumerate(CONSENSUS_HEADER[3:])})
 

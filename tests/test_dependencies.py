@@ -6,12 +6,14 @@ import sys
 from pathlib import Path
 
 import fundcast
+from fundcast import panel_ingest
 
 # Imports every fundcast module in a fresh interpreter and prints the
 # modules it imported and the scipy modules among everything loaded.
 PROBE = """
 import importlib, json, pkgutil, sys
 import fundcast
+from fundcast import panel_ingest
 names = [m.name for m in pkgutil.iter_modules(fundcast.__path__, "fundcast.")]
 for name in names:
     importlib.import_module(name)
@@ -43,3 +45,16 @@ def test_no_fundcast_module_imports_another_modules_private_name():
                 found += [f"{path.stem}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def test_panel_ingest_reads_csv_without_csv_reader():
+    # one CSV reader, panel_ingest's own; the csv module stays for the writers
+    tree = ast.parse(Path(panel_ingest.__file__).read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "csv"}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "csv"
+             for alias in node.names}
+    assert "writer" in used
+    assert not used & {"reader", "DictReader", "Sniffer"}

@@ -223,6 +223,36 @@ class TestLoadPanelErrorOrder:
         with pytest.raises(PanelError, match="^row 3: duplicate key"):
             load_consensus(path)
 
+    def test_bad_value_before_later_duplicate(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,niq,1\nA,1990,2,niq,oops\n"
+                                     "A,1990,1,niq,2\n")
+        with pytest.raises(PanelError, match="^row 3: bad value 'oops'"):
+            load_panel(path, [simple_spec("niq")])
+
+    def test_conflicting_meta_before_later_bad_value(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,meta_sector_code,20\n"
+                                     "A,1990,2,meta_sector_code,55\n"
+                                     "A,1990,1,niq,oops\n")
+        with pytest.raises(PanelError, match="^row 3: conflicting meta_sector_code"):
+            load_panel(path, [simple_spec("niq")])
+
+    def test_malformed_quarter_named_before_unknown_variable(self, tmp_path):
+        path = write_panel(tmp_path, "A,1990,1,niq,1\nA,1990,5,xyzzy,1\n")
+        with pytest.raises(PanelError, match="^row 3: malformed quarter '1990','5'"):
+            load_panel(path, [simple_spec("niq")])
+
+    @pytest.mark.parametrize("body, message", [
+        ("A,1990,1,1,1,1\nA,1990,2,1,oops,1\nA,1990,1,1,1,1\n", "^row 3: bad value 'oops'"),
+        ("A,1990,1,1,1,1\nA,1990,5,oops,1,1\n", "^row 3: malformed quarter '1990','5'"),
+        ("A,1990,1,1,1,1\nA,1990,2,1,1,oops\nA,1990,2,x,1,1\n", "^row 3: bad value 'oops'"),
+    ])
+    def test_consensus_first_error_in_file_order(self, tmp_path, body, message):
+        path = tmp_path / "consensus.csv"
+        path.write_text("company_id,year,quarter,consensus_mean,consensus_median,"
+                        "actual_nongaap\n" + body)
+        with pytest.raises(PanelError, match=message):
+            load_consensus(path)
+
 
 def _meta(sector=10, price=5.0, fiscal=True, gap=False):
     return CompanyMeta(sector_code=sector, min_share_price=price,
