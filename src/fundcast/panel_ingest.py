@@ -608,22 +608,21 @@ def _read(path, header: list, what: str, add, error=PanelError) -> None:
         raise error(f"{what} file is empty")
 
 
-class _RowCodes:
-    """Company and quarter codes of a long CSV's rows, gathered block by
-    block with the loader's other per-row columns.
+class _Table:
+    """A wide table filled block by block from the rows of a long CSV.
 
-    Companies get codes in first-seen order (companies); column(name)
-    holds the named column of every row added, row each row's CSV row
-    number for error messages.
+    Companies get codes in first-seen order (companies), and each (company,
+    quarter) key a table row the first time it appears (row_of). values
+    holds column j of table row r at [r, j], NaN until written; written
+    marks the cells set so far, so a repeated cell is found in the block
+    that repeats it.
     """
 
-    def __init__(self, **empty):
-        """empty: an empty array of each other column, for its dtype."""
+    def __init__(self, width: int):
         self.companies = {}
-        self.parts = {name: [array] for name, array in dict(
-            company=np.empty(0, dtype=np.int64),
-            quarter=np.empty(0, dtype=np.int32),  # CalendarQuarter.index < 2**31
-            row=np.empty(0, dtype=np.int64), **empty).items()}
+        self.row_of = {}
+        self.values = np.full((0, width), np.nan)
+        self.written = np.zeros((0, width), dtype=bool)
 
     def codes(self, block: _Block) -> tuple:
         """(company code, CalendarQuarter.index) of each record of a block
@@ -637,43 +636,45 @@ class _RowCodes:
         index = np.where((year >= 0) & (quarter >= 0), year * 4 + quarter - 1, -1)
         return company, index
 
-    def add(self, rows: np.ndarray, **columns) -> None:
-        """Append the rows of each column, in the column's dtype."""
-        for name, values in columns.items():
-            parts = self.parts[name]
-            parts.append(values[rows].astype(parts[0].dtype, copy=False))
+    def rows(self, company: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+        """The table row of each (company code, quarter index), a new one
+        for a key not seen before; a run of equal keys is looked up once."""
+        key = _row_key(company, quarter)
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        row_of = self.row_of
+        rows = np.array([row_of.setdefault(k, len(row_of))
+                         for k in key[start].tolist()], dtype=np.int64)
+        have = len(self.values)
+        if len(row_of) > have:
+            grow = ((0, max(len(row_of), 2 * have) - have), (0, 0))
+            self.values = np.pad(self.values, grow, constant_values=np.nan)
+            self.written = np.pad(self.written, grow)
+        return np.repeat(rows, np.diff(start, append=len(key)))
 
-    def column(self, name: str) -> np.ndarray:
-        parts = self.parts[name]
-        if len(parts) > 1:
-            parts[:] = [np.concatenate(parts)]
-        return parts[0]
+    def put(self, row, column, value: np.ndarray) -> int:
+        """Write value to the cells (row, column), row and column broadcast
+        to value's shape and taken in C order, up to the first cell written
+        before or repeated earlier among these; returns the number written."""
+        cell = np.ravel(row * self.values.shape[1] + column)
+        again = np.ones(len(cell), dtype=bool)
+        again[np.unique(cell, return_index=True)[1]] = False
+        repeat = np.flatnonzero(again | self.written.reshape(-1)[cell])
+        n = int(repeat[0]) if len(repeat) else len(cell)
+        self.values.reshape(-1)[cell[:n]] = np.ravel(value)[:n]
+        self.written.reshape(-1)[cell[:n]] = True
+        return n
 
-    def sorted_codes(self) -> tuple:
-        """(company ids in str order, each row's code into them)."""
+    def sorted_rows(self) -> tuple:
+        """(PanelIndex of the table rows, sorted by company id in str order
+        and then quarter; each column's values in that row order)."""
         names = sorted(self.companies)
         rank = np.empty(len(names), dtype=np.int64)
         rank[[self.companies[name] for name in names]] = np.arange(len(names))
-        return tuple(names), rank[self.column("company")]
-
-    def provisional_codes(self) -> tuple:
-        """(company ids in first-seen order, each row's code into them)."""
-        return list(self.companies), self.column("company")
-
-    def keys(self, company: np.ndarray) -> np.ndarray:
-        """Each row's key under the given company codes."""
-        return _row_key(company, self.column("quarter"))
-
-    def raise_first_repeat(self, cell: np.ndarray, names, company, what) -> None:
-        """Raise for the first row, in file order, whose cell an earlier row
-        holds already; what(i) names row i's cell."""
-        order = np.argsort(cell, kind="stable")
-        repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
-        if len(repeats):
-            i = int(repeats.min())
-            cq = CalendarQuarter.from_index(int(self.column("quarter")[i]))
-            raise PanelError(f"row {self.column('row')[i]}: duplicate {what(i)} "
-                             f"at {names[company[i]]},{cq}")
+        key = np.fromiter(self.row_of, dtype=np.int64, count=len(self.row_of))
+        company, quarter = rank[key >> 32], key & 0xFFFFFFFF
+        order = np.argsort(_row_key(company, quarter))
+        return (PanelIndex(names, company[order], quarter[order]),
+                [self.values[order, j] for j in range(self.values.shape[1])])
 
 
 def _integer(text: str, low: int, high: int) -> int:
@@ -683,6 +684,11 @@ def _integer(text: str, low: int, high: int) -> int:
     except ValueError:
         return -1
     return number if low <= number < high else -1
+
+
+def _duplicate(block: _Block, i: int, quarter: np.ndarray, what: str) -> PanelError:
+    cq = CalendarQuarter.from_index(int(quarter[i]))
+    return PanelError(f"row {block.row[i]}: duplicate {what} at {block.text(i, 0)},{cq}")
 
 
 def _malformed_quarter(block: _Block, i: int) -> PanelError:
@@ -699,13 +705,13 @@ def load_panel(path, schema) -> RawPanel:
 
     Rows: company_id,year,quarter,variable,value, in any order. Empty value
     cells become the missing marker. Reserved meta_* variables populate
-    company meta. Each block of rows is coded at once; the error raised is
-    the one on the earliest row, and errors name the CSV row, counting the
-    header as row 1 and blank lines too.
+    company meta. Each block of rows is folded into the table as it is
+    read; the error raised is the one on the earliest row, and errors name
+    the CSV row, counting the header as row 1 and blank lines too.
     """
     var_names = [spec.name for spec in schema]
     var_code = {name: j for j, name in enumerate(var_names)}
-    coded = _RowCodes(variable=np.empty(0, dtype=np.int32), value=np.empty(0))
+    table = _Table(len(var_names))
     meta = {}
 
     def code_of(variable: str) -> int:
@@ -713,60 +719,39 @@ def load_panel(path, schema) -> RawPanel:
             return var_code[variable]
         return _META if variable.startswith(META_PREFIX) else _UNKNOWN
 
-    def cells(names, company) -> tuple:
-        """(first cell of each distinct row in key order, each cell's row);
-        raises for a repeated cell."""
-        variables = coded.column("variable")
-        _, first, rows = np.unique(coded.keys(company), return_index=True,
-                                   return_inverse=True)
-        coded.raise_first_repeat(
-            rows * len(var_names) + variables, names, company,
-            lambda i: f"cell for {var_names[variables[i]]!r}")
-        return first, rows
-
     def add(block: _Block) -> None:
-        """Code a block's rows; for its earliest bad row, code the rows
-        before it and raise."""
-        company, quarter = coded.codes(block)
+        """Write a block's cells and meta rows up to its earliest bad row,
+        and raise for that row."""
+        company, quarter = table.codes(block)
         variable = block.lookup(3, code_of)
         value, bad_value = block.floats(4, variable >= 0)
         bad = np.flatnonzero((quarter < 0) | (variable == _UNKNOWN) | bad_value)
         end = int(bad[0]) if len(bad) else len(block)
-        error = None
+        cells = np.flatnonzero(variable[:end] >= 0)
+        stored = table.put(table.rows(company[cells], quarter[cells]),
+                           variable[cells], value[cells])
+        repeat = stored < len(cells)
+        if repeat:
+            end = int(cells[stored])
         for i in np.flatnonzero(variable[:end] == _META).tolist():
-            try:
-                _set_meta(meta, block.text(i, 0), block.text(i, 3),
-                          block.text(i, 4), block.row[i])
-            except PanelError as exc:
-                error, end = exc, i
-                break
-        if error is None and end < len(block):
-            if quarter[end] < 0:
-                error = _malformed_quarter(block, end)
-            elif variable[end] == _UNKNOWN:
-                error = PanelError(f"row {block.row[end]}: unknown variable "
-                                   f"{block.text(end, 3)!r}")
-            else:
-                error = block.value_error(end, 4)
-        coded.add(np.flatnonzero(variable[:end] >= 0), company=company,
-                  quarter=quarter, row=block.row, variable=variable, value=value)
-        if error is not None:
-            raise error
+            _set_meta(meta, block.text(i, 0), block.text(i, 3),
+                      block.text(i, 4), block.row[i])
+        if end == len(block):
+            return
+        if repeat:
+            raise _duplicate(block, end, quarter,
+                             f"cell for {var_names[variable[end]]!r}")
+        if quarter[end] < 0:
+            raise _malformed_quarter(block, end)
+        if variable[end] == _UNKNOWN:
+            raise PanelError(f"row {block.row[end]}: unknown variable "
+                             f"{block.text(end, 3)!r}")
+        raise block.value_error(end, 4)
 
-    try:
-        _read(path, PANEL_HEADER, "panel", add)
-    except PanelError:
-        # a repeated cell on an earlier row is the first error in the file
-        cells(*coded.provisional_codes())
-        raise
-
-    names, company = coded.sorted_codes()
-    first, rows = cells(names, company)
-    grid = np.full((len(var_names), len(first)), np.nan)
-    grid[coded.column("variable"), rows] = coded.column("value")
-    index = PanelIndex(names, company[first], coded.column("quarter")[first])
-    return RawPanel(index, {name: grid[j] for j, name in enumerate(var_names)},
-                    {c: meta.get(c, CompanyMeta()) for c in names})
+    _read(path, PANEL_HEADER, "panel", add)
+    index, columns = table.sorted_rows()
+    return RawPanel(index, dict(zip(var_names, columns)),
+                    {c: meta.get(c, CompanyMeta()) for c in index.names})
 
 
 def load_consensus(path) -> RawPanel:
@@ -774,42 +759,30 @@ def load_consensus(path) -> RawPanel:
     consensus_mean, consensus_median and actual_nongaap columns, NaN where a
     cell is blank. Rows may come in any order, and errors name the CSV row
     as load_panel's do."""
-    coded = _RowCodes(values=np.empty((0, 3)))
-
-    def check_repeats(names, company) -> np.ndarray:
-        """Each row's key; raises for a repeated (company, quarter)."""
-        key = coded.keys(company)
-        coded.raise_first_repeat(key, names, company, lambda i: "key")
-        return key
+    names = CONSENSUS_HEADER[3:]
+    table = _Table(len(names))
 
     def add(block: _Block) -> None:
-        """Code a block's rows; for its earliest bad row, code the rows
-        before it and raise."""
-        company, quarter = coded.codes(block)
+        """Write a block's rows up to its earliest bad row, and raise for
+        that row."""
+        company, quarter = table.codes(block)
         values, bad = zip(*[block.floats(j) for j in (3, 4, 5)])
         bad_row = np.flatnonzero((quarter < 0) | np.any(bad, axis=0))
         end = int(bad_row[0]) if len(bad_row) else len(block)
-        # a row is coded before its values, so a repeated key is named first
-        coded.add(np.arange(end + (end < len(block) and quarter[end] >= 0)),
-                  company=company, quarter=quarter, row=block.row,
-                  values=np.column_stack(values))
+        # a row is keyed before its values, so a repeated key is named first
+        keyed = end + (end < len(block) and quarter[end] >= 0)
+        stored = table.put(table.rows(company[:keyed], quarter[:keyed])[:, None],
+                           np.arange(len(names)), np.column_stack(values)[:keyed])
+        if stored < keyed * len(names):
+            raise _duplicate(block, stored // len(names), quarter, "key")
         if end < len(block):
             if quarter[end] < 0:
                 raise _malformed_quarter(block, end)
             raise block.value_error(end, 3 + [b[end] for b in bad].index(True))
 
-    try:
-        _read(path, CONSENSUS_HEADER, "consensus", add)
-    except PanelError:
-        check_repeats(*coded.provisional_codes())
-        raise
-
-    names, company = coded.sorted_codes()
-    order = np.argsort(check_repeats(names, company), kind="stable")
-    index = PanelIndex(names, company[order], coded.column("quarter")[order])
-    grid = coded.column("values")[order]
-    return RawPanel(index, {name: grid[:, j]
-                            for j, name in enumerate(CONSENSUS_HEADER[3:])})
+    _read(path, CONSENSUS_HEADER, "consensus", add)
+    index, columns = table.sorted_rows()
+    return RawPanel(index, dict(zip(names, columns)))
 
 
 def _csv_field(text: str) -> str:

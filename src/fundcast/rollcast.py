@@ -577,8 +577,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
             plan.gather(work.values, train_idx, dedupe.kept),
             config.pca_threshold, standardize=config.standardize)
         comps_test = spectral_reduce.transform(
-            pca, plan.gather(work.values, test_idx, dedupe.kept)) \
-            if len(test_idx) else np.empty((0, pca.kept))
+            pca, plan.gather(work.values, test_idx, dedupe.kept))
 
     y_train = label_values[train_idx].astype(np.int64)
     y_test = label_values[test_idx].astype(np.int64)
@@ -621,8 +620,7 @@ def run_subset(split: SubsetSplit, features: FeatureMatrix,
         binned_full = boostwood.bin_features(comps_train, final_params.max_bin)
         model = boostwood.fit(binned_full, y_train, final_params,
                               n_classes=config.n_classes)
-        predictions = boostwood.predict(model, binned_full.map_new(comps_test)) \
-            if len(test_idx) else np.empty(0, dtype=np.int64)
+        predictions = boostwood.predict(model, binned_full.map_new(comps_test))
 
     record = {
         "record_type": "subset",
