@@ -17,7 +17,7 @@ import sys
 
 from . import feature_forge, panel_ingest, rollcast, synthgen
 from .errors import FundcastError
-from .panel_ingest import FilterRules
+from .panel_ingest import CONSENSUS_HEADER, TRUTH_HEADER, FilterRules, RawPanel
 from .rollcast import ExperimentConfig, parse_config, synth_spec
 
 
@@ -61,28 +61,31 @@ def run_backtest(config: ExperimentConfig):
 def cmd_synth(config: ExperimentConfig) -> int:
     spec = synth_spec(config)
     spec.validate()
-    os.makedirs(config.output_dir, exist_ok=True)
+    out = config.output_dir
+    os.makedirs(out, exist_ok=True)
     schema = synthgen.default_schema(spec)
     panel, truth = synthgen.generate_panel(spec)
-    synthgen.write_schema_csv(spec, os.path.join(config.output_dir, "schema.csv"))
-    panel_ingest.save_panel(panel, os.path.join(config.output_dir, "panel.csv"),
-                            schema=schema)
-    synthgen.write_truth_csv(panel, truth,
-                             os.path.join(config.output_dir, "truth.csv"))
+    panel_ingest.save_schema(schema, os.path.join(out, "schema.csv"))
+    panel_ingest.save_panel(panel, os.path.join(out, "panel.csv"), schema=schema)
+    panel_ingest.save_table(RawPanel(panel.index, {"target_true": truth}),
+                            os.path.join(out, "truth.csv"), TRUTH_HEADER)
     if config.synth_consensus:
-        rows = synthgen.generate_consensus_rows(panel, seed=spec.seed)
-        synthgen.write_consensus_csv(
-            rows, os.path.join(config.output_dir, "consensus.csv"))
-    print(f"synthetic panel written to {config.output_dir}")
+        panel_ingest.save_table(synthgen.generate_consensus(panel, seed=spec.seed),
+                                os.path.join(out, "consensus.csv"),
+                                CONSENSUS_HEADER)
+    print(f"synthetic panel written to {out}")
     return 0
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_report_text(records, output_dir) -> str:
     """Render records into output_dir/report.txt; returns the text."""
     text = rollcast.render_text(records)
-    with open(os.path.join(output_dir, "report.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(text, os.path.join(output_dir, "report.txt"))
     return text
 
 
@@ -91,23 +94,18 @@ def cmd_backtest(config: ExperimentConfig) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     rollcast.write_jsonl(records, os.path.join(config.output_dir, "report.jsonl"))
     write_report_text(records, config.output_dir)
-    models_dir = os.path.join(config.output_dir, "models")
-    trials_dir = os.path.join(config.output_dir, "trials")
-    fills_dir = os.path.join(config.output_dir, "fills")
-    for d in (models_dir, trials_dir, fills_dir):
-        os.makedirs(d, exist_ok=True)
+    for d in ("models", "trials", "fills"):
+        os.makedirs(os.path.join(config.output_dir, d), exist_ok=True)
     for result in results:
-        idx = result.record["subset"]
-        with open(os.path.join(models_dir, f"subset_{idx:03d}.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(result.model_text)
-        with open(os.path.join(models_dir, f"subset_{idx:03d}.pca.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(result.pca_text)
-        rollcast.write_jsonl([trial.to_record() for trial in result.trials],
-                             os.path.join(trials_dir, f"subset_{idx:03d}.jsonl"))
-        rollcast.write_jsonl(result.fill_report.to_records(),
-                             os.path.join(fills_dir, f"subset_{idx:03d}.jsonl"))
+        name = f"subset_{result.record['subset']:03d}"
+        for path, write, content in (
+                (f"models/{name}.txt", _write_text, result.model_text),
+                (f"models/{name}.pca.txt", _write_text, result.pca_text),
+                (f"trials/{name}.jsonl", rollcast.write_jsonl,
+                 [trial.to_record() for trial in result.trials]),
+                (f"fills/{name}.jsonl", rollcast.write_jsonl,
+                 result.fill_report.to_records())):
+            write(content, os.path.join(config.output_dir, path))
     print(f"{len(results)} subsets -> {config.output_dir}/report.jsonl")
     return 0
 

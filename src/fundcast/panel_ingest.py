@@ -3,9 +3,9 @@
 Reads the schema, panel and consensus CSVs through one reader that decodes
 a block of rows at a time, puts the panel and consensus rows on a
 calendar-quarter grid, applies company-level sample-elimination filters,
-and shifts next-quarter-aligned series. Column vectors use NaN as the
-distinguished missing marker; no numeric sentinel appears before the
-imputation stage downstream.
+and shifts next-quarter-aligned series. Each CSV's writer sits beside its
+reader. Column vectors use NaN as the distinguished missing marker; no
+numeric sentinel appears before the imputation stage downstream.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ PANEL_HEADER = ["company_id", "year", "quarter", "variable", "value"]
 
 CONSENSUS_HEADER = ["company_id", "year", "quarter", "consensus_mean",
                     "consensus_median", "actual_nongaap"]
+
+# The noiseless target synthgen plants, one row per panel row.
+TRUTH_HEADER = ["company_id", "year", "quarter", "target_true"]
 
 # Reserved per-company attribute rows inside the panel CSV.
 META_PREFIX = "meta_"
@@ -792,6 +795,31 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
+def _row_prefixes(index: PanelIndex) -> list:
+    """Each row's company_id,year,quarter fields as csv.writer writes them,
+    and a comma."""
+    companies = [_csv_field(name) for name in index.names]
+    return [f"{companies[c]},{q // 4},{q % 4 + 1},"
+            for c, q in zip(index.company.tolist(), index.quarter.tolist())]
+
+
+def _cells(values: np.ndarray, before: str, after: str) -> list:
+    """Each value as a CSV field between before and after: empty for NaN,
+    repr otherwise."""
+    return [f"{before}{'' if v != v else repr(v)}{after}" for v in values.tolist()]
+
+
+def save_schema(schema, path) -> None:
+    """Write VariableSpecs as the schema CSV load_schema reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCHEMA_HEADER)
+        for spec in schema:
+            writer.writerow([spec.name, spec.statement_group.value,
+                             *[int(fmt in spec.formats) for fmt in FLAG_FORMATS],
+                             int(spec.crucial), int(spec.next_quarter_aligned)])
+
+
 def save_panel(panel: RawPanel, path, schema=None) -> None:
     """Write a RawPanel to the long CSV format load_panel reads.
 
@@ -801,16 +829,15 @@ def save_panel(panel: RawPanel, path, schema=None) -> None:
     """
     names = [s.name for s in schema] if schema is not None else sorted(panel.columns)
     index = panel.index
+    prefixes = _row_prefixes(index)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         end = writer.dialect.lineterminator
         writer.writerow(PANEL_HEADER)
         for start, _ in index.runs():
-            company = index.names[index.company[start]]
-            cm = panel.meta.get(company)
+            cm = panel.meta.get(index.names[index.company[start]])
             if cm is None:
                 continue
-            year, quarter = divmod(int(index.quarter[start]), 4)
             for field_name in META_FIELDS:
                 value = getattr(cm, field_name)
                 if value is None:
@@ -819,18 +846,27 @@ def save_panel(panel: RawPanel, path, schema=None) -> None:
                     text = "1" if value else "0"
                 else:
                     text = repr(value) if isinstance(value, float) else str(value)
-                writer.writerow([company, year, quarter + 1,
-                                 META_PREFIX + field_name, text])
-        companies = [_csv_field(name) for name in index.names]
-        prefixes = [f"{companies[c]},{q // 4},{q % 4 + 1},"
-                    for c, q in zip(index.company.tolist(), index.quarter.tolist())]
-        cells = []
-        for name in names:
-            field_text = _csv_field(name) + ","
-            cells.append([f"{field_text}{'' if v != v else repr(v)}{end}"
-                          for v in panel.columns[name].tolist()])
+                fh.write(f"{prefixes[start]}{META_PREFIX}{field_name},{text}{end}")
+        cells = [_cells(panel.columns[name], _csv_field(name) + ",", end)
+                 for name in names]
         for prefix, row_cells in zip(prefixes, zip(*cells)):
             fh.write("".join([prefix + cell for cell in row_cells]))
+
+
+def save_table(table: RawPanel, path, header) -> None:
+    """Write a wide RawPanel as load_consensus reads it: the header, then
+    per row company_id,year,quarter and the columns header[3:] names,
+    empty where a value is missing and repr otherwise."""
+    names = header[3:]
+    prefixes = _row_prefixes(table.index)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        seps = [","] * (len(names) - 1) + [writer.dialect.lineterminator]
+        writer.writerow(header)
+        cells = [_cells(table.columns[name], "", sep)
+                 for name, sep in zip(names, seps)]
+        for prefix, row_cells in zip(prefixes, zip(*cells)):
+            fh.write(prefix + "".join(row_cells))
 
 
 def _company_fails(company: str, meta: CompanyMeta, rules: FilterRules) -> bool:

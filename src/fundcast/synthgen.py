@@ -11,7 +11,6 @@ nearly every row).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import InvalidSpecError
 from .panel_ingest import (
     CONSENSUS_HEADER,
-    SCHEMA_HEADER,
     CalendarQuarter,
     CompanyMeta,
     PanelIndex,
@@ -28,8 +26,6 @@ from .panel_ingest import (
 )
 
 SEASON_PATTERN = (0.0, 1.0, 0.0, -1.0)
-
-TRUTH_HEADER = ["company_id", "year", "quarter", "target_true"]
 
 
 @dataclass(frozen=True)
@@ -83,25 +79,10 @@ _BASE_ROWS = [
 ]
 
 
-def schema_rows(spec: SignalSpec) -> list:
-    rows = list(_BASE_ROWS[:6])
-    for name in spec.driver_variables:
-        rows.append((name, "income", 0, 1, 1, 0, 0, 0))
-    rows.extend(_BASE_ROWS[6:])
-    return rows
-
-
 def default_schema(spec: SignalSpec) -> list:
-    """VariableSpec list matching what load_schema reads from write_schema_csv."""
-    return [schema_spec(row) for row in schema_rows(spec)]
-
-
-def write_schema_csv(spec: SignalSpec, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEMA_HEADER)
-        for row in schema_rows(spec):
-            writer.writerow(row)
+    """VariableSpec list of the synthetic panel; save_schema writes it."""
+    drivers = [(name, "income", 0, 1, 1, 0, 0, 0) for name in spec.driver_variables]
+    return [schema_spec(row) for row in _BASE_ROWS[:6] + drivers + _BASE_ROWS[6:]]
 
 
 def _ar1(rng, shape, phi: float) -> np.ndarray:
@@ -192,20 +173,10 @@ def generate_panel(spec: SignalSpec):
     return panel, truth_grid[order].reshape(-1)
 
 
-def write_truth_csv(panel: RawPanel, truth: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        index = panel.index
-        for company, q, value in zip(index.company_names(), index.quarter.tolist(),
-                                     truth.tolist()):
-            writer.writerow([company, q // 4, q % 4 + 1,
-                             "" if value != value else repr(value)])
-
-
-def generate_consensus_rows(panel: RawPanel, *, income_var: str = "niq",
-                            skill: float = 0.8, seed: int = 0) -> list:
-    """Synthetic analyst table: non-GAAP actuals plus noisy estimates of them.
+def generate_consensus(panel: RawPanel, *, income_var: str = "niq",
+                       skill: float = 0.8, seed: int = 0) -> RawPanel:
+    """Synthetic analyst table: non-GAAP actuals plus noisy estimates of them,
+    with load_consensus's columns, on the panel rows whose actual is known.
 
     skill in [0, 1] scales the estimate noise down; 1.0 reproduces the
     actuals exactly.
@@ -216,18 +187,7 @@ def generate_consensus_rows(panel: RawPanel, *, income_var: str = "niq",
     sd = float(np.nanstd(ni)) * max(0.0, 1.0 - skill)
     mean_est = actual_ng + rng.normal(0.0, sd if sd > 0 else 0.0, size=len(ni))
     median_est = actual_ng + rng.normal(0.0, sd if sd > 0 else 0.0, size=len(ni))
-    index = panel.index
-    return [(company, q // 4, q % 4 + 1, mean, median, actual)
-            for company, q, mean, median, actual in zip(
-                index.company_names(), index.quarter.tolist(), mean_est.tolist(),
-                median_est.tolist(), actual_ng.tolist())
-            if actual == actual]
-
-
-def write_consensus_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONSENSUS_HEADER)
-        for company, year, quarter, mean_est, median_est, actual in rows:
-            writer.writerow([company, year, quarter, repr(mean_est),
-                             repr(median_est), repr(actual)])
+    known = ~np.isnan(actual_ng)
+    return RawPanel(panel.index.take(known),
+                    {name: col[known] for name, col in zip(
+                        CONSENSUS_HEADER[3:], (mean_est, median_est, actual_ng))})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -77,18 +77,10 @@ class TrialRecord:
         return self.error is None
 
     def to_record(self) -> dict:
-        return {
-            "index": self.index,
-            "validation_metric": self.validation_metric,
-            "train_metric": self.train_metric,
-            "wall_time": float(self.wall_time),
-            "error": self.error,
-            "best_round": self.best_round,
-            "rounds_fitted": self.rounds_fitted,
-            "null_trees": self.null_trees,
-            "best_valid_loss": self.best_valid_loss,
-            "params": self.params.to_record(),
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["wall_time"] = float(self.wall_time)
+        record["params"] = self.params.to_record()
+        return record
 
 
 def make_validation_split(quarters, size_quarters: int):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    consensus_table,
     index_from_keys,
     level_wise_growth,
     quarter_range,
@@ -320,9 +319,7 @@ def e2e_run():
     panel = panel_ingest.shift_forward_aligned(panel, schema)
     features = feature_forge.convert_formats(panel, schema)
     labels = feature_forge.build_labels(panel, "qoq", 3, "quantile_rank")
-    table = consensus_table({
-        (row[0], panel_ingest.CalendarQuarter(row[1], row[2])): tuple(row[3:6])
-        for row in synthgen.generate_consensus_rows(panel, seed=1)})
+    table = synthgen.generate_consensus(panel, seed=1)
     config = rollcast.ExperimentConfig(
         n_lags=8, look_back=8, pca_threshold=0.75, standardize=True,
         validation_size=8, search_budget=4,

@@ -3,11 +3,12 @@ on a small grid of matrices.
 
 The cases were chosen for the cyclic Jacobi solver that eigh_descending
 replaced: near-null spaces, a tied diagonal, repeated eigenvalues and
-off-diagonals below a rounding-level threshold; test_jacobi_golden asserts
-the property that makes each worth pinning. LAPACK's bytes hold for a fixed
-numpy/BLAS build and BLAS thread count (cov_d127 moves between 1 and 2
-threads), so the digests are computed in a child process with BLAS on 1
-thread, as perfbench runs it.
+off-diagonals below a rounding-level threshold. test_case_exercises_its_path
+asserts the property that makes each worth pinning, so a case cannot
+silently stop exercising it. LAPACK's bytes hold for a fixed numpy/BLAS
+build and BLAS thread count (cov_d127 moves between 1 and 2 threads), so
+the digests are computed in a child process with BLAS on 1 thread, as
+perfbench runs it.
 """
 
 import hashlib
@@ -119,6 +120,12 @@ def single_thread_digests():
          "for k, v in g.digests().items(): print(k, v)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     return dict(line.split() for line in run.stdout.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_exercises_its_path(name):
+    make, check = CASES[name]
+    assert check(make())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

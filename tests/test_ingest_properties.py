@@ -1,5 +1,5 @@
-"""Property tests of the panel CSV path: row order is free and
-save_panel -> load_panel is exact."""
+"""Property tests of the panel and consensus CSV paths: row order is free,
+and save_panel -> load_panel and save_table -> load_consensus are exact."""
 
 import csv
 import os
@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from conftest import index_from_keys, keys_of, simple_spec
 from fundcast.cli import main
 from fundcast.panel_ingest import (
+    CONSENSUS_HEADER,
     CalendarQuarter,
     CompanyMeta,
     RawPanel,
+    load_consensus,
     load_panel,
     save_panel,
+    save_table,
 )
 
 # a variable name that needs quoting too
@@ -84,6 +87,25 @@ def rowwise_csv(panel: RawPanel, path):
                                  "" if np.isnan(value) else repr(float(value))])
 
 
+def consensus_of(panel: RawPanel) -> RawPanel:
+    """A consensus table on the panel's rows, from its values."""
+    niq = panel.columns["niq"]
+    columns = (niq, panel.columns[SCHEMA[1].name], niq[::-1])
+    return RawPanel(panel.index, dict(zip(CONSENSUS_HEADER[3:], columns)))
+
+
+def rowwise_table_csv(table: RawPanel, path):
+    """A wide table's CSV written one csv.writer row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CONSENSUS_HEADER)
+        for i, (company, q) in enumerate(keys_of(table.index)):
+            writer.writerow([company, q.year, q.quarter] + [
+                "" if np.isnan(table.columns[name][i])
+                else repr(float(table.columns[name][i]))
+                for name in CONSENSUS_HEADER[3:]])
+
+
 def permute_rows(src, dst, seed):
     """Copy a CSV with its data rows in a random order."""
     with open(src, newline="", encoding="utf-8") as fh:
@@ -100,7 +122,9 @@ def permute_rows(src, dst, seed):
 @given(panel=panels(), seed=st.integers(0, 2 ** 32 - 1))
 def test_save_load_roundtrip_and_row_order(panel, seed):
     """save_panel writes what csv.writer writes row by row, load_panel
-    reads it back exactly, and reads the same panel with rows shuffled."""
+    reads it back exactly, and reads the same panel with rows shuffled;
+    save_table writes a consensus table as csv.writer would, and
+    load_consensus reads it back exactly."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "panel.csv")
         save_panel(panel, path, schema=SCHEMA)
@@ -111,6 +135,15 @@ def test_save_load_roundtrip_and_row_order(panel, seed):
         assert_same_panel(back, panel)
         permute_rows(path, os.path.join(tmp, "shuffled.csv"), seed)
         assert_same_panel(load_panel(os.path.join(tmp, "shuffled.csv"), SCHEMA), panel)
+
+        table = consensus_of(panel)
+        path = os.path.join(tmp, "consensus.csv")
+        save_table(table, path, CONSENSUS_HEADER)
+        rowwise_table_csv(table, os.path.join(tmp, "rowwise_consensus.csv"))
+        with open(path, "rb") as a, \
+                open(os.path.join(tmp, "rowwise_consensus.csv"), "rb") as b:
+            assert a.read() == b.read()
+        assert_same_panel(load_consensus(path), table)
 
 
 CONFIG = """

@@ -8,13 +8,13 @@ from fundcast.panel_ingest import (
     load_panel,
     load_schema,
     save_panel,
+    save_schema,
 )
 from fundcast.synthgen import (
     SignalSpec,
     default_schema,
-    generate_consensus_rows,
+    generate_consensus,
     generate_panel,
-    write_schema_csv,
 )
 
 
@@ -134,7 +134,7 @@ class TestGeneratePanel:
     def test_schema_csv_matches_default_schema(self, tmp_path):
         spec = small_spec()
         path = tmp_path / "schema.csv"
-        write_schema_csv(spec, path)
+        save_schema(default_schema(spec), path)
         assert load_schema(path) == default_schema(spec)
 
     def test_negative_excursions_present(self):
@@ -146,12 +146,12 @@ class TestGeneratePanel:
 class TestConsensus:
     def test_perfect_skill_reproduces_actuals(self):
         panel, _ = generate_panel(small_spec(noise_sd=0.2))
-        rows = generate_consensus_rows(panel, skill=1.0)
-        for _, _, _, mean_est, median_est, actual in rows:
+        table = generate_consensus(panel, skill=1.0)
+        for mean_est, median_est, actual in zip(*table.columns.values()):
             assert mean_est == pytest.approx(actual)
             assert median_est == pytest.approx(actual)
 
     def test_rows_cover_panel_keys(self):
         panel, _ = generate_panel(small_spec())
-        rows = generate_consensus_rows(panel)
-        assert len(rows) == panel.n_rows
+        table = generate_consensus(panel)
+        assert table.n_rows == panel.n_rows
